@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import classify as cls
-from . import groups, structure, tables, verify
+from . import groups, oracle, structure, tables, verify
 from .classify import NotADivisorError, UnsupportedGroupError
 from .groups import GroupParseError, format_group, order, order_factored, parse_group
 from .tables import TableLookupError
@@ -41,11 +41,26 @@ TABLE_ALIASES = {
 }
 
 
-def default_order_cap() -> int:
+class UsageError(ValueError):
+    """A bad option value the argument parser cannot check by itself."""
+
+
+def _order_cap(value, source: str) -> int:
     try:
-        return int(os.environ.get("SYLOW_ORACLE_CAP", ""))
+        cap = int(value)
     except ValueError:
-        return 20000
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+    return cap
+
+
+def default_order_cap() -> int:
+    """SYLOW_ORACLE_CAP when set, else the oracle's default cap."""
+    value = os.environ.get("SYLOW_ORACLE_CAP", "")
+    if not value:
+        return oracle.DEFAULT_ORDER_CAP
+    return _order_cap(value, "SYLOW_ORACLE_CAP")
 
 
 def _factored(value: int) -> str:
@@ -330,7 +345,8 @@ def cmd_verify(args) -> int:
                   f"P = {format_group(v.parabolic)}")
         return EXIT_OK if not violations else EXIT_VERIFY
 
-    cap = args.max_order if args.max_order is not None else default_order_cap()
+    cap = (_order_cap(args.max_order, "--max-order") if args.max_order is not None
+           else default_order_cap())
     ells = None if args.ell == "all" else [int(args.ell)]
     if args.group:
         g = groups.normalize(parse_group(args.group))
@@ -399,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_ell_arg, default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-order", type=int, default=None,
-                   help="enumeration cap (default SYLOW_ORACLE_CAP or 20000)")
+                   help="enumeration cap (default SYLOW_ORACLE_CAP or "
+                        f"{oracle.DEFAULT_ORDER_CAP})")
     p.add_argument("--max-m", type=int, default=verify.DEFAULT_MAX_M)
     p.add_argument("--max-n", type=int, default=verify.DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=None,
@@ -416,7 +433,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroupParseError as exc:
+    except (GroupParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotADivisorError, TableLookupError, UnsupportedGroupError) as exc:

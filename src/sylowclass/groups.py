@@ -413,7 +413,12 @@ def parse_group(spec: str) -> GroupType:
                 raise GroupParseError(f"bad power in {spec!r}")
         if token.startswith("[") and token.endswith("]"):
             token = token[1:-1]
-        atom = _parse_atom(token)
+        try:
+            atom = _parse_atom(token)
+        except GroupParseError:
+            raise
+        except ValueError as exc:  # the group constructor rejected the parameters
+            raise GroupParseError(f"invalid group {token!r}: {exc}") from exc
         factors.extend([atom] * power)
     return product_of(factors)
 

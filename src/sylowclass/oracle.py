@@ -9,9 +9,11 @@ are computed combinatorially from cycle/phase data.
 Subgroups are bitsets over the canonical element order.  Subgroup
 generation walks right cosets: each new coset H*t*g is one vectorized
 gather through the right-multiplication table of the generator g, so
-generating a subgroup K costs about |K| integer moves.  Conjugacy classes
-are orbits under conjugation by a fixed generating set of the parent
-group, again via precomputed index tables.
+generating a subgroup K costs about |K| integer moves.  A conjugacy class
+is found whole when its first member is discovered, by one orbit search
+under conjugation by a fixed generating set of the parent group, again via
+precomputed index tables.  The reflection-subgroup lattice is searched over
+one representative per class.
 
 Everything is exhaustive and capped (default order cap 20000); no
 permutation-group machinery beyond tables and orbits is needed at this
@@ -21,7 +23,6 @@ scale.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from math import factorial
 
@@ -241,9 +242,6 @@ class ConcreteGroup:
                             tuple(int(x) for x in self._P[i]))
             for i in range(self.size)
         ]
-        self._index = {
-            (e.phases, e.perm): i for i, e in enumerate(self.elements)
-        }
         self._right_tables: dict[int, np.ndarray] = {}
         self._left_tables: dict[int, np.ndarray] = {}
         self._reflection_indices: list[int] | None = None
@@ -259,7 +257,16 @@ class ConcreteGroup:
     # -- element access ------------------------------------------------
 
     def index_of(self, e: MonomialElement) -> int:
-        return self._index[(e.phases, e.perm)]
+        """Canonical index of e; KeyError if e is not in the group."""
+        if e.n != self.n:
+            raise KeyError(e)
+        code = self._codes(np.array([e.phases], dtype=np.int64),
+                           np.array([e.perm], dtype=np.int64))[0]
+        pos = int(np.searchsorted(self._codes_sorted, code))
+        # Out-of-range entries can alias another element's code.
+        if pos == self.size or self.elements[pos] != e:
+            raise KeyError(e)
+        return pos
 
     def is_identity_index(self, i: int) -> bool:
         return bool((self._A[i] == 0).all()) and bool(
@@ -383,7 +390,7 @@ def reflections(g: ConcreteGroup) -> list[MonomialElement]:
 @dataclass
 class _SubgroupRecord:
     idx: np.ndarray  # sorted element indices
-    gens: tuple[int, ...]  # generating reflection indices (a BFS path)
+    class_id: int  # number of its conjugacy class, in order of discovery
 
     @property
     def order(self) -> int:
@@ -425,77 +432,76 @@ def generate_subgroup(group: ConcreteGroup, element_indices) -> SubgroupHandle:
     return group.handle(np.flatnonzero(member).astype(np.int64))
 
 
+def conjugacy_class(group: ConcreteGroup, idx: np.ndarray) -> dict[bytes, np.ndarray]:
+    """All conjugates of the subgroup with sorted element indices idx, as
+    sorted index arrays keyed by their bytes: an orbit search under
+    conjugation x -> g*x*g^{-1} by the parent's generators."""
+    conj = [group.left_table(g)[group.right_table(group.inverse_index(g))]
+            for g in group.generator_indices()]
+    orbit = {idx.tobytes(): idx}
+    frontier = [idx]
+    while frontier:
+        cur = frontier.pop()
+        for table in conj:
+            new_idx = np.sort(table[cur])
+            key = new_idx.tobytes()
+            if key not in orbit:
+                orbit[key] = new_idx
+                frontier.append(new_idx)
+    return orbit
+
+
 def all_reflection_subgroups(group: ConcreteGroup,
                              max_subgroups: int = 200000) -> list[_SubgroupRecord]:
-    """Closure BFS from the trivial subgroup: repeatedly adjoin one
-    reflection and close.  Finds every subgroup generated by reflections."""
+    """Every subgroup generated by reflections, each tagged with its class.
+
+    Closure BFS from the trivial subgroup over one representative per
+    conjugacy class: adjoin one reflection to a representative and close.
+    Since <gHg^{-1}, r> = g<H, g^{-1}rg>g^{-1} and g^{-1}rg is again a
+    reflection, the closures of the representatives reach every class; a
+    closure not seen before enters with its whole class.
+    """
     refl = group.reflection_indices()
     refl_arr = np.array(refl, dtype=np.int64)
     refl_tables = {r: group.right_table(r) for r in refl}
-    trivial = _SubgroupRecord(np.array([0], dtype=np.int64), ())
-    records: dict[bytes, _SubgroupRecord] = {trivial.key(): trivial}
-    queue: deque[_SubgroupRecord] = deque([trivial])
-    while queue:
-        rec = queue.popleft()
-        inside = np.isin(refl_arr, rec.idx, assume_unique=True)
-        gen_tables = [refl_tables[r] for r in rec.gens]
+    records: dict[bytes, _SubgroupRecord] = {}
+    # One (representative, reflections generating it) per class; the loop
+    # below walks this list while admit() appends to it, in BFS order.
+    reps: list[tuple[np.ndarray, tuple[int, ...]]] = []
+
+    def admit(idx: np.ndarray, gens: tuple[int, ...]) -> None:
+        orbit = conjugacy_class(group, idx)
+        if len(records) + len(orbit) > max_subgroups:
+            raise ResourceLimitError(
+                f"more than {max_subgroups} reflection subgroups")
+        for key, member in orbit.items():
+            records[key] = _SubgroupRecord(member, len(reps))
+        reps.append((idx, gens))
+
+    admit(np.array([0], dtype=np.int64), ())
+    for rep, gens in reps:
+        inside = np.isin(refl_arr, rep, assume_unique=True)
+        gen_tables = [refl_tables[r] for r in gens]
         for r, already in zip(refl, inside):
             if already:
                 continue
-            member = _generate_from(
-                group, rec.idx, gen_tables + [refl_tables[r]])
+            member = _generate_from(group, rep, gen_tables + [refl_tables[r]])
             idx = np.flatnonzero(member).astype(np.int64)
-            new = _SubgroupRecord(idx, rec.gens + (r,))
-            key = new.key()
-            if key not in records:
-                if len(records) >= max_subgroups:
-                    raise ResourceLimitError(
-                        f"more than {max_subgroups} reflection subgroups")
-                records[key] = new
-                queue.append(new)
+            if idx.tobytes() not in records:
+                admit(idx, gens + (r,))
     return list(records.values())
 
 
-def _conjugation_tables(group: ConcreteGroup) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(left-by-g, right-by-g^{-1}) table pairs over group generators."""
-    out = []
-    for g_idx in group.generator_indices():
-        out.append((group.left_table(g_idx),
-                    group.right_table(group.inverse_index(g_idx))))
-    return out
-
-
-def _partition_conjugacy(group: ConcreteGroup,
-                         records: dict[bytes, np.ndarray]) -> list[OracleClass]:
-    """Partition a conjugation-closed family of subgroups (index arrays
-    keyed by their bytes) into conjugacy classes via orbit search over the
-    parent's generators."""
-    conj = _conjugation_tables(group)
-    unvisited = dict(records)
-    classes = []
-    for key in sorted(records, key=lambda k: (len(records[k]), k)):
-        if key not in unvisited:
-            continue
-        orbit = [key]
-        del unvisited[key]
-        frontier = [records[key]]
-        while frontier:
-            idx = frontier.pop()
-            for left, right_inv in conj:
-                new_idx = np.sort(left[right_inv[idx]])
-                new_key = new_idx.tobytes()
-                if new_key in unvisited:
-                    del unvisited[new_key]
-                    orbit.append(new_key)
-                    frontier.append(new_idx)
-                elif new_key not in records:
-                    raise OracleConsistencyError(
-                        "conjugate left the subgroup family")
-        members = tuple(
-            SubgroupHandle(group, group.indices_to_bits(records[k]), len(records[k]))
-            for k in sorted(orbit)
-        )
-        classes.append(OracleClass(members))
+def _as_classes(group: ConcreteGroup,
+                orbits: list[dict[bytes, np.ndarray]]) -> list[OracleClass]:
+    """OracleClass per orbit, members in key order, classes by order and
+    first member."""
+    classes = [
+        OracleClass(tuple(
+            SubgroupHandle(group, group.indices_to_bits(orbit[k]), len(orbit[k]))
+            for k in sorted(orbit)))
+        for orbit in orbits
+    ]
     classes.sort(key=lambda c: (c.order, c.members[0].bits))
     return classes
 
@@ -503,8 +509,10 @@ def _partition_conjugacy(group: ConcreteGroup,
 def reflection_subgroup_classes(group: ConcreteGroup,
                                 max_subgroups: int = 200000) -> list[OracleClass]:
     """Conjugacy classes of all reflection-generated subgroups."""
-    recs = all_reflection_subgroups(group, max_subgroups)
-    return _partition_conjugacy(group, {r.key(): r.idx for r in recs})
+    orbits: dict[int, dict[bytes, np.ndarray]] = {}
+    for rec in all_reflection_subgroups(group, max_subgroups):
+        orbits.setdefault(rec.class_id, {})[rec.key()] = rec.idx
+    return _as_classes(group, list(orbits.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +551,15 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     spaces = {}
     for sp in group.fixed_spaces():
         spaces.setdefault(sp.vectors, sp)
-    stabs: dict[bytes, np.ndarray] = {}
+    known: set[bytes] = set()
+    orbits = []
     for sp in spaces.values():
         idx = np.flatnonzero(_stabilizer_mask(group, sp)).astype(np.int64)
-        stabs.setdefault(idx.tobytes(), idx)
-    return _partition_conjugacy(group, stabs)
+        if idx.tobytes() not in known:
+            orbit = conjugacy_class(group, idx)
+            known.update(orbit)
+            orbits.append(orbit)
+    return _as_classes(group, orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -577,27 +589,9 @@ def minimal_full_valuation(group: ConcreteGroup, classes: list[OracleClass],
 
 def are_conjugate(group: ConcreteGroup, a: SubgroupHandle,
                   b: SubgroupHandle) -> bool:
-    """Orbit search from a under conjugation by the parent's generators."""
-    if a.order != b.order:
-        return False
-    if a.bits == b.bits:
-        return True
-    conj = _conjugation_tables(group)
-    target = np.sort(b.indices()).tobytes()
-    start = np.sort(a.indices())
-    seen = {start.tobytes()}
-    frontier = [start]
-    while frontier:
-        idx = frontier.pop()
-        for left, right_inv in conj:
-            new_idx = np.sort(left[right_inv[idx]])
-            key = new_idx.tobytes()
-            if key == target:
-                return True
-            if key not in seen:
-                seen.add(key)
-                frontier.append(new_idx)
-    return False
+    """Whether b is in the conjugacy class of a."""
+    return (a.order == b.order
+            and b.indices().tobytes() in conjugacy_class(group, a.indices()))
 
 
 def sylow_construct(group: ConcreteGroup, ell: int) -> SubgroupHandle:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sylowclass import cli, verify
+from sylowclass import cli, oracle, verify
 from sylowclass.tables import load_tables
 
 
@@ -77,9 +77,32 @@ class TestSylowCommand:
 
 class TestExitCodes:
     def test_usage_error_bad_group(self, capsys):
-        code, _, err = run(capsys, "classify", "--group", "Gnope", "--ell", "2")
-        assert code == 2
-        assert "error" in err
+        # unparsable, and parsable with parameters no G(m,p,n) has
+        for spec in ["Gnope", "G(3,2,3)", "G(0,1,1)"]:
+            code, _, err = run(capsys, "classify", "--group", spec, "--ell", "2")
+            assert code == 2, spec
+            assert "error" in err
+
+    def test_usage_error_nonpositive_max_order(self, capsys):
+        for cap in ["0", "-3"]:
+            code, out, err = run(capsys, "verify", "--max-order", cap)
+            assert code == 2, cap
+            assert out == ""
+            assert "--max-order" in err
+
+    def test_usage_error_nonpositive_env_cap(self, capsys, monkeypatch):
+        for value in ["-5", "0", "many"]:
+            monkeypatch.setenv("SYLOW_ORACLE_CAP", value)
+            code, out, err = run(capsys, "verify", "--group", "G(3,3,2)")
+            assert code == 2, value
+            assert out == ""
+            assert "SYLOW_ORACLE_CAP" in err
+
+    def test_default_cap_is_the_oracle_default(self, monkeypatch):
+        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
+        assert cli.default_order_cap() == oracle.DEFAULT_ORDER_CAP
+        monkeypatch.setenv("SYLOW_ORACLE_CAP", "100")
+        assert cli.default_order_cap() == 100
 
     def test_usage_error_nonprime_ell(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -44,6 +45,15 @@ class TestEnumeration:
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             enumerate_group(6, 4, 2)
+
+    def test_index_of_rejects_non_member(self):
+        g = enumerate_group(4, 2, 2)
+        assert g.index_of(MonomialElement(4, (1, 1), (1, 0))) > 0
+        # phase sum 1 is odd, so this is in G(4,1,2) but not in G(4,2,2)
+        with pytest.raises(KeyError):
+            g.index_of(MonomialElement(4, (1, 0), (0, 1)))
+        with pytest.raises(KeyError):
+            g.index_of(MonomialElement(4, (4, 0), (0, 1)))
 
     def test_membership_constraint(self):
         g = enumerate_group(6, 3, 2)
@@ -199,6 +209,36 @@ class TestReflectionSubgroupClasses:
                 regen = generate_subgroup(g, inside) if inside else None
                 if regen is not None:
                     assert regen.bits == h.bits
+
+
+class TestLatticeBruteForce:
+    """The class-representative BFS against a search that uses neither the
+    BFS nor the conjugation tables."""
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_classes_are_all_reflection_subgroups_up_to_conjugacy(self, mpn):
+        g = enumerate_group(*mpn)
+        refl = g.reflection_indices()
+        expected = {generate_subgroup(g, list(subset)).bits
+                    for k in range(len(refl) + 1)
+                    for subset in itertools.combinations(refl, k)}
+        classes = reflection_subgroup_classes(g)
+        members = [h.bits for c in classes for h in c.members]
+        assert len(members) == len(set(members))
+        assert set(members) == expected
+
+        index = {(e.phases, e.perm): i for i, e in enumerate(g.elements)}
+        for cls in classes:
+            rep = cls.representative.elements()
+            conjugates = set()
+            for x in g.elements:
+                x_inv = x.inv()
+                conjugates.add(g.indices_to_bits(np.array(
+                    [index[(c.phases, c.perm)]
+                     for c in (x.mul(h).mul(x_inv) for h in rep)],
+                    dtype=np.int64)))
+            assert {h.bits for h in cls.members} == conjugates
 
 
 class TestConjugacy:
