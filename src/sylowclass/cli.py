@@ -354,6 +354,7 @@ def cmd_verify(args) -> int:
             raise UnsupportedGroupError(
                 "the oracle only enumerates imprimitive groups G(m,p,n)")
         points = [(g.m, g.p, g.n)]
+        ells = _resolve_ells(g, args.ell)
     else:
         points = verify.grid_points(args.max_m, args.max_n, cap)
     report = verify.run_campaign(points, ells, cap, jobs=args.jobs)

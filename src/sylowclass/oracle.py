@@ -6,14 +6,15 @@ e_perm(j).  Membership requires the phase exponents to sum to 0 mod p.
 All arithmetic is integer arithmetic mod m; fixed spaces and stabilizers
 are computed combinatorially from cycle/phase data.
 
-Subgroups are bitsets over the canonical element order.  Subgroup
-generation walks right cosets: each new coset H*t*g is one vectorized
-gather through the right-multiplication table of the generator g, so
-generating a subgroup K costs about |K| integer moves.  A conjugacy class
-is found whole when its first member is discovered, by one orbit search
-under conjugation by a fixed generating set of the parent group, again via
-precomputed index tables.  The reflection-subgroup lattice is searched over
-one representative per class.
+A subgroup is one Subgroup: the sorted array of its element indices in the
+canonical element order, whose bytes key every dict.  Subgroup generation
+walks right cosets: each new coset H*t*g is one vectorized gather through
+the right-multiplication table of the generator g, so generating a
+subgroup K costs about |K| integer moves.  A conjugacy class is found whole
+when its first member is discovered, by one orbit search under conjugation
+by a fixed generating set of the parent group, through conjugation tables
+built once per group.  The reflection-subgroup lattice is searched over one
+representative per class.
 
 Everything is exhaustive and capped (default order cap 20000); no
 permutation-group machinery beyond tables and orbits is needed at this
@@ -32,6 +33,7 @@ from .groups import AugmentedPartition, augmented_partition
 from .valuation import nu
 
 DEFAULT_ORDER_CAP = 20000
+MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
 
 
 class ResourceLimitError(RuntimeError):
@@ -86,10 +88,6 @@ def inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def identity_element(m: int, n: int) -> MonomialElement:
-    return MonomialElement(m, (0,) * n, tuple(range(n)))
-
-
 @dataclass(frozen=True)
 class FixedSpace:
     """Combinatorial fixed-space basis: one vector per phase-trivial cycle,
@@ -138,34 +136,18 @@ def fixed_space(e: MonomialElement) -> FixedSpace:
     return FixedSpace(m, n, tuple(sorted(vectors)))
 
 
-class SubgroupHandle:
-    """A subgroup of a ConcreteGroup as an element-index bitset with a
-    cached order."""
+class Subgroup:
+    """A subgroup of a ConcreteGroup: its sorted int64 element indices, their
+    bytes as its dict key, and the number of its conjugacy class in order of
+    discovery (-1 when no class search assigned one)."""
 
-    __slots__ = ("group", "bits", "order")
+    __slots__ = ("idx", "key", "order", "class_id")
 
-    def __init__(self, group: "ConcreteGroup", bits: int, order: int):
-        self.group = group
-        self.bits = bits
-        self.order = order
-
-    def indices(self) -> np.ndarray:
-        return self.group.bits_to_indices(self.bits)
-
-    def elements(self) -> list[MonomialElement]:
-        return [self.group.elements[i] for i in self.indices()]
-
-    def contains(self, other: "SubgroupHandle") -> bool:
-        return other.bits & self.bits == other.bits
-
-    def __le__(self, other):
-        return other.contains(self)
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __eq__(self, other):
-        return isinstance(other, SubgroupHandle) and self.bits == other.bits
+    def __init__(self, idx: np.ndarray, class_id: int = -1):
+        self.idx = idx
+        self.key = idx.tobytes()
+        self.order = len(idx)
+        self.class_id = class_id
 
     def __repr__(self):
         return f"<subgroup of order {self.order}>"
@@ -175,7 +157,7 @@ class SubgroupHandle:
 class OracleClass:
     """One conjugacy class of subgroups."""
 
-    members: tuple[SubgroupHandle, ...]
+    members: tuple[Subgroup, ...]
 
     @property
     def order(self) -> int:
@@ -186,7 +168,7 @@ class OracleClass:
         return len(self.members)
 
     @property
-    def representative(self) -> SubgroupHandle:
+    def representative(self) -> Subgroup:
         return self.members[0]
 
 
@@ -243,7 +225,7 @@ class ConcreteGroup:
             for i in range(self.size)
         ]
         self._right_tables: dict[int, np.ndarray] = {}
-        self._left_tables: dict[int, np.ndarray] = {}
+        self._conj_tables: list[np.ndarray] | None = None
         self._reflection_indices: list[int] | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
@@ -272,24 +254,6 @@ class ConcreteGroup:
         return bool((self._A[i] == 0).all()) and bool(
             (self._P[i] == np.arange(self.n)).all())
 
-    def bits_to_indices(self, bits: int) -> np.ndarray:
-        packed = np.frombuffer(
-            bits.to_bytes((self.size + 7) // 8, "little"), dtype=np.uint8)
-        bools = np.unpackbits(packed, bitorder="little", count=self.size)
-        return np.flatnonzero(bools).astype(np.int64)
-
-    def indices_to_bits(self, idx: np.ndarray) -> int:
-        bools = np.zeros(self.size, dtype=np.uint8)
-        bools[idx] = 1
-        packed = np.packbits(bools, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
-    def handle(self, idx: np.ndarray) -> SubgroupHandle:
-        return SubgroupHandle(self, self.indices_to_bits(idx), int(len(idx)))
-
-    def whole_group_handle(self) -> SubgroupHandle:
-        return self.handle(np.arange(self.size, dtype=np.int64))
-
     # -- multiplication tables ------------------------------------------
 
     def _table_from_element(self, phases: np.ndarray, perm: np.ndarray,
@@ -316,15 +280,14 @@ class ConcreteGroup:
             self._right_tables[g_idx] = tab
         return tab
 
-    def left_table(self, g_idx: int) -> np.ndarray:
-        tab = self._left_tables.get(g_idx)
-        if tab is None:
-            tab = self._table_from_element(self._A[g_idx], self._P[g_idx], "left")
-            self._left_tables[g_idx] = tab
-        return tab
-
-    def inverse_index(self, g_idx: int) -> int:
-        return self.index_of(self.elements[g_idx].inv())
+    def conjugation_tables(self) -> list[np.ndarray]:
+        """Index tables of x -> g*x*g^{-1}, one per generator g."""
+        if self._conj_tables is None:
+            self._conj_tables = [
+                self._table_from_element(self._A[g], self._P[g], "left")[
+                    self.right_table(self.index_of(self.elements[g].inv()))]
+                for g in self.generator_indices()]
+        return self._conj_tables
 
     # -- reflections and fixed spaces -----------------------------------
 
@@ -379,32 +342,15 @@ def enumerate_group(m: int, p: int, n: int,
     return ConcreteGroup(m, p, n, order_cap)
 
 
-def reflections(g: ConcreteGroup) -> list[MonomialElement]:
-    return g.reflections()
-
-
 # ---------------------------------------------------------------------------
 # Subgroup generation
 
 
-@dataclass
-class _SubgroupRecord:
-    idx: np.ndarray  # sorted element indices
-    class_id: int  # number of its conjugacy class, in order of discovery
-
-    @property
-    def order(self) -> int:
-        return len(self.idx)
-
-    def key(self) -> bytes:
-        return self.idx.tobytes()
-
-
 def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
                    gen_tables: list[np.ndarray]) -> np.ndarray:
-    """Closure of a subgroup (given by base_idx, which must already be
-    closed) together with the generators behind gen_tables, which must
-    include generators of the base subgroup.
+    """Sorted element indices of the closure of a subgroup (given by
+    base_idx, which must already be closed) together with the generators
+    behind gen_tables, which must include generators of the base subgroup.
 
     Walks right cosets: a candidate coset H*t*g is new iff its
     representative index is unmarked, and its elements are one table
@@ -421,112 +367,97 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
                 new_coset = table[coset]
                 member[new_coset] = True
                 stack.append((x, new_coset))
-    return member
+    return np.flatnonzero(member).astype(np.int64)
 
 
-def generate_subgroup(group: ConcreteGroup, element_indices) -> SubgroupHandle:
-    """Subgroup generated by arbitrary elements (by index)."""
+def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
+    """Subgroup generated by arbitrary elements (by index); the trivial
+    subgroup when there are none."""
     tables = [group.right_table(i) for i in element_indices]
-    ident = np.array([0], dtype=np.int64)
-    member = _generate_from(group, ident, tables)
-    return group.handle(np.flatnonzero(member).astype(np.int64))
+    return Subgroup(_generate_from(group, np.array([0], dtype=np.int64), tables))
 
 
-def conjugacy_class(group: ConcreteGroup, idx: np.ndarray) -> dict[bytes, np.ndarray]:
-    """All conjugates of the subgroup with sorted element indices idx, as
-    sorted index arrays keyed by their bytes: an orbit search under
-    conjugation x -> g*x*g^{-1} by the parent's generators."""
-    conj = [group.left_table(g)[group.right_table(group.inverse_index(g))]
-            for g in group.generator_indices()]
-    orbit = {idx.tobytes(): idx}
-    frontier = [idx]
+def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
+    """All conjugates of h keyed by their keys, each carrying h's class
+    number: an orbit search under conjugation x -> g*x*g^{-1} by the
+    parent's generators."""
+    orbit = {h.key: h}
+    frontier = [h]
     while frontier:
         cur = frontier.pop()
-        for table in conj:
-            new_idx = np.sort(table[cur])
-            key = new_idx.tobytes()
-            if key not in orbit:
-                orbit[key] = new_idx
-                frontier.append(new_idx)
+        for table in group.conjugation_tables():
+            new = Subgroup(np.sort(table[cur.idx]), h.class_id)
+            if new.key not in orbit:
+                orbit[new.key] = new
+                frontier.append(new)
     return orbit
 
 
-def all_reflection_subgroups(group: ConcreteGroup,
-                             max_subgroups: int = 200000) -> list[_SubgroupRecord]:
+def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     """Every subgroup generated by reflections, each tagged with its class.
 
     Closure BFS from the trivial subgroup over one representative per
     conjugacy class: adjoin one reflection to a representative and close.
     Since <gHg^{-1}, r> = g<H, g^{-1}rg>g^{-1} and g^{-1}rg is again a
     reflection, the closures of the representatives reach every class; a
-    closure not seen before enters with its whole class.
+    closure not seen before enters with its whole class.  More than
+    MAX_SUBGROUPS subgroups raise ResourceLimitError.
     """
     refl = group.reflection_indices()
     refl_arr = np.array(refl, dtype=np.int64)
     refl_tables = {r: group.right_table(r) for r in refl}
-    records: dict[bytes, _SubgroupRecord] = {}
+    found: dict[bytes, Subgroup] = {}
     # One (representative, reflections generating it) per class; the loop
-    # below walks this list while admit() appends to it, in BFS order.
-    reps: list[tuple[np.ndarray, tuple[int, ...]]] = []
+    # below walks this list while admit() appends to it, in BFS order, so a
+    # new class gets the number len(reps).
+    reps: list[tuple[Subgroup, tuple[int, ...]]] = []
 
-    def admit(idx: np.ndarray, gens: tuple[int, ...]) -> None:
-        orbit = conjugacy_class(group, idx)
-        if len(records) + len(orbit) > max_subgroups:
+    def admit(h: Subgroup, gens: tuple[int, ...]) -> None:
+        orbit = conjugacy_class(group, h)
+        if len(found) + len(orbit) > MAX_SUBGROUPS:
             raise ResourceLimitError(
-                f"more than {max_subgroups} reflection subgroups")
-        for key, member in orbit.items():
-            records[key] = _SubgroupRecord(member, len(reps))
-        reps.append((idx, gens))
+                f"more than {MAX_SUBGROUPS} reflection subgroups")
+        found.update(orbit)
+        reps.append((h, gens))
 
-    admit(np.array([0], dtype=np.int64), ())
+    admit(Subgroup(np.array([0], dtype=np.int64), 0), ())
     for rep, gens in reps:
-        inside = np.isin(refl_arr, rep, assume_unique=True)
+        inside = np.isin(refl_arr, rep.idx, assume_unique=True)
         gen_tables = [refl_tables[r] for r in gens]
         for r, already in zip(refl, inside):
             if already:
                 continue
-            member = _generate_from(group, rep, gen_tables + [refl_tables[r]])
-            idx = np.flatnonzero(member).astype(np.int64)
-            if idx.tobytes() not in records:
-                admit(idx, gens + (r,))
-    return list(records.values())
+            h = Subgroup(_generate_from(group, rep.idx, gen_tables + [refl_tables[r]]),
+                         len(reps))
+            if h.key not in found:
+                admit(h, gens + (r,))
+    return list(found.values())
 
 
-def _as_classes(group: ConcreteGroup,
-                orbits: list[dict[bytes, np.ndarray]]) -> list[OracleClass]:
+def _as_classes(orbits: list[dict[bytes, Subgroup]]) -> list[OracleClass]:
     """OracleClass per orbit, members in key order, classes by order and
     first member."""
-    classes = [
-        OracleClass(tuple(
-            SubgroupHandle(group, group.indices_to_bits(orbit[k]), len(orbit[k]))
-            for k in sorted(orbit)))
-        for orbit in orbits
-    ]
-    classes.sort(key=lambda c: (c.order, c.members[0].bits))
+    classes = [OracleClass(tuple(orbit[k] for k in sorted(orbit)))
+               for orbit in orbits]
+    classes.sort(key=lambda c: (c.order, c.members[0].key))
     return classes
 
 
-def reflection_subgroup_classes(group: ConcreteGroup,
-                                max_subgroups: int = 200000) -> list[OracleClass]:
+def reflection_subgroup_classes(group: ConcreteGroup) -> list[OracleClass]:
     """Conjugacy classes of all reflection-generated subgroups."""
-    orbits: dict[int, dict[bytes, np.ndarray]] = {}
-    for rec in all_reflection_subgroups(group, max_subgroups):
-        orbits.setdefault(rec.class_id, {})[rec.key()] = rec.idx
-    return _as_classes(group, list(orbits.values()))
+    orbits: dict[int, dict[bytes, Subgroup]] = {}
+    for h in all_reflection_subgroups(group):
+        orbits.setdefault(h.class_id, {})[h.key] = h
+    return _as_classes(list(orbits.values()))
 
 
 # ---------------------------------------------------------------------------
 # Parabolic subgroups
 
 
-def pointwise_stabilizer(group: ConcreteGroup, space: FixedSpace) -> SubgroupHandle:
+def pointwise_stabilizer(group: ConcreteGroup, space: FixedSpace) -> Subgroup:
     """All elements fixing every basis vector of the space, by exact phase
     arithmetic mod m (vectorized over the whole group)."""
-    mask = _stabilizer_mask(group, space)
-    return group.handle(np.flatnonzero(mask).astype(np.int64))
-
-
-def _stabilizer_mask(group: ConcreteGroup, space: FixedSpace) -> np.ndarray:
     m, n = group.m, group.n
     mask = np.ones(group.size, dtype=bool)
     for coords, exps in space.vectors:
@@ -539,7 +470,7 @@ def _stabilizer_mask(group: ConcreteGroup, space: FixedSpace) -> np.ndarray:
             pre_in = in_c[pre]
             ok = pre_in & ((group._A[:, j] + xfull[pre] - xj) % m == 0)
             mask &= ok
-    return mask
+    return Subgroup(np.flatnonzero(mask).astype(np.int64))
 
 
 def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
@@ -554,47 +485,40 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     known: set[bytes] = set()
     orbits = []
     for sp in spaces.values():
-        idx = np.flatnonzero(_stabilizer_mask(group, sp)).astype(np.int64)
-        if idx.tobytes() not in known:
-            orbit = conjugacy_class(group, idx)
+        h = pointwise_stabilizer(group, sp)
+        if h.key not in known:
+            orbit = conjugacy_class(group, h)
             known.update(orbit)
             orbits.append(orbit)
-    return _as_classes(group, orbits)
+    return _as_classes(orbits)
 
 
 # ---------------------------------------------------------------------------
-# Minimal classes, conjugacy, Sylow construction, identification
+# Minimal classes, Sylow construction, identification
 
 
 def minimal_full_valuation(group: ConcreteGroup, classes: list[OracleClass],
                            ell: int) -> list[OracleClass]:
     """Classes whose order has the full ell-valuation of |G| and none of
-    whose members properly contain another such class member."""
+    whose members properly contain another such class member.
+
+    Classes are closed under conjugation, so a member of one class lies in
+    some member gAg^{-1} of another exactly when some member lies in A
+    itself; only the representative A is tested."""
     g_val = nu(ell, group.size)
     full = [c for c in classes if nu(ell, c.order) == g_val]
     minimal = []
     for c in full:
-        dominated = False
-        for other in full:
-            if other.order >= c.order:
-                continue
-            if any(o.bits & a.bits == o.bits
-                   for a in c.members for o in other.members):
-                dominated = True
-                break
-        if not dominated:
+        in_rep = np.zeros(group.size, dtype=bool)
+        in_rep[c.representative.idx] = True
+        if not any(in_rep[o.idx].all()
+                   for other in full if other.order < c.order
+                   for o in other.members):
             minimal.append(c)
     return minimal
 
 
-def are_conjugate(group: ConcreteGroup, a: SubgroupHandle,
-                  b: SubgroupHandle) -> bool:
-    """Whether b is in the conjugacy class of a."""
-    return (a.order == b.order
-            and b.indices().tobytes() in conjugacy_class(group, a.indices()))
-
-
-def sylow_construct(group: ConcreteGroup, ell: int) -> SubgroupHandle:
+def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
     """A concrete ell-Sylow subgroup: diagonal ell-power phase generators
     satisfying the phase-sum constraint, plus the iterated-wreath
     permutation generators of a Sylow subgroup of Sym(n) aligned to
@@ -639,37 +563,31 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> SubgroupHandle:
                 add([0] * n, perm)
             offset += ell**i
 
-    handle = generate_subgroup(group, gens) if gens else group.handle(
-        np.array([0], dtype=np.int64))
+    sylow = generate_subgroup(group, gens)
     expected = ell ** nu(ell, group.size)
-    if handle.order != expected:
+    if sylow.order != expected:
         raise OracleConsistencyError(
             f"Sylow recipe for G({m},{p},{n}) at {ell} generated order "
-            f"{handle.order}, expected {expected}")
-    return handle
+            f"{sylow.order}, expected {expected}")
+    return sylow
 
 
-def identify_class(group: ConcreteGroup, h: SubgroupHandle,
-                   validate: bool = True) -> AugmentedPartition:
+def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     """Recover the augmented-partition label of a reflection subgroup from
     its orbit and phase structure.
 
     Blocks are the orbits of the permutation parts.  In each block the
     phase subgroup is read off conjugation-invariantly from the cycle
     phase sums (gcd with m gives m/m_i), the rank is the orbit size, and
-    p_i follows from the projected factor order.  With validate the
-    subgroup is regenerated from its reflections first; a subgroup not
-    generated by reflections is rejected.
+    p_i follows from the projected factor order.  The subgroup is
+    regenerated from its reflections first; a subgroup not generated by
+    reflections is rejected.
     """
     m, p, n = group.m, group.p, group.n
-    idx = h.indices()
-    if validate:
-        refl_set = np.array(group.reflection_indices(), dtype=np.int64)
-        inside = idx[np.isin(idx, refl_set, assume_unique=True)]
-        regenerated = (generate_subgroup(group, list(map(int, inside)))
-                       if len(inside) else group.handle(np.array([0], dtype=np.int64)))
-        if regenerated.bits != h.bits:
-            raise ValueError("subgroup is not generated by its reflections")
+    idx = h.idx
+    inside = idx[np.isin(idx, group.reflection_indices(), assume_unique=True)]
+    if generate_subgroup(group, inside.tolist()).key != h.key:
+        raise ValueError("subgroup is not generated by its reflections")
 
     perms = group._P[idx]
     phases = group._A[idx]

@@ -110,9 +110,12 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_domain_error_not_divisor(self, capsys):
-        code, _, err = run(capsys, "classify", "--group", "G(12,6,3)",
-                           "--ell", "7")
-        assert code == 3
+        for argv in [("classify", "--group", "G(12,6,3)", "--ell", "7"),
+                     ("verify", "--group", "G(2,1,2)", "--ell", "3")]:
+            code, out, err = run(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert "does not divide" in err
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         failing = verify.CampaignReport([verify.GroupReport(2, 1, 2, 8, checks=[

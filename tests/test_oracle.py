@@ -4,21 +4,21 @@ import random
 import numpy as np
 import pytest
 
+from sylowclass import oracle
 from sylowclass.groups import Imprimitive, Sym, order, degrees_imprimitive
 from sylowclass.oracle import (
     MonomialElement,
     ResourceLimitError,
-    are_conjugate,
+    Subgroup,
+    conjugacy_class,
     enumerate_group,
     fixed_space,
     generate_subgroup,
-    identity_element,
     identify_class,
     minimal_full_valuation,
     parabolic_classes,
     pointwise_stabilizer,
     reflection_subgroup_classes,
-    reflections,
     sylow_construct,
 )
 from sylowclass.valuation import nu, prime_factors
@@ -91,9 +91,9 @@ class TestEnumeration:
 
 class TestReflectionsAndFixedSpaces:
     def test_counts(self):
-        assert len(reflections(enumerate_group(2, 1, 2))) == 4
-        assert len(reflections(enumerate_group(3, 3, 2))) == 3
-        assert len(reflections(enumerate_group(1, 1, 3))) == 3
+        assert len(enumerate_group(2, 1, 2).reflections()) == 4
+        assert len(enumerate_group(3, 3, 2).reflections()) == 3
+        assert len(enumerate_group(1, 1, 3).reflections()) == 3
 
     def test_reflection_count_matches_degrees(self):
         # number of reflections = sum of (d_i - 1) over the degrees
@@ -109,7 +109,7 @@ class TestReflectionsAndFixedSpaces:
                     assert len(g.reflection_indices()) == expected, (m, p, n)
 
     def test_fixed_space_examples(self):
-        assert fixed_space(identity_element(4, 3)).dimension == 3
+        assert fixed_space(MonomialElement(4, (0, 0, 0), (0, 1, 2))).dimension == 3
         e = MonomialElement(1, (0, 0, 0), (1, 0, 2))
         assert fixed_space(e).dimension == 2
         e = MonomialElement(4, (2, 0), (0, 1))
@@ -118,7 +118,7 @@ class TestReflectionsAndFixedSpaces:
     def test_reflections_have_hyperplane_fixed_space(self):
         for m, p, n in [(2, 1, 2), (4, 2, 3), (3, 1, 3)]:
             g = enumerate_group(m, p, n)
-            for r in reflections(g):
+            for r in g.reflections():
                 assert fixed_space(r).dimension == n - 1
 
     def test_cycle_order_does_not_change_descriptor(self):
@@ -133,7 +133,8 @@ class TestStabilizers:
         g = enumerate_group(2, 1, 2)
         st = pointwise_stabilizer(g, fixed_space(MonomialElement(2, (1, 0), (0, 1))))
         assert st.order == 2
-        assert pointwise_stabilizer(g, fixed_space(identity_element(2, 2))).order == 1
+        identity = MonomialElement(2, (0, 0), (0, 1))
+        assert pointwise_stabilizer(g, fixed_space(identity)).order == 1
         g3 = enumerate_group(1, 1, 3)
         st = pointwise_stabilizer(g3, fixed_space(MonomialElement(1, (0, 0, 0), (1, 0, 2))))
         assert st.order == 2
@@ -143,7 +144,7 @@ class TestStabilizers:
         for e in g.elements[:20]:
             space = fixed_space(e)
             st = pointwise_stabilizer(g, space)
-            assert g.index_of(e) in set(st.indices().tolist())
+            assert g.index_of(e) in set(st.idx.tolist())
 
 
 class TestParabolicClasses:
@@ -164,10 +165,10 @@ class TestParabolicClasses:
         # validates the flat-set assumption on a small grid
         for m, p, n in [(2, 1, 2), (3, 3, 2), (2, 2, 3), (4, 2, 2)]:
             g = enumerate_group(m, p, n)
-            subs = {h.bits for c in parabolic_classes(g) for h in c.members}
-            for a in subs:
-                for b in subs:
-                    assert a & b in subs
+            subs = {h.key: h.idx for c in parabolic_classes(g) for h in c.members}
+            for a in subs.values():
+                for b in subs.values():
+                    assert np.intersect1d(a, b).tobytes() in subs
 
     def test_steinberg_regeneration(self):
         # every parabolic is generated by the reflections it contains
@@ -176,10 +177,10 @@ class TestParabolicClasses:
             refl = set(g.reflection_indices())
             for cls in parabolic_classes(g):
                 h = cls.representative
-                inside = [i for i in h.indices().tolist() if i in refl]
+                inside = [i for i in h.idx.tolist() if i in refl]
                 if inside:
                     regen = generate_subgroup(g, inside)
-                    assert regen.bits == h.bits
+                    assert regen.key == h.key
                 else:
                     assert h.order == 1
 
@@ -200,15 +201,20 @@ class TestReflectionSubgroupClasses:
     def test_sym3(self):
         assert len(reflection_subgroup_classes(enumerate_group(1, 1, 3))) == 3
 
+    def test_subgroup_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SUBGROUPS", 10)
+        with pytest.raises(ResourceLimitError):
+            reflection_subgroup_classes(enumerate_group(2, 1, 3))
+
     def test_every_class_member_reflection_generated(self):
         g = enumerate_group(3, 3, 2)
         refl = set(g.reflection_indices())
         for cls in reflection_subgroup_classes(g):
             for h in cls.members:
-                inside = [i for i in h.indices().tolist() if i in refl]
+                inside = [i for i in h.idx.tolist() if i in refl]
                 regen = generate_subgroup(g, inside) if inside else None
                 if regen is not None:
-                    assert regen.bits == h.bits
+                    assert regen.key == h.key
 
 
 class TestLatticeBruteForce:
@@ -220,25 +226,25 @@ class TestLatticeBruteForce:
     def test_classes_are_all_reflection_subgroups_up_to_conjugacy(self, mpn):
         g = enumerate_group(*mpn)
         refl = g.reflection_indices()
-        expected = {generate_subgroup(g, list(subset)).bits
+        expected = {generate_subgroup(g, list(subset)).key
                     for k in range(len(refl) + 1)
                     for subset in itertools.combinations(refl, k)}
         classes = reflection_subgroup_classes(g)
-        members = [h.bits for c in classes for h in c.members]
+        members = [h.key for c in classes for h in c.members]
         assert len(members) == len(set(members))
         assert set(members) == expected
 
         index = {(e.phases, e.perm): i for i, e in enumerate(g.elements)}
         for cls in classes:
-            rep = cls.representative.elements()
+            rep = [g.elements[i] for i in cls.representative.idx]
             conjugates = set()
             for x in g.elements:
                 x_inv = x.inv()
-                conjugates.add(g.indices_to_bits(np.array(
-                    [index[(c.phases, c.perm)]
-                     for c in (x.mul(h).mul(x_inv) for h in rep)],
-                    dtype=np.int64)))
-            assert {h.bits for h in cls.members} == conjugates
+                conjugates.add(np.array(sorted(
+                    index[(c.phases, c.perm)]
+                    for c in (x.mul(h).mul(x_inv) for h in rep)),
+                    dtype=np.int64).tobytes())
+            assert {h.key for h in cls.members} == conjugates
 
 
 class TestConjugacy:
@@ -246,18 +252,18 @@ class TestConjugacy:
         g = enumerate_group(1, 1, 3)
         a = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (1, 0, 2)))])
         b = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (0, 2, 1)))])
-        assert are_conjugate(g, a, b)
+        assert b.key in conjugacy_class(g, a)
 
     def test_diagonal_vs_transposition_not_conjugate(self):
         g = enumerate_group(2, 1, 2)
         diag = generate_subgroup(g, [g.index_of(MonomialElement(2, (1, 0), (0, 1)))])
         swap = generate_subgroup(g, [g.index_of(MonomialElement(2, (0, 0), (1, 0)))])
-        assert not are_conjugate(g, diag, swap)
+        assert swap.key not in conjugacy_class(g, diag)
 
     def test_self_conjugate(self):
         g = enumerate_group(3, 3, 2)
         h = generate_subgroup(g, [g.reflection_indices()[0]])
-        assert are_conjugate(g, h, h)
+        assert h.key in conjugacy_class(g, h)
 
 
 class TestMinimalFullValuation:
@@ -283,6 +289,26 @@ class TestMinimalFullValuation:
         assert identify_class(g, minimal[0].representative).group() == Sym(4)
 
 
+class TestMinimalAgainstAllPairs:
+    """The representative-only containment test against the definition,
+    member by member, with Python sets."""
+
+    @pytest.mark.parametrize(
+        "mpn", [(4, 2, 2), (2, 1, 3), (6, 1, 2), (3, 3, 3), (1, 1, 5)],
+        ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_matches_member_by_member_definition(self, mpn):
+        g = enumerate_group(*mpn)
+        for classes in (parabolic_classes(g), reflection_subgroup_classes(g)):
+            for ell in prime_factors(g.size):
+                full = [c for c in classes
+                        if nu(ell, c.order) == nu(ell, g.size)]
+                members = [(c, set(h.idx.tolist()))
+                           for c in full for h in c.members]
+                expected = [c for c in full if not any(
+                    o < a for cc, a in members if cc is c for _, o in members)]
+                assert minimal_full_valuation(g, classes, ell) == expected, ell
+
+
 class TestSylowConstruct:
     def test_examples(self):
         assert sylow_construct(enumerate_group(2, 1, 2), 2).order == 8
@@ -293,7 +319,7 @@ class TestSylowConstruct:
         syl = sylow_construct(g, 2)
         assert syl.order == 8
         element_orders = sorted(
-            _element_order(g.elements[i]) for i in syl.indices().tolist())
+            _element_order(g.elements[i]) for i in syl.idx.tolist())
         # dihedral of order 8: identity, five involutions, two 4-elements
         assert element_orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
@@ -344,7 +370,7 @@ class TestIdentifyClass:
 
     def test_whole_group_identifies_as_itself(self):
         g = enumerate_group(4, 2, 3)
-        delta = identify_class(g, g.whole_group_handle())
+        delta = identify_class(g, Subgroup(np.arange(g.size)))
         assert delta.group() == Imprimitive(4, 2, 3)
 
     def test_validation_rejects_non_reflection_subgroup(self):
@@ -353,4 +379,4 @@ class TestIdentifyClass:
             g, [g.index_of(MonomialElement(1, (0,) * 4, (1, 2, 3, 0)))])
         assert four_cycle.order == 4
         with pytest.raises(ValueError):
-            identify_class(g, four_cycle, validate=True)
+            identify_class(g, four_cycle)
