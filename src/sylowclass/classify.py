@@ -79,6 +79,11 @@ class SubgroupClassResult:
         return len(self.members)
 
     @property
+    def is_whole_single_class(self) -> bool:
+        """One minimal class, and it is the whole group."""
+        return self.class_count == 1 and self.equals_whole_group
+
+    @property
     def member_order(self) -> int:
         return self.members[0].order
 
@@ -104,7 +109,7 @@ class SubgroupClassResult:
 def _require_divides(g: GroupType, ell: int) -> int:
     g_order = order(g)
     if g_order % ell:
-        raise NotADivisorError(f"{ell} does not divide |{format_group(g)}| = {g_order}")
+        raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
     return g_order
 
 
@@ -247,8 +252,7 @@ def is_cuspidal(g: GroupType, ell: int) -> bool:
 
 def is_supercuspidal(g: GroupType, ell: int) -> bool:
     """Whether the minimal reflection class is unique and the whole group."""
-    result = classify_reflection(g, ell)
-    return result.class_count == 1 and result.equals_whole_group
+    return classify_reflection(g, ell).is_whole_single_class
 
 
 def degrees_criterion(g: GroupType, ell: int) -> bool:

@@ -72,8 +72,9 @@ def _factored(value: int) -> str:
 
 
 def classification_report(g, ell: int, kind: str) -> dict:
-    result = (cls.classify_parabolic(g, ell) if kind == "parabolic"
-              else cls.classify_reflection(g, ell))
+    parabolic = cls.classify_parabolic(g, ell)
+    reflection = cls.classify_reflection(g, ell)
+    result = parabolic if kind == "parabolic" else reflection
     return {
         "group": format_group(g),
         "order_factored": order_factored(g),
@@ -87,8 +88,8 @@ def classification_report(g, ell: int, kind: str) -> dict:
             }
             for m in result.members
         ],
-        "cuspidal": cls.is_cuspidal(g, ell),
-        "supercuspidal": cls.is_supercuspidal(g, ell),
+        "cuspidal": parabolic.equals_whole_group,
+        "supercuspidal": reflection.is_whole_single_class,
     }
 
 
@@ -138,8 +139,7 @@ def _resolve_ells(g, ell_arg: str) -> list[int]:
         return prime_factors(order(g))
     ell = int(ell_arg)
     if order(g) % ell:
-        raise NotADivisorError(
-            f"{ell} does not divide |{format_group(g)}| = {order(g)}")
+        raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
     return [ell]
 
 
@@ -377,7 +377,11 @@ def _ell_arg(value: str) -> str:
         ell = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"ell must be a prime or 'all', got {value!r}")
-    if not is_prime(ell):
+    try:
+        prime = is_prime(ell)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"ell must be prime, got {ell}")
     return value
 

@@ -3,8 +3,9 @@
 Elements are pairs (phases, perm): a vector of phase exponents mod m and a
 permutation of the coordinates, acting as e_j -> zeta^phases(perm(j)) *
 e_perm(j).  Membership requires the phase exponents to sum to 0 mod p.
-All arithmetic is integer arithmetic mod m; fixed spaces and stabilizers
-are computed combinatorially from cycle/phase data.
+Elements live only in two integer arrays (phases, permutations), one row
+each in canonical order.  All arithmetic is integer arithmetic mod m; fixed
+spaces and stabilizers are computed combinatorially from cycle/phase data.
 
 A subgroup is one Subgroup: the sorted array of its element indices in the
 canonical element order, whose bytes key every dict.  Subgroup generation
@@ -15,6 +16,9 @@ when its first member is discovered, by one orbit search under conjugation
 by a fixed generating set of the parent group, through conjugation tables
 built once per group.  The reflection-subgroup lattice is searched over one
 representative per class.
+
+A reflection subgroup is labeled by counting its reflections, block by
+block (see identify_class).
 
 Everything is exhaustive and capped (default order cap 20000); no
 permutation-group machinery beyond tables and orbits is needed at this
@@ -30,7 +34,7 @@ from math import factorial
 import numpy as np
 
 from .groups import AugmentedPartition, augmented_partition
-from .valuation import nu
+from .valuation import base_digits, nu
 
 DEFAULT_ORDER_CAP = 20000
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
@@ -106,7 +110,11 @@ class FixedSpace:
 def fixed_space(e: MonomialElement) -> FixedSpace:
     """Fix(e): each perm cycle whose phase exponents sum to 0 mod m spans
     one dimension; the exponent pattern along the cycle pins the vector."""
-    n, m = e.n, e.m
+    return _fixed_space(e.m, e.phases, e.perm)
+
+
+def _fixed_space(m: int, phases, perm) -> FixedSpace:
+    n = len(perm)
     seen = [False] * n
     vectors = []
     for start in range(n):
@@ -114,20 +122,20 @@ def fixed_space(e: MonomialElement) -> FixedSpace:
             continue
         cycle = [start]
         seen[start] = True
-        j = e.perm[start]
+        j = perm[start]
         while j != start:
             seen[j] = True
             cycle.append(j)
-            j = e.perm[j]
-        total = sum(e.phases[c] for c in cycle) % m
+            j = perm[j]
+        total = sum(phases[c] for c in cycle) % m
         if total:
             continue
         # Walk the cycle accumulating x_{pi(i)} = x_i + phases[pi(i)].
         exps = {cycle[0]: 0}
         cur = cycle[0]
         for _ in range(len(cycle) - 1):
-            nxt = e.perm[cur]
-            exps[nxt] = (exps[cur] + e.phases[nxt]) % m
+            nxt = perm[cur]
+            exps[nxt] = (exps[cur] + phases[nxt]) % m
             cur = nxt
         coords = tuple(sorted(cycle))
         base = exps[coords[0]]
@@ -199,7 +207,7 @@ class ConcreteGroup:
                 yield prefix + (rem + t * p,)
 
     def _build(self):
-        m, n = self.m, self.n
+        n = self.n
         perms = list(itertools.permutations(range(n)))
         phase_list = list(self._enumerate_phase_vectors())
         if len(phase_list) * len(perms) != self.size:
@@ -219,11 +227,6 @@ class ConcreteGroup:
         if not self.is_identity_index(0):
             raise OracleConsistencyError("identity not first in canonical order")
 
-        self.elements = [
-            MonomialElement(m, tuple(int(x) for x in self._A[i]),
-                            tuple(int(x) for x in self._P[i]))
-            for i in range(self.size)
-        ]
         self._right_tables: dict[int, np.ndarray] = {}
         self._conj_tables: list[np.ndarray] | None = None
         self._reflection_indices: list[int] | None = None
@@ -238,6 +241,11 @@ class ConcreteGroup:
 
     # -- element access ------------------------------------------------
 
+    def element(self, i: int) -> MonomialElement:
+        """The element with canonical index i."""
+        return MonomialElement(self.m, tuple(self._A[i].tolist()),
+                               tuple(self._P[i].tolist()))
+
     def index_of(self, e: MonomialElement) -> int:
         """Canonical index of e; KeyError if e is not in the group."""
         if e.n != self.n:
@@ -246,7 +254,7 @@ class ConcreteGroup:
                            np.array([e.perm], dtype=np.int64))[0]
         pos = int(np.searchsorted(self._codes_sorted, code))
         # Out-of-range entries can alias another element's code.
-        if pos == self.size or self.elements[pos] != e:
+        if pos == self.size or self.element(pos) != e:
             raise KeyError(e)
         return pos
 
@@ -281,11 +289,12 @@ class ConcreteGroup:
         return tab
 
     def conjugation_tables(self) -> list[np.ndarray]:
-        """Index tables of x -> g*x*g^{-1}, one per generator g."""
+        """Index tables of x -> g*x*g^{-1}, one per generator g; g^{-1} is
+        the x with x*g the identity (index 0)."""
         if self._conj_tables is None:
             self._conj_tables = [
                 self._table_from_element(self._A[g], self._P[g], "left")[
-                    self.right_table(self.index_of(self.elements[g].inv()))]
+                    self.right_table(int(np.argmin(self.right_table(g))))]
                 for g in self.generator_indices()]
         return self._conj_tables
 
@@ -293,7 +302,9 @@ class ConcreteGroup:
 
     def fixed_spaces(self) -> list[FixedSpace]:
         if self._fixed_spaces is None:
-            self._fixed_spaces = [fixed_space(e) for e in self.elements]
+            self._fixed_spaces = [
+                _fixed_space(self.m, a, pp)
+                for a, pp in zip(self._A.tolist(), self._P.tolist())]
         return self._fixed_spaces
 
     def reflection_indices(self) -> list[int]:
@@ -304,9 +315,6 @@ class ConcreteGroup:
                 if spaces[i].dimension == self.n - 1
             ]
         return self._reflection_indices
-
-    def reflections(self) -> list[MonomialElement]:
-        return [self.elements[i] for i in self.reflection_indices()]
 
     def generator_indices(self) -> list[int]:
         """A small generating set: adjacent transpositions plus two phase
@@ -547,11 +555,7 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
 
     # Wreath towers over blocks of sizes given by the base-ell digits of n,
     # largest blocks first.
-    digits = []
-    nn = n
-    while nn:
-        nn, d = divmod(nn, ell)
-        digits.append(d)
+    digits = base_digits(ell, n).digits
     offset = 0
     for i in range(len(digits) - 1, 0, -1):
         for _ in range(digits[i]):
@@ -574,80 +578,45 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
 
 def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     """Recover the augmented-partition label of a reflection subgroup from
-    its orbit and phase structure.
+    its reflections.
 
-    Blocks are the orbits of the permutation parts.  In each block the
-    phase subgroup is read off conjugation-invariantly from the cycle
-    phase sums (gcd with m gives m/m_i), the rank is the orbit size, and
-    p_i follows from the projected factor order.  The subgroup is
-    regenerated from its reflections first; a subgroup not generated by
-    reflections is rejected.
+    Up to conjugacy h is a product of blocks G(m_i,p_i,n_i) on disjoint
+    coordinate sets (Taylor 2012; Lehrer-Taylor 2009).  A reflection of
+    G(m,p,n) either swaps two coordinates (with phases) or scales one, so
+    the blocks are the connected components of the swapped pairs.  In a
+    block of rank n_i >= 2 each pair carries m_i swapping reflections and
+    each coordinate m_i/p_i - 1 scaling ones; a rank-1 block is cyclic of
+    order 1 + its scaling reflections.  Both counts are unchanged by
+    conjugation.  ValueError unless h is regenerated by its reflections
+    and the blocks' orders m_i^n_i n_i!/p_i multiply to |h|.
     """
-    m, p, n = group.m, group.p, group.n
-    idx = h.idx
-    inside = idx[np.isin(idx, group.reflection_indices(), assume_unique=True)]
+    n = group.n
+    inside = h.idx[np.isin(h.idx, group.reflection_indices(), assume_unique=True)]
     if generate_subgroup(group, inside.tolist()).key != h.key:
         raise ValueError("subgroup is not generated by its reflections")
 
-    perms = group._P[idx]
-    phases = group._A[idx]
-
-    # Orbits of the permutation action (union-find).
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for row in perms:
-        for j in range(n):
-            ra, rb = find(j), find(int(row[j]))
-            if ra != rb:
-                parent[ra] = rb
-    blocks: dict[int, list[int]] = {}
-    for j in range(n):
-        blocks.setdefault(find(j), []).append(j)
+    moved = group._P[inside] != np.arange(n)
+    swapping = moved.any(axis=1)
+    pairs = moved[swapping].astype(np.int64)
+    swaps_at = pairs.sum(axis=0)  # swapping reflections moving each coordinate
+    scales_at = (group._A[inside[~swapping]] != 0).sum(axis=0)
+    reach = (pairs.T @ pairs > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(np.int64) @ reach) > 0
 
     triples = []
-    for block in blocks.values():
-        block_set = set(block)
-        size = len(block)
-        # gcd of all cycle phase sums within the block, against m.
-        g = m
-        for row_p, row_a in zip(perms, phases):
-            seen = set()
-            for start in block:
-                if start in seen:
-                    continue
-                total = 0
-                j = start
-                while True:
-                    seen.add(j)
-                    total += int(row_a[j])
-                    j = int(row_p[j])
-                    if j == start:
-                        break
-                g = _gcd(g, total % m)
-        m_i = m // g
-        cols = sorted(block)
-        projections = {
-            (tuple(int(x) for x in row_a[cols]),
-             tuple(cols.index(int(row_p[j])) for j in cols))
-            for row_p, row_a in zip(perms, phases)
-        }
-        factor_order = len(projections)
-        p_i = m_i**size * factorial(size) // factor_order
-        if m_i**size * factorial(size) % factor_order or m_i % p_i:
-            raise ValueError(
-                f"block {block} does not project onto an imprimitive factor")
+    order = 1
+    for block in np.unique(reach, axis=0):
+        size = int(block.sum())
+        q, r_scale = divmod(int(scales_at[block].sum()), size)
+        m_i, r_swap = (divmod(int(swaps_at[block].sum()), size * (size - 1))
+                       if size > 1 else (q + 1, 0))
+        p_i, r_div = divmod(m_i, q + 1)
+        if r_scale or r_swap or r_div:
+            raise ValueError(f"reflection counts of block {block.nonzero()[0]} "
+                             "fit no G(m_i,p_i,n_i)")
         triples.append((m_i, p_i, size))
-
-    return augmented_partition(triples, (m, p, n))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        order *= m_i**size * factorial(size) // p_i
+    if order != h.order:
+        raise ValueError(f"blocks of order {order} do not make up |h| = {h.order}")
+    return augmented_partition(triples, (group.m, group.p, n))

@@ -222,7 +222,7 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
     g = normalize(g)
     g_order = order(g)
     if g_order % ell:
-        raise NotADivisorError(f"{ell} does not divide |{g}| = {g_order}")
+        raise NotADivisorError(f"{ell} does not divide |{g}|")
 
     if isinstance(g, Product):
         return direct_product(

@@ -11,19 +11,40 @@ from dataclasses import dataclass
 from math import gcd
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are small primes."""
+    """Deterministic primality below MR_EXACT_BOUND; ValueError at or above
+    it.  Below 43^2 trial division by the bases decides; above, the strong
+    probable-prime test to every base."""
     if n < 2:
         return False
-    if n < 4:
+    if n >= MR_EXACT_BOUND:
+        raise ValueError(f"primality is decided only below {MR_EXACT_BOUND}, "
+                         f"got {n}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -205,15 +205,20 @@ def _partitions_ascending(n):
         yield a[:k + 1]
 
 
-def _packed_digit_tables(nmax):
-    """For each prime: packed[x] has the base-ell digits of x in byte
-    fields 0..6 and nu_ell(x!) in byte 7, so summing packed values over the
-    parts of a partition accumulates digit columns and factorial
-    valuations in one pass.  Column sums stay below 256 because each
-    column sum is at most n."""
-    tables = {}
-    for ell in PRIMES:
-        tab = []
+FIELD_BITS = 64  # one field per prime in a packed value
+FIELD = (1 << FIELD_BITS) - 1
+COLUMNS = (1 << 56) - 1  # digit columns of a field; byte 7 is the valuation
+
+
+def _packed_digit_table(nmax):
+    """packed[x] holds one 64-bit field per prime of PRIMES, in order: the
+    base-ell digits of x in byte fields 0..6 and nu_ell(x!) in byte 7.
+    Summing packed values over the parts of a partition accumulates every
+    prime's digit columns and factorial valuations in one pass.  No byte
+    overflows into the next, because every column sum and every
+    valuation sum is at most n <= nmax < 256."""
+    packed = [0] * (nmax + 1)
+    for k, ell in enumerate(PRIMES):
         for x in range(nmax + 1):
             value, shift, acc = x, 0, 0
             while value:
@@ -221,9 +226,8 @@ def _packed_digit_tables(nmax):
                 acc |= digit << shift
                 shift += 8
             acc |= nu_factorial(ell, x) << 56
-            tab.append(acc)
-        tables[ell] = tab
-    return tables
+            packed[x] |= acc << (FIELD_BITS * k)
+    return packed
 
 
 def _carries_from_columns(cols: int, ell: int) -> int:
@@ -236,37 +240,47 @@ def _carries_from_columns(cols: int, ell: int) -> int:
     return carries
 
 
+class _Mismatches(dict):
+    """Verdicts for one prime and one n, memoized on that prime's field of
+    a packed sum: 1 when the literal carries of the digit columns differ
+    from nu(n!) minus the valuation sum, else 0."""
+
+    def __init__(self, ell, n):
+        super().__init__()
+        self.ell = ell
+        self.nu_n = nu_factorial(ell, n)
+
+    def __missing__(self, field):
+        verdict = int(_carries_from_columns(field & COLUMNS, self.ell)
+                      != self.nu_n - (field >> 56))
+        self[field] = verdict
+        return verdict
+
+
 def test_criterion_5_valuation_suite():
     """Kummer carries equal literal base-ell carries on all partitions of
     every n <= 60; the minimal factorial partition is unbeaten among
     carry-free partitions up to n = 30."""
     started = time.monotonic()
     nmax = 60
-    packed = _packed_digit_tables(nmax)
-    mask = (1 << 56) - 1
+    packed = _packed_digit_table(nmax)
     mismatches = 0
-    checked = 0
-    for ell in PRIMES:
-        tab = packed[ell]
-        carry_cache: dict[int, int] = {}
-        for n in range(1, nmax + 1):
-            vfn = nu_factorial(ell, n)
-            for parts in _partitions_ascending(n):
-                checked += 1
-                total = sum(map(tab.__getitem__, parts))
-                cols = total & mask
-                carries = carry_cache.get(cols)
-                if carries is None:
-                    carries = _carries_from_columns(cols, ell)
-                    carry_cache[cols] = carries
-                if carries != vfn - (total >> 56):
-                    mismatches += 1
+    partitions = 0
+    for n in range(1, nmax + 1):
+        v0, v1, v2, v3 = (_Mismatches(ell, n) for ell in PRIMES)
+        for parts in _partitions_ascending(n):
+            partitions += 1
+            t = sum(map(packed.__getitem__, parts))
+            mismatches += (v0[t & FIELD] + v1[t >> 64 & FIELD]
+                           + v2[t >> 128 & FIELD] + v3[t >> 192])
+    checked = partitions * len(PRIMES)
     # tie the fast tables back to the public functions on a sample
     sample_ok = all(
         kummer_carries(ell, parts) ==
         _carries_from_columns(
-            sum(map(packed[ell].__getitem__, parts)) & mask, ell)
-        for ell in PRIMES
+            sum(map(packed.__getitem__, parts)) >> (FIELD_BITS * k) & COLUMNS,
+            ell)
+        for k, ell in enumerate(PRIMES)
         for parts in [(7, 5, 3, 1), (32, 16, 8, 4), (13, 13, 13), (60,)]
     )
 

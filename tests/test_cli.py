@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sylowclass
 from sylowclass import cli, oracle, verify
 from sylowclass.tables import load_tables
 
@@ -110,12 +119,30 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_domain_error_not_divisor(self, capsys):
+        # |Sym(611)^3| has over 4300 decimal digits, too many for str()
         for argv in [("classify", "--group", "G(12,6,3)", "--ell", "7"),
-                     ("verify", "--group", "G(2,1,2)", "--ell", "3")]:
+                     ("verify", "--group", "G(2,1,2)", "--ell", "3"),
+                     ("classify", "--group", "A610^3", "--ell", "1103"),
+                     ("sylow", "--group", "A610^3", "--ell", "1103")]:
             code, out, err = run(capsys, *argv)
             assert code == 3, argv
             assert out == ""
             assert "does not divide" in err
+
+    def test_huge_ell_is_bounded(self):
+        # a 21-digit prime (domain error) and a 21-digit composite (usage
+        # error), each in a fresh process that must finish in time
+        src = str(Path(sylowclass.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for ell, want in [("100000000000000000039", 3),
+                          ("100000000000000000041", 2)]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sylowclass", "classify",
+                 "--group", "G4", "--ell", ell],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == want, (ell, proc.stderr)
+            assert proc.stdout == ""
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         failing = verify.CampaignReport([verify.GroupReport(2, 1, 2, 8, checks=[
@@ -188,3 +215,44 @@ class TestObservationFlag:
         code, out, _ = run(capsys, "verify", "--observation")
         assert code == 0
         assert "0 violations" in out
+
+
+# Group specs from the grammar of groups.parse_group, valid or not.
+_ATOMS = st.one_of(
+    st.builds("G({},{},{})".format, *[st.integers(0, 12)] * 3),
+    st.builds("G{}".format, st.integers(0, 40)),
+    st.sampled_from(["H3", "H4", "E6", "E7", "E8", "F4", "L2", "L3", "L4",
+                     "M3", "J3(4)", "K5", "N4", "O4", "B3(3)", "D4(3)"]),
+    st.builds("{}{}".format, st.sampled_from("ABDCL"), st.integers(0, 12)),
+    st.builds("{}{}({})".format, st.sampled_from("BD"), st.integers(0, 8),
+              st.integers(0, 8)),
+    st.text(alphabet="GABCDLx^()[],0123456789 ", max_size=4),
+)
+_SPECS = st.lists(
+    st.tuples(_ATOMS, st.sampled_from(["", "^0", "^1", "^2", "^3"])).map("".join),
+    min_size=1, max_size=3).map(" x ".join)
+_ELLS = st.one_of(
+    st.sampled_from(["2", "3", "5", "7", "11", "13", "4", "6", "9", "25",
+                     "0", "1", "all"]),
+    st.integers(0, 10**30).map(str),
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["classify", "sylow"]), spec=_SPECS,
+           ell=_ELLS, kind=st.sampled_from(["parabolic", "reflection"]))
+    def test_codes_and_quiet_stdout(self, command, spec, ell, kind):
+        argv = [command, "--group", spec, "--ell", ell]
+        if command == "classify":
+            argv += ["--kind", kind]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected an argument
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 2, 3), argv
+        if code:
+            assert out.getvalue() == "", argv

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sylowclass import oracle
-from sylowclass.groups import Imprimitive, Sym, order, degrees_imprimitive
+from sylowclass.groups import (
+    Imprimitive, Sym, alpha_class_count, degrees_imprimitive, order)
 from sylowclass.oracle import (
     MonomialElement,
     ResourceLimitError,
@@ -32,11 +33,12 @@ class TestEnumeration:
 
     def test_identity_first(self):
         g = enumerate_group(4, 2, 3)
-        assert g.elements[0].is_identity()
+        assert g.element(0).is_identity()
 
     def test_no_duplicates(self):
         g = enumerate_group(4, 2, 3)
-        assert len({(e.phases, e.perm) for e in g.elements}) == g.size == 192
+        assert len({(e.phases, e.perm) for e in map(g.element, range(g.size))}) \
+            == g.size == 192
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -57,7 +59,7 @@ class TestEnumeration:
 
     def test_membership_constraint(self):
         g = enumerate_group(6, 3, 2)
-        for e in g.elements:
+        for e in map(g.element, range(g.size)):
             assert sum(e.phases) % 3 == 0
 
     def test_closure_and_inverses_random(self):
@@ -65,8 +67,8 @@ class TestEnumeration:
         for m, p, n in [(2, 1, 2), (3, 3, 2), (4, 2, 3), (6, 3, 2)]:
             g = enumerate_group(m, p, n)
             for _ in range(1000):
-                a = g.elements[rng.randrange(g.size)]
-                b = g.elements[rng.randrange(g.size)]
+                a = g.element(rng.randrange(g.size))
+                b = g.element(rng.randrange(g.size))
                 assert g.index_of(a.mul(b)) is not None
                 assert a.mul(a.inv()).is_identity()
 
@@ -84,16 +86,16 @@ class TestEnumeration:
         g = enumerate_group(4, 2, 2)
         rng = random.Random(1)
         for _ in range(50):
-            a = g.elements[rng.randrange(g.size)]
-            b = g.elements[rng.randrange(g.size)]
+            a = g.element(rng.randrange(g.size))
+            b = g.element(rng.randrange(g.size))
             assert np.allclose(matrix(a) @ matrix(b), matrix(a.mul(b)))
 
 
 class TestReflectionsAndFixedSpaces:
     def test_counts(self):
-        assert len(enumerate_group(2, 1, 2).reflections()) == 4
-        assert len(enumerate_group(3, 3, 2).reflections()) == 3
-        assert len(enumerate_group(1, 1, 3).reflections()) == 3
+        assert len(enumerate_group(2, 1, 2).reflection_indices()) == 4
+        assert len(enumerate_group(3, 3, 2).reflection_indices()) == 3
+        assert len(enumerate_group(1, 1, 3).reflection_indices()) == 3
 
     def test_reflection_count_matches_degrees(self):
         # number of reflections = sum of (d_i - 1) over the degrees
@@ -118,8 +120,8 @@ class TestReflectionsAndFixedSpaces:
     def test_reflections_have_hyperplane_fixed_space(self):
         for m, p, n in [(2, 1, 2), (4, 2, 3), (3, 1, 3)]:
             g = enumerate_group(m, p, n)
-            for r in g.reflections():
-                assert fixed_space(r).dimension == n - 1
+            for r in g.reflection_indices():
+                assert fixed_space(g.element(r)).dimension == n - 1
 
     def test_cycle_order_does_not_change_descriptor(self):
         # the 3-cycles (123) and (132) both fix exactly the diagonal line
@@ -141,7 +143,7 @@ class TestStabilizers:
 
     def test_stabilizer_fixes_space(self):
         g = enumerate_group(4, 2, 2)
-        for e in g.elements[:20]:
+        for e in map(g.element, range(g.size)):
             space = fixed_space(e)
             st = pointwise_stabilizer(g, space)
             assert g.index_of(e) in set(st.idx.tolist())
@@ -234,11 +236,12 @@ class TestLatticeBruteForce:
         assert len(members) == len(set(members))
         assert set(members) == expected
 
-        index = {(e.phases, e.perm): i for i, e in enumerate(g.elements)}
+        elements = [g.element(i) for i in range(g.size)]
+        index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         for cls in classes:
-            rep = [g.elements[i] for i in cls.representative.idx]
+            rep = [elements[i] for i in cls.representative.idx]
             conjugates = set()
-            for x in g.elements:
+            for x in elements:
                 x_inv = x.inv()
                 conjugates.add(np.array(sorted(
                     index[(c.phases, c.perm)]
@@ -319,7 +322,7 @@ class TestSylowConstruct:
         syl = sylow_construct(g, 2)
         assert syl.order == 8
         element_orders = sorted(
-            _element_order(g.elements[i]) for i in syl.idx.tolist())
+            _element_order(g.element(i)) for i in syl.idx.tolist())
         # dihedral of order 8: identity, five involutions, two 4-elements
         assert element_orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
@@ -380,3 +383,23 @@ class TestIdentifyClass:
         assert four_cycle.order == 4
         with pytest.raises(ValueError):
             identify_class(g, four_cycle)
+
+
+class TestLabelsOverClasses:
+    """Labels of every class member, not only of representatives: twisted
+    members are conjugates by elements that permute and rephase
+    coordinates, so their reflection counts must give the same label."""
+
+    @pytest.mark.parametrize(
+        "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3), (6, 3, 2), (12, 6, 2), (2, 2, 4)],
+        ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_members_share_label_and_labels_count_classes(self, mpn):
+        g = enumerate_group(*mpn)
+        classes_of: dict = {}
+        for cls in reflection_subgroup_classes(g):
+            delta = identify_class(g, cls.representative)
+            for h in cls.members:
+                assert identify_class(g, h) == delta
+            classes_of[delta] = classes_of.get(delta, 0) + 1
+        for delta, count in classes_of.items():
+            assert count == alpha_class_count(delta), delta

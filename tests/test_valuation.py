@@ -5,10 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sylowclass.valuation import (
+    MR_EXACT_BOUND,
     Partition,
     base_digits,
     carries_by_addition,
     imprimitive_order_valuation,
+    is_prime,
     iter_partitions,
     kummer_carries,
     minimal_factorial_partition,
@@ -26,6 +28,34 @@ def trial_valuation(ell, x):
         v += 1
         x //= ell
     return v
+
+
+class TestIsPrime:
+    def test_matches_sieve(self):
+        limit = 10**5
+        sieve = [False, False] + [True] * (limit - 2)
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+        assert [is_prime(n) for n in range(limit)] == sieve
+
+    def test_rejects_strong_pseudoprime_to_bases_up_to_37(self):
+        assert not is_prime(318665857834031151167461)
+
+    def test_large_primes(self):
+        assert is_prime(100000000000000000039)
+        assert not is_prime(100000000000000000041)
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**61 - 1) * 1000003)
+
+    def test_bound(self):
+        # the largest prime below the bound, then the bound itself
+        assert is_prime(3317044064679887385961813)
+        assert MR_EXACT_BOUND - 3317044064679887385961813 == 168
+        with pytest.raises(ValueError):
+            is_prime(MR_EXACT_BOUND)
+        with pytest.raises(ValueError):
+            is_prime(10**30)
 
 
 class TestNu:
