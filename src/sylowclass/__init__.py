@@ -34,12 +34,12 @@ from .groups import (
     degrees_imprimitive,
     format_group,
     order,
+    order_factorization,
     parse_group,
 )
 from .structure import render_term, structure_order, sylow_structure, sylow_symmetric
 from .valuation import (
     base_digits,
-    imprimitive_order_valuation,
     kummer_carries,
     minimal_factorial_partition,
     nu,
@@ -69,7 +69,6 @@ __all__ = [
     "degrees_criterion",
     "degrees_imprimitive",
     "format_group",
-    "imprimitive_order_valuation",
     "is_cuspidal",
     "is_supercuspidal",
     "kummer_carries",
@@ -77,6 +76,7 @@ __all__ = [
     "nu",
     "nu_factorial",
     "order",
+    "order_factorization",
     "parse_group",
     "render_term",
     "structure_order",

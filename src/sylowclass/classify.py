@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import groups, tables
 from .groups import (
@@ -22,10 +22,10 @@ from .groups import (
     Product,
     format_group,
     normalize,
-    order,
+    order_factorization,
     product_of,
 )
-from .valuation import base_digits, ell_part, nu
+from .valuation import base_digits, ell_part, factorization
 
 PARABOLIC = "parabolic"
 REFLECTION = "reflection"
@@ -41,13 +41,17 @@ class UnsupportedGroupError(ValueError):
 
 @dataclass(frozen=True)
 class ClassMember:
-    """One conjugacy class in a classification answer."""
+    """One conjugacy class in a classification answer, its order factored."""
 
     group: GroupType
-    order: int
+    factors: groups.Factorization
     distinguisher: int = 0
     twist_exponent: int | None = None
     label: str | None = None
+
+    @property
+    def order(self) -> int:
+        return prod(q**e for q, e in self.factors)
 
     def display(self) -> str:
         if self.label:
@@ -106,11 +110,12 @@ class SubgroupClassResult:
         ]
 
 
-def _require_divides(g: GroupType, ell: int) -> int:
-    g_order = order(g)
-    if g_order % ell:
+def require_divides(g: GroupType, ell: int) -> groups.Factorization:
+    """|G| factored; NotADivisorError unless ell divides it."""
+    g_factors = order_factorization(g)
+    if ell not in dict(g_factors):
         raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
-    return g_order
+    return g_factors
 
 
 def _sym_power_product(ell: int, n: int) -> GroupType:
@@ -123,16 +128,15 @@ def _sym_power_product(ell: int, n: int) -> GroupType:
 
 
 def _member_of(g: GroupType, distinguisher: int = 0,
-               twist_exponent: int | None = None,
-               label: str | None = None) -> ClassMember:
-    return ClassMember(normalize(g), order(g), distinguisher, twist_exponent, label)
+               twist_exponent: int | None = None) -> ClassMember:
+    return ClassMember(normalize(g), order_factorization(g), distinguisher, twist_exponent)
 
 
 def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     """The unique minimal class of parabolic subgroups containing an
     ell-Sylow subgroup."""
     g = normalize(g)
-    g_order = _require_divides(g, ell)
+    g_factors = require_divides(g, ell)
 
     if isinstance(g, Product):
         return _classify_product(g, ell, PARABOLIC)
@@ -141,7 +145,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         row = tables.lookup("t1", g, ell)
         member = row.members[0]
         result_member = ClassMember(
-            normalize(member.group), member.order, label=member.label)
+            normalize(member.group), factorization(member.order), label=member.label)
         return SubgroupClassResult(
             g, ell, PARABOLIC, (result_member,),
             equals_whole_group=result_member.group == g)
@@ -153,14 +157,14 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     member = _member_of(member_group)
     return SubgroupClassResult(
         g, ell, PARABOLIC, (member,),
-        equals_whole_group=member.order == g_order)
+        equals_whole_group=member.factors == g_factors)
 
 
 def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     """All minimal classes of reflection subgroups containing an ell-Sylow
     subgroup."""
     g = normalize(g)
-    g_order = _require_divides(g, ell)
+    g_factors = require_divides(g, ell)
 
     if isinstance(g, Product):
         return _classify_product(g, ell, REFLECTION)
@@ -174,7 +178,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             idx = seen.get(member.label, 0)
             seen[member.label] = idx + 1
             members.append(ClassMember(
-                normalize(member.group), member.order,
+                normalize(member.group), factorization(member.order),
                 distinguisher=idx, label=member.label))
         single = len(members) == 1
         return SubgroupClassResult(
@@ -186,7 +190,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
         member = _member_of(groups.Cyclic(ell_part(ell, m)))
         return SubgroupClassResult(
             g, ell, REFLECTION, (member,),
-            equals_whole_group=member.order == g_order)
+            equals_whole_group=member.factors == g_factors)
 
     if p % ell == 0:
         member_type = Imprimitive(ell_part(ell, m), ell_part(ell, p), n)
@@ -198,7 +202,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
         )
         return SubgroupClassResult(
             g, ell, REFLECTION, members,
-            equals_whole_group=count == 1 and members[0].order == g_order,
+            equals_whole_group=count == 1 and members[0].factors == g_factors,
             twist_modulus=modulus)
 
     if m % ell == 0:
@@ -210,12 +214,12 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
         member = _member_of(product_of(factors))
         return SubgroupClassResult(
             g, ell, REFLECTION, (member,),
-            equals_whole_group=member.order == g_order)
+            equals_whole_group=member.factors == g_factors)
 
     member = _member_of(_sym_power_product(ell, n))
     return SubgroupClassResult(
         g, ell, REFLECTION, (member,),
-        equals_whole_group=member.order == g_order)
+        equals_whole_group=member.factors == g_factors)
 
 
 def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
@@ -223,26 +227,20 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
     (their minimal class is the trivial subgroup)."""
     classify = classify_parabolic if kind == PARABOLIC else classify_reflection
     factor_results = [
-        classify(f, ell) for f in g.factors if order(f) % ell == 0
+        classify(f, ell) for f in g.factors if ell in groups.group_primes(f)
     ]
     members = []
     for combo in itertools.product(*(r.members for r in factor_results)):
         combined = product_of(c.group for c in combo)
         members.append(ClassMember(
-            combined, _prod(c.order for c in combo), distinguisher=len(members)))
+            combined, groups.factorization_product(c.factors for c in combo),
+            distinguisher=len(members)))
     if not members:  # cannot happen: ell divides |G|
         raise NotADivisorError(f"{ell} does not divide any factor order")
     single = len(members) == 1
     return SubgroupClassResult(
         g, ell, kind, tuple(members),
-        equals_whole_group=single and members[0].order == order(g))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+        equals_whole_group=single and members[0].factors == order_factorization(g))
 
 
 def is_cuspidal(g: GroupType, ell: int) -> bool:
@@ -265,7 +263,7 @@ def degrees_criterion(g: GroupType, ell: int) -> bool:
     if not isinstance(g, Imprimitive):
         raise UnsupportedGroupError(
             "degrees are only available for the imprimitive family")
-    _require_divides(g, ell)
+    require_divides(g, ell)
     degs = groups.degrees_imprimitive(g.m, g.p, g.n)
     return all(d % ell == 0 for d in degs)
 

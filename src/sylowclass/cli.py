@@ -23,9 +23,11 @@ import sys
 from . import classify as cls
 from . import groups, oracle, structure, tables, verify
 from .classify import NotADivisorError, UnsupportedGroupError
-from .groups import GroupParseError, format_group, order, order_factored, parse_group
+from .groups import (GroupParseError, format_factorization, format_group,
+                     order_factored, order_factorization, parse_group)
 from .tables import TableLookupError
-from .valuation import factorization, is_prime, prime_factors
+# perfbench/tracing.py wraps cli.prime_factors, so the name stays here.
+from .valuation import is_prime, prime_factors  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,10 +65,6 @@ def default_order_cap() -> int:
     return _order_cap(value, "SYLOW_ORACLE_CAP")
 
 
-def _factored(value: int) -> str:
-    return groups.format_factorization(value)
-
-
 # ---------------------------------------------------------------------------
 # classify
 
@@ -83,7 +81,7 @@ def classification_report(g, ell: int, kind: str) -> dict:
         "classes": [
             {
                 "label": m.display(),
-                "order_factored": _factored(m.order),
+                "order_factored": format_factorization(m.factors),
                 "twist_index": m.twist_exponent,
             }
             for m in result.members
@@ -136,11 +134,9 @@ def cmd_classify(args) -> int:
 
 def _resolve_ells(g, ell_arg: str) -> list[int]:
     if ell_arg == "all":
-        return prime_factors(order(g))
-    ell = int(ell_arg)
-    if order(g) % ell:
-        raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
-    return [ell]
+        return groups.group_primes(g)
+    cls.require_divides(g, int(ell_arg))
+    return [int(ell_arg)]
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +146,26 @@ def _resolve_ells(g, ell_arg: str) -> list[int]:
 def cmd_sylow(args) -> int:
     g = parse_group(args.group)
     ells = _resolve_ells(g, args.ell)
+    exponents = dict(order_factorization(g))
     reports = []
     for ell in ells:
         term = structure.sylow_structure(g, ell)
-        term_order = structure.structure_order(term)
         reports.append({
             "group": format_group(g),
             "ell": ell,
             "structure": structure.render_term(term),
-            "order": term_order,
-            "order_factored": _factored(term_order),
+            "order": structure.structure_order(term),
+            "order_factored": format_factorization(((ell, exponents[ell]),)),
         })
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 and args.ell != "all" else reports
-        print(json.dumps(payload, indent=2))
+        try:
+            text = json.dumps(payload, indent=2)
+        except ValueError:  # an order past Python's int-to-str digit limit
+            print("error: a Sylow order has too many decimal digits for JSON; "
+                  "use --format text, which prints it factored", file=sys.stderr)
+            return EXIT_DOMAIN
+        print(text)
     elif args.format == "markdown":
         print("| group | ell | sylow structure | order |")
         print("| --- | --- | --- | --- |")
@@ -218,7 +220,7 @@ def generate_table(table_key: str) -> list[dict]:
             cusp = row.ell in tabs.cuspidal_primes(row.group.st)
             out.append({
                 "group": _exceptional_label(row.group.st),
-                "group_order": _factored(tabs.orders[row.group.st]),
+                "group_order": order_factored(row.group),
                 "ell": row.ell,
                 "members": " and ".join(m.display() for m in row.members),
                 "member_order": row.members[0].order_text,
@@ -247,7 +249,7 @@ def generate_table(table_key: str) -> list[dict]:
                 _cross_check_row(row)
                 concrete.append({
                     "group": _exceptional_label(row.group.st),
-                    "group_order": _factored(tabs.orders[row.group.st]),
+                    "group_order": order_factored(row.group),
                     "ell": row.ell,
                     "members": " and ".join(m.display() for m in row.members),
                     "member_order": " and ".join(
@@ -279,7 +281,7 @@ def generate_table(table_key: str) -> list[dict]:
         # (group, prime) whose minimal reflection class is not a single
         # class, one row per member type.
         for st in sorted(tabs.orders):
-            for ell in prime_factors(tabs.orders[st]):
+            for ell in groups.group_primes(groups.Exceptional(st)):
                 result = cls.classify_reflection(groups.Exceptional(st), ell)
                 if result.class_count <= 1:
                     continue
@@ -291,7 +293,7 @@ def generate_table(table_key: str) -> list[dict]:
                         "group": _exceptional_label(st),
                         "ell": ell,
                         "members": label,
-                        "member_order": _factored(ms[0].order),
+                        "member_order": format_factorization(ms[0].factors),
                         "count": len(ms),
                     })
     else:

@@ -15,11 +15,12 @@ Group spec grammar (CLI and table data):
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import total_ordering
-from math import gcd
+from functools import lru_cache, total_ordering
+from math import factorial, gcd, prod
 
-from .valuation import factorization, gcd_many, nu
+from .valuation import factorial_factorization, factorization
 
 __all__ = [
     "GroupType",
@@ -33,6 +34,7 @@ __all__ = [
     "AugmentedPartition",
     "SubgroupClassLabel",
     "order",
+    "order_factorization",
     "order_factored",
     "is_feasible",
     "triple_compare",
@@ -118,17 +120,7 @@ def normalize(g: GroupType) -> GroupType:
             return Imprimitive(g.m // g.p, 1, 1)
         return g
     if isinstance(g, Product):
-        factors = []
-        for f in g.factors:
-            f = normalize(f)
-            if f == TRIVIAL:
-                continue
-            factors.append(f)
-        if not factors:
-            return TRIVIAL
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return product_of(g.factors)
     return g
 
 
@@ -172,33 +164,54 @@ def order(g: GroupType) -> int:
     """Exact group order; |G(m,p,n)| = m^n n!/p."""
     g = normalize(g)
     if isinstance(g, Imprimitive):
-        f = 1
-        for i in range(2, g.n + 1):
-            f *= i
-        return g.m**g.n * f // g.p
+        return g.m**g.n * factorial(g.n) // g.p
     if isinstance(g, Exceptional):
         return EXCEPTIONAL_ORDERS[g.st]
-    return _prod(order(f) for f in g.factors)
+    return prod(map(order, g.factors))
 
 
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+Factorization = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=1024)
+def order_factorization(g: GroupType) -> Factorization:
+    """|G| as ascending (prime, exponent) pairs from the parameters alone:
+    n*factor(m) - factor(p) + factor(n!) for G(m,p,n), the factored ledger
+    order of an exceptional group, the sum over the factors of a product."""
+    g = normalize(g)
+    if isinstance(g, Imprimitive):
+        return factorization_product([
+            [(q, g.n * e) for q, e in factorization(g.m)],
+            [(q, -e) for q, e in factorization(g.p)],
+            factorial_factorization(g.n)])
+    if isinstance(g, Exceptional):
+        return factorization(EXCEPTIONAL_ORDERS[g.st])
+    return factorization_product(map(order_factorization, g.factors))
+
+
+def factorization_product(factorizations) -> Factorization:
+    """Factorization of a product of factored integers (exponents added)."""
+    exponents: Counter = Counter()
+    for pairs in factorizations:
+        exponents.update(dict(pairs))
+    return tuple(sorted((q, e) for q, e in exponents.items() if e))
+
+
+def group_primes(g: GroupType) -> list[int]:
+    """Ascending prime divisors of |G|."""
+    return [q for q, _ in order_factorization(g)]
 
 
 def order_factored(g: GroupType) -> str:
     """Order as a factorization string like 2^7*3^2."""
-    return format_factorization(order(g))
+    return format_factorization(order_factorization(g))
 
 
-def format_factorization(n: int) -> str:
-    if n == 1:
+def format_factorization(pairs: Factorization) -> str:
+    """(prime, exponent) pairs as a string like 2^7*3^2; "1" when empty."""
+    if not pairs:
         return "1"
-    return "*".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in factorization(n)
-    )
+    return "*".join(f"{q}^{e}" if e > 1 else str(q) for q, e in pairs)
 
 
 @total_ordering
@@ -289,11 +302,7 @@ def conjugacy_modulus(delta: AugmentedPartition) -> int:
     """The modulus k with G_Delta^alpha ~ G_Delta^beta iff alpha/beta lies in
     the k-th roots of unity: k = m / gcd(p, n_1..n_d, m/m_1..m/m_d)."""
     m, p, _ = delta.ambient
-    g = gcd_many(
-        [p]
-        + [t.n for t in delta.triples]
-        + [m // t.m for t in delta.triples]
-    )
+    g = gcd(p, *(t.n for t in delta.triples), *(m // t.m for t in delta.triples))
     return m // g
 
 
@@ -447,7 +456,3 @@ def format_group(g: GroupType, classical: bool = False) -> str:
         return f"G{g.st}"
     return f"G({g.m},{g.p},{g.n})"
 
-
-def group_primes(g: GroupType) -> list[int]:
-    """Ascending prime divisors of |G|."""
-    return [p for p, _ in factorization(order(g))]

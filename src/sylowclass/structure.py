@@ -15,10 +15,11 @@ l^i", but only the l-reading matches the order of Sym(l^i)'s Sylow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from . import groups
-from .classify import NotADivisorError, UnsupportedGroupError, classify_reflection
-from .groups import Exceptional, GroupType, Product, normalize, order
+from .classify import UnsupportedGroupError, classify_reflection, require_divides
+from .groups import Exceptional, GroupType, Product, group_primes, normalize
 from .valuation import base_digits, nu
 
 __all__ = [
@@ -136,10 +137,7 @@ def structure_order(t: StructureTerm) -> int:
     if isinstance(t, DiagonalPart):
         return t.m**t.n // t.p
     if isinstance(t, DirectProduct):
-        out = 1
-        for f in t.factors:
-            out *= structure_order(f)
-        return out
+        return prod(map(structure_order, t.factors))
     if isinstance(t, SemidirectProduct):
         return structure_order(t.normal) * structure_order(t.acting)
     if isinstance(t, Named):
@@ -220,13 +218,11 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
     """Isomorphism type of the ell-Sylow subgroups of g, of order exactly
     the ell-part of |g|."""
     g = normalize(g)
-    g_order = order(g)
-    if g_order % ell:
-        raise NotADivisorError(f"{ell} does not divide |{g}|")
+    require_divides(g, ell)
 
     if isinstance(g, Product):
         return direct_product(
-            sylow_structure(f, ell) for f in g.factors if order(f) % ell == 0
+            sylow_structure(f, ell) for f in g.factors if ell in group_primes(f)
         )
 
     if isinstance(g, Exceptional):

@@ -16,6 +16,11 @@ check_consistency(), and never patched silently:
                             "2^4x3", read as 2^4*3
 
 Any further finding is an unexpected anomaly and fails the suite.
+
+A fourth is documented but not yet registered as an anomaly: the t3 row of
+G27 at l = 3 prints |D3(3)| as 2^3*3^3 = 216, while |G(3,3,3)| = 54.
+check_consistency() misses it, as 216 divides |G27| with its full 3-adic
+valuation.  It is not patched either: classify keeps the printed order.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from math import prod
 
 from . import groups
 from .groups import Exceptional, GroupType, Imprimitive, parse_group
-from .valuation import nu
+from .valuation import ell_part, nu
 
 TABLES_SHA256 = "95ec4910b7cfcba9e2a400ebe01010b910b3be824410ee92b734b9ba7062ab59"
 
@@ -89,15 +95,8 @@ def _parse_order_text(text: str) -> tuple[int | None, bool]:
     in place of '*' is read as multiplication but reported as a typo."""
     if not text or not _CONCRETE_ORDER.match(text):
         return None, False
-    typo = "x" in text
-    value = 1
-    for part in text.replace("x", "*").split("*"):
-        if "^" in part:
-            base, exp = part.split("^")
-            value *= int(base) ** int(exp)
-        else:
-            value *= int(part)
-    return value, typo
+    parts = (part.partition("^") for part in text.replace("x", "*").split("*"))
+    return prod(int(base) ** int(exp or 1) for base, _, exp in parts), "x" in text
 
 
 def _parse_row(line: str) -> tuple[TableRow, bool]:
@@ -252,24 +251,18 @@ def _family_label(g: Imprimitive, ell: int, table_id: str) -> str | None:
     return None
 
 
-def _is_power_of(x: int, ell: int) -> bool:
-    while x % ell == 0:
-        x //= ell
-    return x == 1
-
-
 def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
     """Which supercuspidal family pattern, if any, G(m,p,n) matches at ell."""
     g = groups.normalize(g)
     if g.m == 1:
-        return "G(1,1,l^i)" if g.n > 1 and _is_power_of(g.n, ell) else None
+        return "G(1,1,l^i)" if g.n > 1 and ell_part(ell, g.n) == g.n else None
     if g.n == 1:
-        return "G(l^i,1,1)" if _is_power_of(g.m, ell) else None
-    if not _is_power_of(g.m, ell):
+        return "G(l^i,1,1)" if ell_part(ell, g.m) == g.m else None
+    if ell_part(ell, g.m) != g.m:
         return None
-    if g.p > 1 and _is_power_of(g.p, ell):
+    if g.p > 1 and ell_part(ell, g.p) == g.p:
         return "G(l^i,l^j,n)"
-    if g.p == 1 and _is_power_of(g.n, ell):
+    if g.p == 1 and ell_part(ell, g.n) == g.n:
         return "G(l^i,1,l^j)"
     return None
 

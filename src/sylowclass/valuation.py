@@ -8,7 +8,8 @@ Python's arbitrary-precision ints, valuations always fit in machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import isqrt
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
@@ -53,26 +54,39 @@ def _check_prime(ell: int) -> None:
         raise ValueError(f"ell must be prime, got {ell}")
 
 
-def prime_factors(n: int) -> list[int]:
-    """Ascending prime divisors of n (n >= 1) by trial division."""
+@lru_cache(maxsize=1024)
+def factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of n >= 1, by trial division."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
+                e += 1
+            out.append((d, e))
         d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        out.append((n, 1))
+    return tuple(out)
 
 
-def factorization(n: int) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs, ascending."""
-    return [(p, nu(p, n)) for p in prime_factors(n)]
+def prime_factors(n: int) -> list[int]:
+    """Ascending prime divisors of n >= 1."""
+    return [p for p, _ in factorization(n)]
+
+
+def factorial_factorization(n: int) -> list[tuple[int, int]]:
+    """n! as ascending (prime, exponent) pairs: the primes q <= n from a
+    sieve of Eratosthenes, each exponent by Legendre's formula."""
+    sieve = bytearray([1]) * (n + 1)
+    for q in range(2, isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    return [(q, _legendre(q, n)) for q in range(2, n + 1) if sieve[q]]
 
 
 def nu(ell: int, x: int) -> int:
@@ -95,6 +109,10 @@ def nu_factorial(ell: int, n: int) -> int:
     _check_prime(ell)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    return _legendre(ell, n)
+
+
+def _legendre(ell: int, n: int) -> int:
     total = 0
     q = n // ell
     while q:
@@ -217,13 +235,6 @@ def minimal_factorial_partition(ell: int, n: int) -> Partition:
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
-def imprimitive_order_valuation(m: int, p: int, n: int, ell: int) -> int:
-    """Valuation of |G(m,p,n)| = m^n n!/p, as n*nu(m) - nu(p) + nu(n!)."""
-    if m < 1 or n < 1 or p < 1 or m % p:
-        raise ValueError(f"need p | m and positive arguments, got ({m},{p},{n})")
-    return n * nu(ell, m) - nu(ell, p) + nu_factorial(ell, n)
-
-
 def iter_partitions(n: int, max_part: int | None = None):
     """Yield all partitions of n as weakly decreasing tuples."""
     if max_part is None or max_part > n:
@@ -240,9 +251,3 @@ def ell_part(ell: int, x: int) -> int:
     """The ell-power part ell^nu(x) of x."""
     return ell ** nu(ell, x)
 
-
-def gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

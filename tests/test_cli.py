@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sylowclass
-from sylowclass import cli, oracle, verify
+from sylowclass import cli, groups, oracle, valuation, verify
+from sylowclass.groups import parse_group
 from sylowclass.tables import load_tables
 
 
@@ -129,20 +130,33 @@ class TestExitCodes:
             assert out == ""
             assert "does not divide" in err
 
+    def test_domain_error_json_order_too_long(self, capsys):
+        # Sylow orders 2^19995 and 5^9748 have over 4300 decimal digits,
+        # more than Python converts to str; text output prints them factored
+        for group, ell in [("A20000", "2"), ("G(3000,1,3000)", "all")]:
+            argv = ("sylow", "--group", group, "--ell", ell)
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == 3, argv
+            assert out == ""
+            assert err.count("\n") == 1 and "--format text" in err
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out
+
     def test_huge_ell_is_bounded(self):
         # a 21-digit prime (domain error) and a 21-digit composite (usage
         # error), each in a fresh process that must finish in time
-        src = str(Path(sylowclass.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for ell, want in [("100000000000000000039", 3),
                           ("100000000000000000041", 2)]:
-            proc = subprocess.run(
-                [sys.executable, "-m", "sylowclass", "classify",
-                 "--group", "G4", "--ell", ell],
-                capture_output=True, text=True, env=env, timeout=60)
+            proc = _run_module("classify", "--group", "G4", "--ell", ell)
             assert proc.returncode == want, (ell, proc.stderr)
             assert proc.stdout == ""
+
+    def test_huge_group_is_bounded(self):
+        # |G(20000,1,20000)| has over 160000 decimal digits; its order is
+        # factored from the parameters, never by trial division
+        proc = _run_module("classify", "--group", "G(20000,1,20000)", "--ell", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("G(20000,1,20000) (order 2^119995*3^9996*")
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         failing = verify.CampaignReport([verify.GroupReport(2, 1, 2, 8, checks=[
@@ -166,6 +180,43 @@ class TestExitCodes:
         assert payload["all_passed"] is True
         assert payload["groups"][0]["group"] == "G(3,3,2)"
         assert json.loads(json.dumps(payload)) == payload
+
+
+def _run_module(*argv):
+    """`python -m sylowclass *argv` in a fresh process, with a 60 s bound."""
+    src = str(Path(sylowclass.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sylowclass", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestOrdersFactoredFromParameters:
+    def test_no_big_integer_is_trial_divided(self, capsys, monkeypatch):
+        # every integer valuation.factorization sees is a parameter, a
+        # ledger order or a printed table order; |G37| = 696729600 is the
+        # largest of those
+        seen = []
+        original = valuation.factorization
+
+        def recording(n):
+            seen.append(n)
+            return original(n)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "sylowclass"
+                    and getattr(module, "factorization", None) is original):
+                monkeypatch.setattr(module, "factorization", recording)
+        groups.order_factorization.cache_clear()
+        spec = "G(1155,5,1800) x G28"
+        g = parse_group(spec)
+        for kind in ("parabolic", "reflection"):
+            for ell in (2, 3, 5, 7, 11):
+                report = cli.classification_report(g, ell, kind)
+                assert report["classes"]
+        code, out, _ = run(capsys, "sylow", "--group", spec, "--ell", "all")
+        assert code == 0 and out.count("\n") == len(groups.group_primes(g))
+        assert seen and max(seen) < 10**9
 
 
 class TestTablesCommand:
@@ -241,9 +292,10 @@ _ELLS = st.one_of(
 class TestExitCodeContract:
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(["classify", "sylow"]), spec=_SPECS,
-           ell=_ELLS, kind=st.sampled_from(["parabolic", "reflection"]))
-    def test_codes_and_quiet_stdout(self, command, spec, ell, kind):
-        argv = [command, "--group", spec, "--ell", ell]
+           ell=_ELLS, kind=st.sampled_from(["parabolic", "reflection"]),
+           fmt=st.sampled_from(["text", "json", "markdown"]))
+    def test_codes_and_quiet_stdout(self, command, spec, ell, kind, fmt):
+        argv = [command, "--group", spec, "--ell", ell, "--format", fmt]
         if command == "classify":
             argv += ["--kind", kind]
         out, err = io.StringIO(), io.StringIO()

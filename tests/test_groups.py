@@ -1,6 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sylowclass.classify import catalog_irreducibles
 
 from sylowclass.groups import (
     Cyclic,
@@ -15,15 +19,18 @@ from sylowclass.groups import (
     conjugacy_modulus,
     degrees_imprimitive,
     format_group,
+    group_primes,
     is_feasible,
     normalize,
     order,
+    order_factored,
+    order_factorization,
     parse_group,
     product_of,
     triple_compare,
     FeasibleTriple,
 )
-from sylowclass.valuation import imprimitive_order_valuation, nu, prime_factors
+from sylowclass.valuation import factorization, nu
 
 PRIMES = (2, 3, 5, 7)
 
@@ -50,7 +57,8 @@ class TestOrder:
         for m, p, n in grid():
             size = order(Imprimitive(m, p, n))
             for ell in PRIMES:
-                assert nu(ell, size) == imprimitive_order_valuation(m, p, n, ell)
+                exponents = dict(order_factorization(Imprimitive(m, p, n)))
+                assert nu(ell, size) == exponents.get(ell, 0)
 
     def test_closed_form(self):
         for m, p, n in grid(8, 5):
@@ -246,5 +254,37 @@ class TestGrammar:
 
 class TestPrimes:
     def test_group_primes(self):
-        assert prime_factors(order(Exceptional(37))) == [2, 3, 5, 7]
-        assert prime_factors(order(Imprimitive(12, 6, 3))) == [2, 3]
+        assert group_primes(Exceptional(37)) == [2, 3, 5, 7]
+        assert group_primes(Imprimitive(12, 6, 3)) == [2, 3]
+
+
+_CATALOG = list(catalog_irreducibles())
+
+
+def _check_factorization(g):
+    pairs = order_factorization(g)
+    assert math.prod(q**e for q, e in pairs) == order(g)
+    assert pairs == factorization(order(g))
+
+
+class TestOrderFactorization:
+    def test_catalog(self):
+        for g in _CATALOG:
+            _check_factorization(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_CATALOG), min_size=2, max_size=4))
+    def test_random_products(self, factors):
+        _check_factorization(product_of(factors))
+
+    def test_examples(self):
+        assert order_factorization(Imprimitive(1, 1, 1)) == ()
+        assert order_factorization(Exceptional(37)) == (
+            (2, 14), (3, 5), (5, 2), (7, 1))  # |E8| = 696729600
+        # |G(1155,5,1800)| = 1155^1800 * 1800! / 5, from parameters alone
+        pairs = dict(order_factorization(Imprimitive(1155, 5, 1800)))
+        assert pairs[5] == 1800 - 1 + (360 + 72 + 14 + 2)
+        assert pairs[11] == 1800 + 163 + 14 + 1
+        assert max(pairs) == 1789  # the largest prime <= 1800
+        assert order_factored(Imprimitive(3000, 1, 3000)).startswith(
+            "2^11993*3^4498*5^9748*")

@@ -102,6 +102,24 @@ class TestConsistency:
                     for ell in row.ell_list:
                         assert nu(ell, member.order) == nu(ell, g_order)
 
+    def test_one_printed_order_differs_from_its_label(self):
+        # t3 G27 l=3 prints D3(3) with order 2^3*3^3 = 216, but
+        # |D3(3)| = |G(3,3,3)| = 54; check_consistency misses it, since 216
+        # divides |G27| and has the full 3-adic valuation.  Reported in the
+        # module docstring, never patched: classify keeps the printed order.
+        tabs = load_tables()
+        differing = [
+            (table_id, row.group.st, row.ell_list, member.label,
+             member.order, order(member.group))
+            for table_id in ("t1", "t3", "t3b")
+            for row in tabs.concrete(table_id)
+            for member in row.members
+            if member.order != order(member.group)
+        ]
+        assert differing == [("t3", 27, (3,), "D3(3)", 216, 54)]
+        report = classify.classify_reflection(Exceptional(27), 3)
+        assert [(m.label, m.order) for m in report.members] == [("D3(3)", 216)]
+
     def test_t5_counts_match_classifier(self):
         tabs = load_tables()
         for row in tabs.concrete("t5"):

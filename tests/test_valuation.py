@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sylowclass.groups import Imprimitive, order_factorization
 from sylowclass.valuation import (
     MR_EXACT_BOUND,
     Partition,
     base_digits,
     carries_by_addition,
-    imprimitive_order_valuation,
+    factorial_factorization,
+    factorization,
     is_prime,
     iter_partitions,
     kummer_carries,
     minimal_factorial_partition,
     nu,
     nu_factorial,
+    prime_factors,
 )
 
 PRIMES = (2, 3, 5, 7)
@@ -190,20 +193,46 @@ class TestMinimalFactorialPartition:
             minimal_factorial_partition(2, 0)
 
 
+class TestFactorization:
+    def test_multiplies_out_below_3000(self):
+        for n in range(1, 3000):
+            pairs = factorization(n)
+            assert math.prod(q**e for q, e in pairs) == n
+            assert all(is_prime(q) and e >= 1 for q, e in pairs)
+            assert [q for q, _ in pairs] == sorted({q for q, _ in pairs})
+            assert prime_factors(n) == [q for q, _ in pairs]
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            factorization(0)
+
+    def test_factorial_below_400(self):
+        for n in range(0, 400):
+            pairs = factorial_factorization(n)
+            assert tuple(pairs) == factorization(math.factorial(n))
+            assert pairs == [(q, nu_factorial(q, n))
+                             for q in range(2, n + 1) if is_prime(q)]
+
+
+def order_valuation(m, p, n, ell):
+    """nu_ell(|G(m,p,n)|) read off the parameter factorization."""
+    return dict(order_factorization(Imprimitive(m, p, n))).get(ell, 0)
+
+
 class TestImprimitiveOrderValuation:
     def test_examples(self):
         # |G(6,3,4)| = 10368 = 2^7 * 3^4
         assert 6**4 * 24 // 3 == 10368
-        assert imprimitive_order_valuation(6, 3, 4, 3) == trial_valuation(3, 10368) == 4
+        assert order_valuation(6, 3, 4, 3) == trial_valuation(3, 10368) == 4
         # |G(4,2,3)| = 192 = 2^6 * 3
-        assert imprimitive_order_valuation(4, 2, 3, 2) == trial_valuation(2, 192) == 6
+        assert order_valuation(4, 2, 3, 2) == trial_valuation(2, 192) == 6
         for m in (2, 6, 8, 12):
             for ell in PRIMES:
-                assert imprimitive_order_valuation(m, 1, 1, ell) == nu(ell, m)
+                assert order_valuation(m, 1, 1, ell) == nu(ell, m)
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
-            imprimitive_order_valuation(6, 4, 2, 2)
+            order_valuation(6, 4, 2, 2)
 
 
 class TestPartitionType:
