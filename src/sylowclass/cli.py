@@ -10,7 +10,11 @@ Subcommands:
 Exit codes: 0 success, 2 usage error, 3 domain error (prime does not
 divide the order, unknown table row), 4 verification failure.  Results go
 to stdout, diagnostics to stderr.  SYLOW_ORACLE_CAP overrides the default
-enumeration cap of 20000.
+enumeration cap of 20000.  A reader that closes stdout early (`| head`)
+ends the command with exit code 141, as SIGPIPE would, and no traceback.
+
+Only `verify` runs the oracle, and only it imports numpy (through the
+`verify` module, imported inside cmd_verify).
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import os
 import sys
 
 from . import classify as cls
-from . import groups, oracle, structure, tables, verify
+from . import groups, structure, tables
 from .classify import NotADivisorError, UnsupportedGroupError
 from .groups import (GroupParseError, format_factorization, format_group,
                      order_factored, order_factorization, parse_group)
+from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 from .tables import TableLookupError
 # perfbench/tracing.py wraps cli.prime_factors, so the name stays here.
 from .valuation import is_prime, prime_factors  # noqa: F401
@@ -33,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the shell's code for a closed pipe
 
 TABLE_ALIASES = {
     "parabolic": ("t1",),
@@ -47,22 +53,22 @@ class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""
 
 
-def _order_cap(value, source: str) -> int:
+def _positive_int(value, source: str) -> int:
     try:
-        cap = int(value)
+        number = int(value)
     except ValueError:
-        cap = 0
-    if cap < 1:
+        number = 0
+    if number < 1:
         raise UsageError(f"{source} must be a positive integer, got {value!r}")
-    return cap
+    return number
 
 
 def default_order_cap() -> int:
     """SYLOW_ORACLE_CAP when set, else the oracle's default cap."""
     value = os.environ.get("SYLOW_ORACLE_CAP", "")
     if not value:
-        return oracle.DEFAULT_ORDER_CAP
-    return _order_cap(value, "SYLOW_ORACLE_CAP")
+        return DEFAULT_ORDER_CAP
+    return _positive_int(value, "SYLOW_ORACLE_CAP")
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +345,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imports the oracle, and with it numpy
+
+    if args.jobs is not None:
+        _positive_int(args.jobs, "--jobs")
     if args.observation:
         violations = verify.observation_report()
         print(f"observation check: {len(violations)} violations")
@@ -347,7 +357,7 @@ def cmd_verify(args) -> int:
                   f"P = {format_group(v.parabolic)}")
         return EXIT_OK if not violations else EXIT_VERIFY
 
-    cap = (_order_cap(args.max_order, "--max-order") if args.max_order is not None
+    cap = (_positive_int(args.max_order, "--max-order") if args.max_order is not None
            else default_order_cap())
     ells = None if args.ell == "all" else [int(args.ell)]
     if args.group:
@@ -364,7 +374,8 @@ def cmd_verify(args) -> int:
         print(json.dumps(report.as_dict(), indent=2))
     else:
         for r in report.reports:
-            print("\n".join(r.lines()))
+            for line in r.lines():  # a trivial group has none
+                print(line)
         print(report.summary())
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
@@ -423,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-order", type=int, default=None,
                    help="enumeration cap (default SYLOW_ORACLE_CAP or "
-                        f"{oracle.DEFAULT_ORDER_CAP})")
-    p.add_argument("--max-m", type=int, default=verify.DEFAULT_MAX_M)
-    p.add_argument("--max-n", type=int, default=verify.DEFAULT_MAX_N)
+                        f"{DEFAULT_ORDER_CAP})")
+    p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M)
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: cpu count)")
+                   help="worker processes, at least 1 (default: cpu count)")
     p.add_argument("--observation", action="store_true",
                    help="check the cuspidal-to-supercuspidal observation "
                         "over the whole catalog")
@@ -439,13 +450,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (GroupParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotADivisorError, TableLookupError, UnsupportedGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # exit stays quiet (the recipe of the SIGPIPE note in Python's docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

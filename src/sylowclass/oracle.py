@@ -34,9 +34,9 @@ from math import factorial
 import numpy as np
 
 from .groups import AugmentedPartition, augmented_partition
+from .limits import DEFAULT_ORDER_CAP
 from .valuation import base_digits, nu
 
-DEFAULT_ORDER_CAP = 20000
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
 
 

@@ -156,29 +156,44 @@ def _parse_row(line: str) -> tuple[TableRow, bool]:
 
 @dataclass
 class Tables:
+    """The parsed rows, indexed once by table and by (table, group): each
+    accessor returns rows in file order, and row() the first match."""
+
     rows: tuple[TableRow, ...]
     orders: dict[int, int]  # Shephard-Todd index -> canonical |G|
     typo_rows: tuple[TableRow, ...]
 
-    def table(self, table_id: str) -> list[TableRow]:
-        return [r for r in self.rows if r.table == table_id]
+    def __post_init__(self):
+        tables: dict[str, list[TableRow]] = {}
+        by_group: dict[tuple[str, int], list[TableRow]] = {}
+        for r in self.rows:
+            tables.setdefault(r.table, []).append(r)
+            if not r.is_family:
+                by_group.setdefault((r.table, r.group.st), []).append(r)
+        self._table = {t: tuple(rs) for t, rs in tables.items()}
+        self._concrete = {t: tuple(r for r in rs if not r.is_family)
+                          for t, rs in tables.items()}
+        self._family = {t: tuple(r for r in rs if r.is_family)
+                        for t, rs in tables.items()}
+        self._by_group = {k: tuple(rs) for k, rs in by_group.items()}
 
-    def concrete(self, table_id: str) -> list[TableRow]:
-        return [r for r in self.rows if r.table == table_id and not r.is_family]
+    def table(self, table_id: str) -> tuple[TableRow, ...]:
+        return self._table.get(table_id, ())
 
-    def family(self, table_id: str) -> list[TableRow]:
-        return [r for r in self.rows if r.table == table_id and r.is_family]
+    def concrete(self, table_id: str) -> tuple[TableRow, ...]:
+        return self._concrete.get(table_id, ())
+
+    def family(self, table_id: str) -> tuple[TableRow, ...]:
+        return self._family.get(table_id, ())
 
     def row(self, table_id: str, st: int, ell: int | None = None) -> TableRow:
-        for r in self.concrete(table_id):
-            if r.group != Exceptional(st):
-                continue
-            if ell is None or ell == r.ell or ell in r.ell_list:
+        for r in self.rows_for(table_id, st):
+            if ell is None or ell in r.ell_list:
                 return r
         raise TableLookupError(f"no {table_id} row for G{st}, ell={ell}")
 
-    def rows_for(self, table_id: str, st: int) -> list[TableRow]:
-        return [r for r in self.concrete(table_id) if r.group == Exceptional(st)]
+    def rows_for(self, table_id: str, st: int) -> tuple[TableRow, ...]:
+        return self._by_group.get((table_id, st), ())
 
     def cuspidal_primes(self, st: int) -> tuple[int, ...]:
         """Primes listed in the cuspidal table for G<st>, as printed."""

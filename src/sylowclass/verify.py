@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 from . import classify, groups, oracle, structure
 from .groups import Exceptional, GroupType, Imprimitive, normalize
+from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 # perfbench/tracing.py wraps verify.prime_factors, so the name stays here.
 from .valuation import nu, prime_factors  # noqa: F401
 
-DEFAULT_MAX_M = 16
-DEFAULT_MAX_N = 8
-
 
 def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
-                order_cap: int = oracle.DEFAULT_ORDER_CAP) -> list[tuple[int, int, int]]:
+                order_cap: int = DEFAULT_ORDER_CAP) -> list[tuple[int, int, int]]:
     """All (m,p,n) with p | m, nontrivial order at most the cap."""
     points = []
     for m in range(1, max_m + 1):
@@ -131,7 +129,7 @@ class CampaignReport:
 
 
 def verify_group(m: int, p: int, n: int, ells=None,
-                 order_cap: int = oracle.DEFAULT_ORDER_CAP) -> GroupReport:
+                 order_cap: int = DEFAULT_ORDER_CAP) -> GroupReport:
     """Run the oracle-vs-theorem checks for one grid point."""
     size = groups.order(Imprimitive(m, p, n))
     report = GroupReport(m, p, n, size)
@@ -210,7 +208,7 @@ def _verify_point(args) -> GroupReport:
 
 
 def run_campaign(points=None, ells=None,
-                 order_cap: int = oracle.DEFAULT_ORDER_CAP,
+                 order_cap: int = DEFAULT_ORDER_CAP,
                  jobs: int | None = None) -> CampaignReport:
     """Verify every grid point, optionally in parallel processes."""
     if points is None:

@@ -100,6 +100,14 @@ class TestExitCodes:
             assert out == ""
             assert "--max-order" in err
 
+    def test_usage_error_nonpositive_jobs(self, capsys):
+        for jobs in ["0", "-3"]:
+            code, out, err = run(capsys, "verify", "--group", "G(2,1,2)",
+                                 "--jobs", jobs)
+            assert code == 2, jobs
+            assert out == ""
+            assert err.count("\n") == 1 and "--jobs" in err
+
     def test_usage_error_nonpositive_env_cap(self, capsys, monkeypatch):
         for value in ["-5", "0", "many"]:
             monkeypatch.setenv("SYLOW_ORACLE_CAP", value)
@@ -172,6 +180,13 @@ class TestExitCodes:
         assert code == 0
         assert "0 failed" in out
 
+    def test_verify_trivial_group_prints_only_the_summary(self, capsys):
+        # G(4,4,1) is G(1,1,1): no prime divides its order, so no check runs
+        for spec in ["G(1,1,1)", "G(4,4,1)"]:
+            code, out, _ = run(capsys, "verify", "--group", spec)
+            assert code == 0, spec
+            assert out == "1 groups (0 skipped), 0 checks, 0 failed\n", spec
+
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--group", "G(3,3,2)",
                            "--format", "json")
@@ -182,13 +197,103 @@ class TestExitCodes:
         assert json.loads(json.dumps(payload)) == payload
 
 
+def _module_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(sylowclass.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_module(*argv):
     """`python -m sylowclass *argv` in a fresh process, with a 60 s bound."""
-    src = str(Path(sylowclass.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "sylowclass", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=60)
+
+
+def _run_python(code: str):
+    """`python -c code` in a fresh process, with a 60 s bound."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_module_env(), timeout=60)
+
+
+class TestClosedPipe:
+    # The read end is closed before the command starts, so its first write
+    # fails whatever the timing: a large output (the reflection table as
+    # JSON) fails inside print, a small one at the flush in cli.main.
+    @pytest.mark.parametrize("argv", [
+        ("tables", "--id", "reflection", "--format", "json"),
+        ("classify", "--group", "G4", "--ell", "2"),
+    ])
+    def test_exits_141_without_a_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "sylowclass", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=_module_env(), timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert proc.stderr == b""
+
+
+# Every closed-form command: both kinds and all formats of classify, sylow
+# in all formats, every table in both formats.
+_CLOSED_FORM_ARGV = (
+    [["classify", "--group", spec, "--ell", "all", "--kind", kind, "--format", fmt]
+     for spec in ["G(12,6,3)", "G28", "G4 x G(6,1,5)"]
+     for kind in ["parabolic", "reflection"]
+     for fmt in ["text", "json", "markdown"]]
+    + [["sylow", "--group", spec, "--ell", "all", "--format", fmt]
+       for spec in ["G(12,6,3)", "G28", "G4 x G(6,1,5)"]
+       for fmt in ["text", "json", "markdown"]]
+    + [["tables", "--id", table_id, "--format", fmt]
+       for table_id in sorted(cli.TABLE_ALIASES)
+       for fmt in ["markdown", "json"]]
+)
+
+_RUN_EACH = """
+import contextlib, io, json, sys
+{prelude}
+from sylowclass import cli
+results = []
+for argv in json.loads({argv!r}):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps({{"results": results, "loaded": sorted(
+    name for name in ("numpy", "sylowclass.oracle", "sylowclass.verify")
+    if sys.modules.get(name) is not None)}}))
+"""
+
+
+class TestNumpyFreeCommands:
+    def test_closed_form_commands_run_without_numpy(self, capsys):
+        # numpy is made unimportable before sylowclass.cli is imported
+        script = _RUN_EACH.format(prelude='sys.modules["numpy"] = None',
+                                  argv=json.dumps(_CLOSED_FORM_ARGV))
+        proc = _run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["loaded"] == []
+        for argv, (code, out) in zip(_CLOSED_FORM_ARGV, payload["results"],
+                                     strict=True):
+            want = run(capsys, *argv)
+            assert (code, out) == want[:2], argv
+            assert code == 0, argv
+
+    def test_verify_imports_the_oracle_on_demand(self):
+        script = _RUN_EACH.format(
+            prelude="", argv=json.dumps([["verify", "--group", "G(2,1,2)"]]))
+        proc = _run_python(script)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["loaded"] == ["numpy", "sylowclass.oracle", "sylowclass.verify"]
+        [[code, out]] = payload["results"]
+        assert code == 0
+        assert out.endswith("1 groups (0 skipped), 3 checks, 0 failed\n")
 
 
 class TestOrdersFactoredFromParameters:

@@ -6,6 +6,7 @@ from sylowclass import classify
 from sylowclass.groups import Exceptional, Imprimitive, order, parse_group
 from sylowclass.tables import (
     KNOWN_ANOMALY_IDS,
+    TABLE_IDS,
     TABLES_SHA256,
     TableLookupError,
     _data_text,
@@ -13,7 +14,7 @@ from sylowclass.tables import (
     load_tables,
     lookup,
 )
-from sylowclass.valuation import nu, prime_factors
+from sylowclass.valuation import is_prime, nu, prime_factors
 
 
 class TestLoading:
@@ -34,6 +35,57 @@ class TestLoading:
         from sylowclass.groups import EXCEPTIONAL_ORDERS
 
         assert load_tables().orders == EXCEPTIONAL_ORDERS
+
+
+def _scan_row(tabs, table_id, st, ell):
+    """The first concrete row of the table for G<st> that lists ell, by a
+    linear scan over every row in file order; None when there is none."""
+    for r in tabs.rows:
+        if (r.table == table_id and not r.is_family and r.group == Exceptional(st)
+                and (ell is None or ell == r.ell or ell in r.ell_list)):
+            return r
+    return None
+
+
+class TestIndex:
+    # The index built by Tables must answer as a linear scan of the rows.
+    ELLS = [None] + [ell for ell in range(2, 32) if is_prime(ell)]
+
+    def test_table_concrete_family(self):
+        tabs = load_tables()
+        for table_id in TABLE_IDS + ("t9",):
+            rows = [r for r in tabs.rows if r.table == table_id]
+            assert list(tabs.table(table_id)) == rows
+            assert list(tabs.concrete(table_id)) == [r for r in rows if not r.is_family]
+            assert list(tabs.family(table_id)) == [r for r in rows if r.is_family]
+
+    def test_row_and_rows_for(self):
+        tabs = load_tables()
+        misses = 0
+        for table_id in TABLE_IDS:
+            for st in sorted(tabs.orders):
+                assert list(tabs.rows_for(table_id, st)) == [
+                    r for r in tabs.rows if r.table == table_id
+                    and not r.is_family and r.group == Exceptional(st)]
+                for ell in self.ELLS:
+                    want = _scan_row(tabs, table_id, st, ell)
+                    if want is None:
+                        misses += 1
+                        with pytest.raises(TableLookupError):
+                            tabs.row(table_id, st, ell)
+                    else:
+                        assert tabs.row(table_id, st, ell) is want, (table_id, st, ell)
+            if table_id == "t2":
+                for st in tabs.orders:
+                    assert tabs.cuspidal_primes(st) == _scan_row(tabs, "t2", st, None).ell_list
+        assert misses
+
+    def test_first_match_in_file_order(self):
+        # G28 has one t1 row per prime; with no prime the first one answers
+        tabs = load_tables()
+        rows = tabs.rows_for("t1", 28)
+        assert len(rows) > 1
+        assert tabs.row("t1", 28) is rows[0]
 
 
 class TestLookup:
