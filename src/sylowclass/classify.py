@@ -1,11 +1,14 @@
 """Theorem-driven classification of the minimal parabolic class P_ell and
 the minimal reflection classes R_ell.
 
-The infinite family is classified by closed formulas driven by base-ell
-digits and valuations; exceptional groups are table lookups (their
-classifications rest on external subgroup tables and are deliberately not
-recomputed); products classify componentwise, with ell-free factors
-contributing nothing.
+The infinite family G(m,p,n) has closed forms in a = ell^nu(m) and the
+ell-adic partition lambda(ell, n) (valuation.lambda_blocks): the parabolic
+member is G if ell | m, else the product of Sym(k) over k in lambda; the
+reflection members are gcd(p/ell^nu(p), n) twisted G(a, ell^nu(p), n) if
+ell | p, else the product of G(a,1,k) over k in lambda.  Exceptional groups
+are table lookups (their classifications rest on external subgroup tables
+and are deliberately not recomputed); products classify componentwise,
+with ell-free factors contributing nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .groups import (
     order_factorization,
     product_of,
 )
-from .valuation import base_digits, ell_part, factorization
+from .valuation import ell_part, factorization, lambda_blocks
 
 PARABOLIC = "parabolic"
 REFLECTION = "reflection"
@@ -118,15 +121,6 @@ def require_divides(g: GroupType, ell: int) -> groups.Factorization:
     return g_factors
 
 
-def _sym_power_product(ell: int, n: int) -> GroupType:
-    """prod G(1,1,ell^i)^{b_i} over the base-ell digits of n, i >= 1."""
-    digits = list(base_digits(ell, n))
-    factors = []
-    for i in range(len(digits) - 1, 0, -1):
-        factors.extend([groups.Sym(ell**i)] * digits[i])
-    return product_of(factors)
-
-
 def _member_of(g: GroupType, distinguisher: int = 0,
                twist_exponent: int | None = None) -> ClassMember:
     return ClassMember(normalize(g), order_factorization(g), distinguisher, twist_exponent)
@@ -153,8 +147,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     if g.m % ell == 0:
         return SubgroupClassResult(
             g, ell, PARABOLIC, (_member_of(g),), equals_whole_group=True)
-    member_group = _sym_power_product(ell, g.n)
-    member = _member_of(member_group)
+    member = _member_of(product_of(lambda_blocks(ell, g.n, groups.Sym, groups.TRIVIAL)))
     return SubgroupClassResult(
         g, ell, PARABOLIC, (member,),
         equals_whole_group=member.factors == g_factors)
@@ -186,12 +179,6 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             equals_whole_group=single and members[0].group == g)
 
     m, p, n = g.m, g.p, g.n
-    if n == 1:
-        member = _member_of(groups.Cyclic(ell_part(ell, m)))
-        return SubgroupClassResult(
-            g, ell, REFLECTION, (member,),
-            equals_whole_group=member.factors == g_factors)
-
     if p % ell == 0:
         member_type = Imprimitive(ell_part(ell, m), ell_part(ell, p), n)
         count = gcd(p // ell_part(ell, p), n)
@@ -205,18 +192,9 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             equals_whole_group=count == 1 and members[0].factors == g_factors,
             twist_modulus=modulus)
 
-    if m % ell == 0:
-        digits = list(base_digits(ell, n))
-        a = ell_part(ell, m)
-        factors = []
-        for i in range(len(digits) - 1, -1, -1):
-            factors.extend([Imprimitive(a, 1, ell**i)] * digits[i])
-        member = _member_of(product_of(factors))
-        return SubgroupClassResult(
-            g, ell, REFLECTION, (member,),
-            equals_whole_group=member.factors == g_factors)
-
-    member = _member_of(_sym_power_product(ell, n))
+    a = ell_part(ell, m)
+    member = _member_of(product_of(
+        lambda_blocks(ell, n, lambda k: Imprimitive(a, 1, k), groups.TRIVIAL)))
     return SubgroupClassResult(
         g, ell, REFLECTION, (member,),
         equals_whole_group=member.factors == g_factors)

@@ -368,7 +368,8 @@ def cmd_verify(args) -> int:
         points = [(g.m, g.p, g.n)]
         ells = _resolve_ells(g, args.ell)
     else:
-        points = verify.grid_points(args.max_m, args.max_n, cap)
+        points = verify.grid_points(_positive_int(args.max_m, "--max-m"),
+                                    _positive_int(args.max_n, "--max-n"), cap)
     report = verify.run_campaign(points, ells, cap, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))

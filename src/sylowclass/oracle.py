@@ -35,7 +35,7 @@ import numpy as np
 
 from .groups import AugmentedPartition, augmented_partition
 from .limits import DEFAULT_ORDER_CAP
-from .valuation import base_digits, nu
+from .valuation import minimal_factorial_partition, nu
 
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
 
@@ -529,8 +529,8 @@ def minimal_full_valuation(group: ConcreteGroup, classes: list[OracleClass],
 def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
     """A concrete ell-Sylow subgroup: diagonal ell-power phase generators
     satisfying the phase-sum constraint, plus the iterated-wreath
-    permutation generators of a Sylow subgroup of Sym(n) aligned to
-    base-ell blocks.  The generated order must equal the ell-part of |G|,
+    permutation generators of a Sylow subgroup of Sym(n) on the blocks of
+    lambda(ell, n).  The generated order must equal the ell-part of |G|,
     which proves it is Sylow."""
     m, p, n = group.m, group.p, group.n
     if group.size % ell:
@@ -553,19 +553,16 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
             phases[i], phases[i + 1] = c, m - c
             add(phases, ident)
 
-    # Wreath towers over blocks of sizes given by the base-ell digits of n,
-    # largest blocks first.
-    digits = base_digits(ell, n).digits
+    # Wreath towers over the blocks of lambda(ell, n), largest first.
     offset = 0
-    for i in range(len(digits) - 1, 0, -1):
-        for _ in range(digits[i]):
-            for t in range(1, i + 1):
-                width = ell**t
-                perm = list(range(n))
-                for j in range(width):
-                    perm[offset + j] = offset + (j + ell ** (t - 1)) % width
-                add([0] * n, perm)
-            offset += ell**i
+    for k in minimal_factorial_partition(ell, n):
+        for t in range(1, nu(ell, k) + 1):
+            width = ell**t
+            perm = list(range(n))
+            for j in range(width):
+                perm[offset + j] = offset + (j + ell ** (t - 1)) % width
+            add([0] * n, perm)
+        offset += k
 
     sylow = generate_subgroup(group, gens)
     expected = ell ** nu(ell, group.size)

@@ -6,6 +6,11 @@ supercuspidal shapes: iterated wreath products for symmetric groups, a
 diagonal phase group extended by coordinate permutations for the
 imprimitive family, and a handful of named groups for the exceptionals.
 
+For G(m,p,n), with a = ell^nu(m) and lambda = lambda(ell, n): if ell | p,
+A(a, ell^nu(p), n) extended by the Sylow subgroup of Sym(n); otherwise the
+direct product over k in lambda, smallest first, of A(a,1,k) extended by
+the Sylow subgroup of Sym(k).
+
 C(l)^(i) here is the i-fold iterated wreath product of the cyclic group of
 order l (order l^((l^i-1)/(l-1))), which is the Sylow subgroup of
 Sym(l^i); the source text says "of i copies of the cyclic group of order
@@ -20,7 +25,7 @@ from math import prod
 from . import groups
 from .classify import UnsupportedGroupError, classify_reflection, require_divides
 from .groups import Exceptional, GroupType, Product, group_primes, normalize
-from .valuation import base_digits, nu
+from .valuation import lambda_blocks, nu
 
 __all__ = [
     "StructureTerm",
@@ -182,18 +187,19 @@ def _diagonal(m: int, p: int, n: int) -> StructureTerm:
     return DiagonalPart(m, p, n)
 
 
-def _wreath_tower(ell: int, depth: int) -> StructureTerm:
-    return CyclicGroup(ell) if depth == 1 else IteratedWreath(ell, depth)
+def _wreath_tower(ell: int, k: int) -> StructureTerm:
+    """The Sylow subgroup of Sym(k) for a power k of ell."""
+    if k == 1:
+        return TRIVIAL_TERM
+    return CyclicGroup(ell) if k == ell else IteratedWreath(ell, nu(ell, k))
 
 
 def sylow_symmetric(n: int, ell: int) -> StructureTerm:
-    """Sylow subgroup of Sym(n): one iterated wreath tower of depth i per
-    base-ell digit b_i, i >= 1.  Depth-1 towers are plain cyclic groups."""
-    towers = []
-    for i, b in enumerate(base_digits(ell, n)):
-        if i >= 1:
-            towers.extend([_wreath_tower(ell, i)] * b)
-    return direct_product(towers)
+    """Sylow subgroup of Sym(n): the Sylow subgroup of Sym(k), an iterated
+    wreath tower of depth nu(k), per part k of lambda(ell, n), smallest
+    first.  Depth-1 towers are plain cyclic groups, depth-0 ones drop out."""
+    return direct_product(reversed(
+        lambda_blocks(ell, n, lambda k: _wreath_tower(ell, k), TRIVIAL_TERM)))
 
 
 # Named Sylow subgroups of exceptional groups, keyed by (st, ell).
@@ -237,25 +243,15 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
         return sylow_structure(member, ell)
 
     m, p, n = g.m, g.p, g.n
-    if n == 1:
-        return CyclicGroup(ell ** nu(ell, m))
-    if m % ell:
-        return sylow_symmetric(n, ell)
     a = ell ** nu(ell, m)
     if p % ell == 0:
         return _semidirect(
             _diagonal(a, ell ** nu(ell, p), n),
             sylow_symmetric(n, ell),
             "permuting coordinates")
-    blocks = []
-    for i, b in enumerate(base_digits(ell, n)):
-        if i == 0:
-            blocks.extend([CyclicGroup(a)] * b)
-        else:
-            blocks.extend(
-                [_semidirect(_diagonal(a, 1, ell**i), _wreath_tower(ell, i),
-                             "permuting coordinates")] * b)
-    return direct_product(blocks)
+    return direct_product(reversed(lambda_blocks(ell, n, lambda k: _semidirect(
+        _diagonal(a, 1, k), _wreath_tower(ell, k), "permuting coordinates"),
+        TRIVIAL_TERM)))
 
 
 def render_term(t: StructureTerm) -> str:

@@ -140,8 +140,10 @@ class DigitExpansion:
         return iter(self.digits)
 
 
+@lru_cache(maxsize=1024)
 def base_digits(ell: int, n: int) -> DigitExpansion:
-    """Base-ell expansion of n, least significant digit first."""
+    """Base-ell expansion of n, least significant digit first.  Cached, as
+    factorization is: every G(m,p,n) answer reads it through lambda_blocks."""
     _check_prime(ell)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -220,19 +222,30 @@ def carries_by_addition(ell: int, lam) -> int:
     return carries
 
 
-def minimal_factorial_partition(ell: int, n: int) -> Partition:
-    """The carry-free partition of n minimizing the product of factorials:
-    b_j parts of size ell^j for each base-ell digit b_j of n.
+def lambda_blocks(ell: int, n: int, block, trivial=None) -> list:
+    """block(k) for each part k of lambda(ell, n), largest first, leaving
+    out blocks equal to trivial: the one place that turns the digits of n
+    into blocks.  block runs once per nonzero digit b_j and its result is
+    repeated b_j times, so the up to ell - 1 parts of size 1 cost nothing
+    when their block is trivial."""
+    digits = base_digits(ell, n).digits
+    blocks = []
+    for j in range(len(digits) - 1, -1, -1):
+        if digits[j] and (b := block(ell**j)) != trivial:
+            blocks += [b] * digits[j]
+    return blocks
 
-    Parts of size 1 (the b_0 tail) are kept so the parts sum to n.
+
+def minimal_factorial_partition(ell: int, n: int) -> Partition:
+    """lambda(ell, n): the carry-free partition of n minimizing the product
+    of factorials, b_j parts of size ell^j for each base-ell digit b_j of n,
+    largest first.  Parts of size 1 (the b_0 tail) are kept so the parts
+    sum to n.  Its parts are the blocks of lambda_blocks.
     """
     _check_prime(ell)
     if n < 1:
         raise ValueError("n must be positive")
-    parts = []
-    for j, b in enumerate(base_digits(ell, n)):
-        parts.extend([ell**j] * b)
-    return Partition(tuple(sorted(parts, reverse=True)))
+    return Partition(tuple(lambda_blocks(ell, n, lambda k: k)))
 
 
 def iter_partitions(n: int, max_part: int | None = None):

@@ -5,8 +5,10 @@ or -rA to see them all).  All comparisons are exact integer equalities;
 the stated time budgets are asserted with wide margins.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,16 @@ def test_criterion_3_table_regeneration():
     report(3, f"all table rows regenerate ({sum(len(v) for v in generated.values())} "
               f"rows) and exactly 3 documented anomalies",
            not missing and family_ok and anomalies_ok and stable)
+
+
+def test_campaign_matches_recorded_grid(campaign):
+    """The groups of order <= 5000 in the default campaign are, check for
+    check, the benchmark's recorded verify_grid answer (recorded at cap 5000
+    by perfbench/make_reference.py)."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+    recorded = json.loads((reference / "verify_grid.json").read_text())["groups"]
+    ours = [g for g in campaign.as_dict()["groups"] if g["order"] <= 5000]
+    assert ours == recorded
 
 
 def test_criterion_4_sylow_order_identity(campaign):

@@ -16,6 +16,7 @@ from sylowclass.groups import (
     Exceptional,
     Imprimitive,
     Sym,
+    normalize,
     order,
     product_of,
 )
@@ -31,6 +32,16 @@ def grid(max_m=12, max_n=6):
                 for n in range(1, max_n + 1):
                     if order(Imprimitive(m, p, n)) > 1:
                         yield Imprimitive(m, p, n)
+
+
+def wide_grid():
+    """grid() and a few ranks up to 40, where lambda(ell, n) has parts of
+    several sizes."""
+    yield from grid()
+    for m in (1, 4, 6, 9, 10):
+        for n in (17, 26, 40):
+            yield Imprimitive(m, 1, n)
+            yield Imprimitive(m, m, n)
 
 
 class TestParabolic:
@@ -100,6 +111,22 @@ class TestReflection:
         r = classify_reflection(Imprimitive(5, 1, 4), 2)
         assert r.members[0].group == Sym(4)
         assert r.member_order == 24
+
+    def test_rank_one_member_is_the_cyclic_ell_part(self):
+        for g in map(normalize, grid()):
+            if g.n == 1:
+                for ell in prime_factors(g.m):
+                    r = classify_reflection(g, ell)
+                    assert r.member_groups() == (Cyclic(ell ** nu(ell, g.m)),), (g, ell)
+
+    def test_ell_coprime_to_m_reflection_is_parabolic(self):
+        # the paper's observation: for ell not dividing m the minimal
+        # parabolic class is already the minimal reflection class
+        for g in wide_grid():
+            for ell in prime_factors(order(g)):
+                if g.m % ell:
+                    assert (classify_reflection(g, ell).members
+                            == classify_parabolic(g, ell).members), (g, ell)
 
     def test_exceptional_multi_type(self):
         r = classify_reflection(Exceptional(26), 3)

@@ -100,6 +100,15 @@ class TestExitCodes:
             assert out == ""
             assert "--max-order" in err
 
+    def test_usage_error_nonpositive_grid_bounds(self, capsys):
+        # a grid with no groups would pass a campaign that checked nothing
+        for option in ["--max-m", "--max-n"]:
+            for bound in ["0", "-2"]:
+                code, out, err = run(capsys, "verify", option, bound)
+                assert code == 2, (option, bound)
+                assert out == ""
+                assert err.count("\n") == 1 and option in err
+
     def test_usage_error_nonpositive_jobs(self, capsys):
         for jobs in ["0", "-3"]:
             code, out, err = run(capsys, "verify", "--group", "G(2,1,2)",

@@ -22,6 +22,16 @@ from sylowclass.valuation import nu, nu_factorial, prime_factors
 PRIMES = (2, 3, 5, 7)
 
 
+def imprimitive_grid():
+    """The imprimitive catalog (m <= 12, n <= 6) and a few ranks up to 40,
+    where lambda(ell, n) has parts of several sizes."""
+    yield from (g for g in catalog_irreducibles() if isinstance(g, Imprimitive))
+    for m in (1, 4, 6, 9, 10):
+        for n in (17, 26, 40):
+            yield Imprimitive(m, 1, n)
+            yield Imprimitive(m, m, n)
+
+
 class TestStructureOrder:
     def test_examples(self):
         assert structure_order(IteratedWreath(2, 2)) == 8 == 2 ** nu_factorial(2, 4)
@@ -70,6 +80,8 @@ class TestSylowSymmetric:
 
     def test_trivial_below_ell(self):
         assert sylow_symmetric(4, 5) == Trivial()
+        for ell in PRIMES:
+            assert sylow_symmetric(0, ell) == Trivial()
 
 
 class TestSylowStructure:
@@ -113,6 +125,19 @@ class TestSylowStructure:
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisorError):
             sylow_structure(Sym(4), 5)
+
+    def test_rank_one_is_the_cyclic_ell_part(self):
+        for g in imprimitive_grid():
+            if g.n == 1:
+                for ell in prime_factors(g.m):
+                    assert render_term(sylow_structure(g, ell)) == \
+                        f"C{ell ** nu(ell, g.m)}", (g, ell)
+
+    def test_ell_coprime_to_m_is_the_symmetric_sylow(self):
+        for g in imprimitive_grid():
+            for ell in prime_factors(order(g)):
+                if g.m % ell:
+                    assert sylow_structure(g, ell) == sylow_symmetric(g.n, ell), (g, ell)
 
     def test_order_identity_everywhere(self):
         for g in catalog_irreducibles():

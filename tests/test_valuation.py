@@ -15,6 +15,7 @@ from sylowclass.valuation import (
     is_prime,
     iter_partitions,
     kummer_carries,
+    lambda_blocks,
     minimal_factorial_partition,
     nu,
     nu_factorial,
@@ -191,6 +192,18 @@ class TestMinimalFactorialPartition:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             minimal_factorial_partition(2, 0)
+
+    def test_blocks(self):
+        # 14 = (112)_3: blocks 9, 3, 1, 1, largest first
+        assert lambda_blocks(3, 14, lambda k: k) == [9, 3, 1, 1]
+        assert lambda_blocks(3, 14, lambda k: k, trivial=1) == [9, 3]
+        assert lambda_blocks(3, 0, lambda k: k) == []
+        # one call per nonzero digit, however many parts it stands for
+        calls = []
+        assert lambda_blocks(7, 6, lambda k: calls.append(k) or k) == [1] * 6
+        assert calls == [1]
+        with pytest.raises(ValueError):
+            lambda_blocks(4, 3, lambda k: k)
 
 
 class TestFactorization:
