@@ -14,6 +14,7 @@ with ell-free factors contributing nothing.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -116,7 +117,8 @@ class SubgroupClassResult:
 def require_divides(g: GroupType, ell: int) -> groups.Factorization:
     """|G| factored; NotADivisorError unless ell divides it."""
     g_factors = order_factorization(g)
-    if ell not in dict(g_factors):
+    i = bisect_left(g_factors, (ell,))
+    if i == len(g_factors) or g_factors[i][0] != ell:
         raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
     return g_factors
 

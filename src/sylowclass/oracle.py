@@ -5,13 +5,23 @@ permutation of the coordinates, acting as e_j -> zeta^phases(perm(j)) *
 e_perm(j).  Membership requires the phase exponents to sum to 0 mod p.
 Elements live only in two integer arrays (phases, permutations), one row
 each in canonical order.  All arithmetic is integer arithmetic mod m; fixed
-spaces and stabilizers are computed combinatorially from cycle/phase data.
+spaces and stabilizers are computed combinatorially from cycle/phase data,
+and the reflections are read from the rows directly.
+
+One orbit helper, orbit_labels, labels each point with the smallest point
+of its orbit under a few index permutations.  Under the conjugation tables
+it gives the element conjugacy classes, and the parabolic stage computes
+one fixed space and stabilizer per class representative.  In the lattice
+it gives the orbits of a subgroup H on the reflections outside it, and H
+is closed with the first reflection of each orbit only.
 
 A subgroup is one Subgroup: the sorted array of its element indices in the
-canonical element order, whose bytes key every dict.  Subgroup generation
-walks right cosets: each new coset H*t*g is one vectorized gather through
-the right-multiplication table of the generator g, so generating a
-subgroup K costs about |K| integer moves.  A conjugacy class is found whole
+canonical element order, whose bytes key every dict.  generate_subgroup
+grows a subgroup breadth-first from the identity, one gather through a
+generator's right-multiplication table per level and generator.  The
+lattice extends a subgroup H it already has by walking right cosets: each
+new coset H*t*g is one vectorized gather through the table of g, so the
+closure K costs about |K| integer moves.  A conjugacy class is found whole
 when its first member is discovered, by one orbit search under conjugation
 by a fixed generating set of the parent group, through conjugation tables
 built once per group.  The reflection-subgroup lattice is searched over one
@@ -300,6 +310,7 @@ class ConcreteGroup:
 
     # -- reflections and fixed spaces -----------------------------------
 
+    # Unused by the program; kept only for perfbench/tracing.py and selftest.py.
     def fixed_spaces(self) -> list[FixedSpace]:
         if self._fixed_spaces is None:
             self._fixed_spaces = [
@@ -308,12 +319,18 @@ class ConcreteGroup:
         return self._fixed_spaces
 
     def reflection_indices(self) -> list[int]:
+        """Ascending indices of the reflections, read from the phase and
+        permutation rows: the identity permutation with one nonzero phase,
+        or one transposition whose two phases sum to 0 mod m with every
+        other phase 0 (the only elements fixing a hyperplane)."""
         if self._reflection_indices is None:
-            spaces = self.fixed_spaces()
-            self._reflection_indices = [
-                i for i in range(self.size)
-                if spaces[i].dimension == self.n - 1
-            ]
+            moved = self._P != np.arange(self.n)
+            phased = self._A != 0
+            n_moved = moved.sum(axis=1)
+            scaling = (n_moved == 0) & (phased.sum(axis=1) == 1)
+            swapping = ((n_moved == 2) & ~(phased & ~moved).any(axis=1)
+                        & ((self._A * moved).sum(axis=1) % self.m == 0))
+            self._reflection_indices = np.flatnonzero(scaling | swapping).tolist()
         return self._reflection_indices
 
     def generator_indices(self) -> list[int]:
@@ -351,7 +368,24 @@ def enumerate_group(m: int, p: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Subgroup generation
+# Orbits and subgroup generation
+
+
+def orbit_labels(size: int, maps) -> np.ndarray:
+    """The smallest point of each point's orbit, for the points 0..size-1
+    under the permutations in maps (index arrays).
+
+    Each pass lowers every label to the label of its image under each map.
+    At the fixpoint labels never rise along an edge x -> t[x]; every edge
+    lies on a cycle of t, so labels are constant on orbits, and the smallest
+    point of an orbit keeps its own label throughout."""
+    labels = np.arange(size)
+    while True:
+        before = labels
+        for t in maps:
+            labels = np.minimum(labels, labels[t])
+        if np.array_equal(labels, before):
+            return labels
 
 
 def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
@@ -380,9 +414,24 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
 
 def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
     """Subgroup generated by arbitrary elements (by index); the trivial
-    subgroup when there are none."""
+    subgroup when there are none.
+
+    Breadth-first from the identity: each level gathers the frontier
+    through one generator's right table at a time and keeps what is not
+    yet marked, so the pieces of the next frontier are disjoint."""
     tables = [group.right_table(i) for i in element_indices]
-    return Subgroup(_generate_from(group, np.array([0], dtype=np.int64), tables))
+    member = np.zeros(group.size, dtype=bool)
+    member[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while tables and frontier.size:
+        found = []
+        for table in tables:
+            x = table[frontier]
+            x = x[~member[x]]
+            member[x] = True
+            found.append(x)
+        frontier = np.concatenate(found)
+    return Subgroup(np.flatnonzero(member).astype(np.int64))
 
 
 def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
@@ -408,12 +457,25 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     conjugacy class: adjoin one reflection to a representative and close.
     Since <gHg^{-1}, r> = g<H, g^{-1}rg>g^{-1} and g^{-1}rg is again a
     reflection, the closures of the representatives reach every class; a
-    closure not seen before enters with its whole class.  More than
+    closure not seen before enters with its whole class.  For h in H,
+    <H, hrh^{-1}> = <H, r>, so a representative closes only the first
+    reflection of each H-orbit of the reflections outside it (the orbits
+    under conjugation by the reflections that generate it).  More than
     MAX_SUBGROUPS subgroups raise ResourceLimitError.
     """
     refl = group.reflection_indices()
     refl_arr = np.array(refl, dtype=np.int64)
     refl_tables = {r: group.right_table(r) for r in refl}
+    conj: dict[int, np.ndarray] = {}
+
+    def conjugation_by(r: int) -> np.ndarray:
+        """Position in refl of r*s*r^{-1}, for each reflection s in refl."""
+        if r not in conj:
+            rs = np.array([refl_tables[s][r] for s in refl], dtype=np.int64)
+            r_inv = int(np.argmin(refl_tables[r]))
+            conj[r] = np.searchsorted(refl_arr, refl_tables[r_inv][rs])
+        return conj[r]
+
     found: dict[bytes, Subgroup] = {}
     # One (representative, reflections generating it) per class; the loop
     # below walks this list while admit() appends to it, in BFS order, so a
@@ -431,10 +493,10 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     admit(Subgroup(np.array([0], dtype=np.int64), 0), ())
     for rep, gens in reps:
         inside = np.isin(refl_arr, rep.idx, assume_unique=True)
+        first = orbit_labels(len(refl), [conjugation_by(g) for g in gens])
         gen_tables = [refl_tables[r] for r in gens]
-        for r, already in zip(refl, inside):
-            if already:
-                continue
+        for j in np.flatnonzero(~inside & (first == np.arange(len(refl)))).tolist():
+            r = refl[j]
             h = Subgroup(_generate_from(group, rep.idx, gen_tables + [refl_tables[r]]),
                          len(reps))
             if h.key not in found:
@@ -486,9 +548,14 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     is the stabilizer of the fixed space of one of its own elements, so
     this flat set is the full set of parabolic subgroups; the trivial
     subgroup (x = 1) and the whole group (x with minimal fixed space)
-    always appear."""
+    always appear.  Fix(gxg^{-1}) = g*Fix(x), so conjugate elements have
+    conjugate stabilizers, and one element per conjugacy class (the
+    smallest index, from orbit_labels under the conjugation tables) is
+    enough."""
+    reps = np.unique(orbit_labels(group.size, group.conjugation_tables()))
     spaces = {}
-    for sp in group.fixed_spaces():
+    for x in reps.tolist():
+        sp = fixed_space(group.element(x))
         spaces.setdefault(sp.vectors, sp)
     known: set[bytes] = set()
     orbits = []

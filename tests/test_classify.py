@@ -9,6 +9,7 @@ from sylowclass.classify import (
     degrees_criterion,
     is_cuspidal,
     is_supercuspidal,
+    require_divides,
     verify_observation,
 )
 from sylowclass.groups import (
@@ -18,6 +19,7 @@ from sylowclass.groups import (
     Sym,
     normalize,
     order,
+    order_factorization,
     product_of,
 )
 from sylowclass.valuation import nu, prime_factors
@@ -78,6 +80,24 @@ class TestParabolic:
     def test_not_a_divisor(self):
         with pytest.raises(NotADivisorError):
             classify_parabolic(Imprimitive(4, 2, 3), 5)
+
+
+class TestRequireDivides:
+    def test_matches_factorization_lookup(self):
+        products = [
+            product_of([Imprimitive(4, 2, 3), Exceptional(31)]),
+            product_of([Sym(5), Cyclic(7), Imprimitive(3, 3, 2)]),
+            product_of([Exceptional(4), Exceptional(37)]),
+        ]
+        primes = [q for q in range(2, 60) if prime_factors(q) == [q]]
+        for g in [*catalog_irreducibles(), *products]:
+            factors = order_factorization(g)
+            for ell in primes:
+                if ell in dict(factors):
+                    assert require_divides(g, ell) == factors, (g, ell)
+                else:
+                    with pytest.raises(NotADivisorError):
+                        require_divides(g, ell)
 
 
 class TestReflection:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from sylowclass import oracle
+from sylowclass import oracle, verify
 from sylowclass.groups import (
     Imprimitive, Sym, alpha_class_count, degrees_imprimitive, order)
 from sylowclass.oracle import (
@@ -17,6 +17,7 @@ from sylowclass.oracle import (
     generate_subgroup,
     identify_class,
     minimal_full_valuation,
+    orbit_labels,
     parabolic_classes,
     pointwise_stabilizer,
     reflection_subgroup_classes,
@@ -403,3 +404,95 @@ class TestLabelsOverClasses:
             classes_of[delta] = classes_of.get(delta, 0) + 1
         for delta, count in classes_of.items():
             assert count == alpha_class_count(delta), delta
+
+
+class TestOrbitPathsAgainstDefinitions:
+    """The orbit-label paths of the oracle against the per-element
+    definitions they replace."""
+
+    def test_reflection_indices_are_hyperplane_fixers(self):
+        for m, p, n in verify.grid_points(order_cap=2000):
+            g = enumerate_group(m, p, n)
+            assert g.reflection_indices() == [
+                i for i, sp in enumerate(g.fixed_spaces())
+                if sp.dimension == n - 1], (m, p, n)
+
+    @pytest.mark.parametrize(
+        "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4), (6, 3, 2)],
+        ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_element_classes_are_conjugacy_classes(self, mpn):
+        g = enumerate_group(*mpn)
+        elements = [g.element(i) for i in range(g.size)]
+        index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
+        labels = orbit_labels(g.size, g.conjugation_tables())
+        for i, e in enumerate(elements):
+            cls = {index[(c.phases, c.perm)]
+                   for c in (x.mul(e).mul(x.inv()) for x in elements)}
+            assert labels[i] == min(cls)
+            assert set(np.flatnonzero(labels == labels[i]).tolist()) == cls
+
+    def test_orbit_labels_without_maps(self):
+        assert orbit_labels(4, []).tolist() == [0, 1, 2, 3]
+        assert orbit_labels(5, [np.array([1, 2, 0, 4, 3])]).tolist() == \
+            [0, 0, 0, 3, 3]
+
+    @pytest.mark.parametrize(
+        "mpn", [(4, 4, 3), (2, 1, 4), (3, 1, 3), (2, 2, 3), (1, 1, 5),
+                (6, 3, 2), (4, 2, 3), (3, 3, 4)],
+        ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_parabolic_classes_per_distinct_fixed_space(self, mpn):
+        g = enumerate_group(*mpn)
+        spaces = {sp.vectors: sp for sp in g.fixed_spaces()}
+        known: set = set()
+        expected = []
+        for sp in spaces.values():
+            h = pointwise_stabilizer(g, sp)
+            if h.key not in known:
+                orbit = conjugacy_class(g, h)
+                known.update(orbit)
+                expected.append((h.order, len(orbit), sorted(orbit)))
+        got = [(c.order, c.size, [h.key for h in c.members])
+               for c in parabolic_classes(g)]
+        assert len(got) == len(expected)
+        assert sorted(got) == sorted(expected)
+
+    def test_generate_subgroup_matches_coset_walk(self):
+        rng = random.Random(11)
+        for m, p, n in [(2, 1, 3), (4, 2, 3), (3, 3, 3), (1, 1, 5), (6, 3, 2)]:
+            g = enumerate_group(m, p, n)
+            for k in range(5):
+                gens = [rng.randrange(g.size) for _ in range(k)]
+                tables = [g.right_table(i) for i in gens]
+                expected = oracle._generate_from(g, np.array([0], dtype=np.int64), tables)
+                got = generate_subgroup(g, gens)
+                assert got.key == expected.tobytes(), (m, p, n, gens)
+                assert got.idx.dtype == np.int64
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_lattice_closes_once_per_orbit_of_outside_reflections(
+            self, mpn, monkeypatch):
+        calls = []
+        walk = oracle._generate_from
+
+        def counted(*args):
+            calls.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(oracle, "_generate_from", counted)
+        g = enumerate_group(*mpn)
+        classes = reflection_subgroup_classes(g)
+        monkeypatch.undo()
+
+        elements = [g.element(i) for i in range(g.size)]
+        index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
+        refl = g.reflection_indices()
+        orbits = 0
+        for cls in classes:
+            inside = set(cls.representative.idx.tolist())
+            members = [elements[i] for i in sorted(inside)]
+            orbits += len({
+                frozenset(index[(c.phases, c.perm)]
+                          for c in (x.mul(elements[r]).mul(x.inv()) for x in members))
+                for r in refl if r not in inside})
+        assert len(calls) == orbits
