@@ -8,9 +8,10 @@ Subcommands:
     verify     oracle-vs-theorem campaign over the imprimitive grid
 
 Exit codes: 0 success, 2 usage error, 3 domain error (prime does not
-divide the order, unknown table row), 4 verification failure.  Results go
-to stdout, diagnostics to stderr.  SYLOW_ORACLE_CAP overrides the default
-enumeration cap of 20000.  A reader that closes stdout early (`| head`)
+divide the order, unknown table row, a JSON order too long to print), 4
+verification failure.  Results go to stdout, diagnostics to stderr.
+SYLOW_ORACLE_CAP overrides the default enumeration cap,
+limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
 
 Only `verify` runs the oracle, and only it imports numpy (through the
@@ -372,7 +373,13 @@ def cmd_verify(args) -> int:
                                     _positive_int(args.max_n, "--max-n"), cap)
     report = verify.run_campaign(points, ells, cap, jobs=args.jobs)
     if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
+        try:
+            text = json.dumps(report.as_dict(), indent=2)
+        except ValueError:  # an order past Python's int-to-str digit limit
+            print("error: a group order has too many decimal digits for JSON; "
+                  "use --format text", file=sys.stderr)
+            return EXIT_DOMAIN
+        print(text)
     else:
         for r in report.reports:
             for line in r.lines():  # a trivial group has none

@@ -16,23 +16,23 @@ it gives the orbits of a subgroup H on the reflections outside it, and H
 is closed with the first reflection of each orbit only.
 
 A subgroup is one Subgroup: the sorted array of its element indices in the
-canonical element order, whose bytes key every dict.  generate_subgroup
-grows a subgroup breadth-first from the identity, one gather through a
-generator's right-multiplication table per level and generator.  The
-lattice extends a subgroup H it already has by walking right cosets: each
-new coset H*t*g is one vectorized gather through the table of g, so the
-closure K costs about |K| integer moves.  A conjugacy class is found whole
-when its first member is discovered, by one orbit search under conjugation
-by a fixed generating set of the parent group, through conjugation tables
-built once per group.  The reflection-subgroup lattice is searched over one
-representative per class.
+canonical element order, whose bytes key every dict.  There is one
+closure, _generate_from: it extends a subgroup H by walking right cosets,
+each new coset H*t*g one vectorized gather through the right-multiplication
+table of g, so the closure K costs about |K| integer moves.  The lattice
+adjoins one reflection to a subgroup it already has; generate_subgroup
+adjoins its generators one at a time to the trivial subgroup.  A conjugacy
+class is found whole when its first member is discovered, by one orbit
+search under conjugation by a fixed generating set of the parent group,
+through conjugation tables built once per group.  The reflection-subgroup
+lattice is searched over one representative per class.
 
 A reflection subgroup is labeled by counting its reflections, block by
 block (see identify_class).
 
-Everything is exhaustive and capped (default order cap 20000); no
-permutation-group machinery beyond tables and orbits is needed at this
-scale.
+Everything is exhaustive and capped (default order cap
+limits.DEFAULT_ORDER_CAP); no permutation-group machinery beyond tables
+and orbits is needed at this scale.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from math import factorial
 
 import numpy as np
 
+from . import groups
 from .groups import AugmentedPartition, augmented_partition
 from .limits import DEFAULT_ORDER_CAP
 from .valuation import minimal_factorial_partition, nu
@@ -195,12 +196,10 @@ class ConcreteGroup:
     first), with index tables for fast subgroup generation."""
 
     def __init__(self, m: int, p: int, n: int, order_cap: int = DEFAULT_ORDER_CAP):
-        if m < 1 or p < 1 or n < 1 or m % p:
-            raise ValueError(f"need p | m, got ({m},{p},{n})")
-        size = m**n * factorial(n) // p
+        size = groups.order(groups.Imprimitive(m, p, n))  # ValueError unless p | m
         if size > order_cap:
-            raise ResourceLimitError(
-                f"|G({m},{p},{n})| = {size} exceeds cap {order_cap}")
+            # no decimal |G|: it may pass Python's int-to-str digit limit
+            raise ResourceLimitError(f"|G({m},{p},{n})| exceeds cap {order_cap}")
         self.m, self.p, self.n = m, p, n
         self.size = size
         self._build()
@@ -393,6 +392,7 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
     """Sorted element indices of the closure of a subgroup (given by
     base_idx, which must already be closed) together with the generators
     behind gen_tables, which must include generators of the base subgroup.
+    The oracle's only subgroup closure.
 
     Walks right cosets: a candidate coset H*t*g is new iff its
     representative index is unmarked, and its elements are one table
@@ -416,22 +416,16 @@ def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
     """Subgroup generated by arbitrary elements (by index); the trivial
     subgroup when there are none.
 
-    Breadth-first from the identity: each level gathers the frontier
-    through one generator's right table at a time and keeps what is not
-    yet marked, so the pieces of the next frontier are disjoint."""
-    tables = [group.right_table(i) for i in element_indices]
-    member = np.zeros(group.size, dtype=bool)
-    member[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while tables and frontier.size:
-        found = []
-        for table in tables:
-            x = table[frontier]
-            x = x[~member[x]]
-            member[x] = True
-            found.append(x)
-        frontier = np.concatenate(found)
-    return Subgroup(np.flatnonzero(member).astype(np.int64))
+    Adjoins the generators one at a time with _generate_from, as the
+    lattice adjoins reflections; a generator already inside (the identity
+    among them) is skipped."""
+    idx = np.zeros(1, dtype=np.int64)
+    tables: list[np.ndarray] = []
+    for i in element_indices:
+        if i not in idx:
+            tables.append(group.right_table(i))
+            idx = _generate_from(group, idx, tables)
+    return Subgroup(idx)
 
 
 def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
@@ -605,16 +599,13 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
     gens: list[int] = []
 
     def add(phases, perm):
-        e = MonomialElement(m, tuple(a % m for a in phases), tuple(perm))
-        if not e.is_identity():
-            gens.append(group.index_of(e))
+        gens.append(group.index_of(
+            MonomialElement(m, tuple(a % m for a in phases), tuple(perm))))
 
     c = m // ell ** nu(ell, m)
     ident = tuple(range(n))
     if c != m:
-        step = (c * ell ** nu(ell, p)) % m
-        if step:
-            add([step] + [0] * (n - 1), ident)
+        add([c * ell ** nu(ell, p)] + [0] * (n - 1), ident)
         for i in range(n - 1):
             phases = [0] * n
             phases[i], phases[i + 1] = c, m - c

@@ -205,6 +205,24 @@ class TestExitCodes:
         assert payload["groups"][0]["group"] == "G(3,3,2)"
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_verify_skips_a_group_whose_order_has_too_many_digits(
+            self, capsys, monkeypatch):
+        # |G(2000,1,2000)| has over 4300 decimal digits, more than Python
+        # converts to str; the skip reason names the cap, not the order
+        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
+        code, out, err = run(capsys, "verify", "--group", "G(2000,1,2000)")
+        assert code == 0, err
+        assert out == (
+            f"SKIP G(2000,1,2000): |G(2000,1,2000)| exceeds cap {oracle.DEFAULT_ORDER_CAP}\n"
+            "1 groups (1 skipped), 0 checks, 0 failed\n")
+
+    def test_verify_json_order_too_long(self, capsys):
+        code, out, err = run(capsys, "verify", "--group", "G(2000,1,2000)",
+                             "--format", "json")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "--format text" in err
+
 
 def _module_env() -> dict:
     """The environment with this checkout's package first on PYTHONPATH."""

@@ -406,6 +406,19 @@ class TestLabelsOverClasses:
             assert count == alpha_class_count(delta), delta
 
 
+def _brute_force_closure(g, gens) -> bytes:
+    """The key of the subgroup generated by gens, from products of
+    MonomialElements until no new element appears."""
+    elements = {g.element(0)}
+    frontier = list(elements)
+    generators = [g.element(i) for i in gens]
+    while frontier:
+        new = {x.mul(y) for x in frontier for y in generators} - elements
+        elements |= new
+        frontier = list(new)
+    return np.array(sorted(map(g.index_of, elements)), dtype=np.int64).tobytes()
+
+
 class TestOrbitPathsAgainstDefinitions:
     """The orbit-label paths of the oracle against the per-element
     definitions they replace."""
@@ -456,17 +469,20 @@ class TestOrbitPathsAgainstDefinitions:
         assert len(got) == len(expected)
         assert sorted(got) == sorted(expected)
 
-    def test_generate_subgroup_matches_coset_walk(self):
+    def test_generate_subgroup_matches_brute_force_closure(self):
         rng = random.Random(11)
         for m, p, n in [(2, 1, 3), (4, 2, 3), (3, 3, 3), (1, 1, 5), (6, 3, 2)]:
             g = enumerate_group(m, p, n)
             for k in range(5):
-                gens = [rng.randrange(g.size) for _ in range(k)]
-                tables = [g.right_table(i) for i in gens]
-                expected = oracle._generate_from(g, np.array([0], dtype=np.int64), tables)
-                got = generate_subgroup(g, gens)
-                assert got.key == expected.tobytes(), (m, p, n, gens)
-                assert got.idx.dtype == np.int64
+                for _ in range(4):
+                    gens = [rng.randrange(g.size) for _ in range(k)]
+                    if k >= 2:
+                        # the identity, a repeat, or the square of gens[0]
+                        gens[rng.randrange(1, k)] = rng.choice(
+                            [0, gens[0], int(g.right_table(gens[0])[gens[0]])])
+                    got = generate_subgroup(g, gens)
+                    assert got.key == _brute_force_closure(g, gens), (m, p, n, gens)
+                    assert got.idx.dtype == np.int64
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
