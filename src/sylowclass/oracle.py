@@ -21,11 +21,17 @@ closure, _generate_from: it extends a subgroup H by walking right cosets,
 each new coset H*t*g one vectorized gather through the right-multiplication
 table of g, so the closure K costs about |K| integer moves.  The lattice
 adjoins one reflection to a subgroup it already has; generate_subgroup
-adjoins its generators one at a time to the trivial subgroup.  A conjugacy
-class is found whole when its first member is discovered, by one orbit
-search under conjugation by a fixed generating set of the parent group,
-through conjugation tables built once per group.  The reflection-subgroup
-lattice is searched over one representative per class.
+adjoins its generators one at a time to the trivial subgroup.  Only one
+right table per G-class of reflections is computed from the element rows;
+the others are derived by conjugation, two gathers each
+(ConcreteGroup.reflection_tables).  A conjugacy class is found whole when
+its first member is discovered, by one orbit search under conjugation by a
+fixed generating set of the parent group, through conjugation tables built
+once per group.  The group caches every orbit under each member's key, so
+each class is searched once per group, whichever stage meets it first: the
+parabolic stabilizers are reflection subgroups, and after the lattice they
+find their classes in the cache.  The reflection-subgroup lattice is
+searched over one representative per class.
 
 A reflection subgroup is labeled by counting its reflections, block by
 block (see identify_class).
@@ -156,17 +162,15 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
 
 
 class Subgroup:
-    """A subgroup of a ConcreteGroup: its sorted int64 element indices, their
-    bytes as its dict key, and the number of its conjugacy class in order of
-    discovery (-1 when no class search assigned one)."""
+    """A subgroup of a ConcreteGroup: its sorted int64 element indices and
+    their bytes as its dict key."""
 
-    __slots__ = ("idx", "key", "order", "class_id")
+    __slots__ = ("idx", "key", "order")
 
-    def __init__(self, idx: np.ndarray, class_id: int = -1):
+    def __init__(self, idx: np.ndarray, key: bytes | None = None):
         self.idx = idx
-        self.key = idx.tobytes()
+        self.key = idx.tobytes() if key is None else key
         self.order = len(idx)
-        self.class_id = class_id
 
     def __repr__(self):
         return f"<subgroup of order {self.order}>"
@@ -227,6 +231,10 @@ class ConcreteGroup:
         ).reshape(len(phase_list) * len(perms), n)
         P = np.array(perms * len(phase_list), dtype=np.int64).reshape(-1, n)
 
+        self._weights_a = np.array([self.m ** (n - 1 - j) for j in range(n)],
+                                   dtype=np.int64)
+        self._weights_p = np.array([n ** (n - 1 - j) for j in range(n)],
+                                   dtype=np.int64)
         codes = self._codes(A, P)
         order_idx = np.argsort(codes, kind="stable")
         self._A = np.ascontiguousarray(A[order_idx])
@@ -239,14 +247,15 @@ class ConcreteGroup:
         self._right_tables: dict[int, np.ndarray] = {}
         self._conj_tables: list[np.ndarray] | None = None
         self._reflection_indices: list[int] | None = None
+        self._reflection_mask: np.ndarray | None = None
+        self._reflection_tables: dict[int, np.ndarray] | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
+        # member key -> its conjugacy class, shared by all its members
+        self._orbits: dict[bytes, dict[bytes, Subgroup]] = {}
 
     def _codes(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-        m, n = self.m, self.n
-        wa = np.array([m ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-        wp = np.array([n ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-        return (A @ wa) * (n**n) + (P @ wp)
+        return (A @ self._weights_a) * (self.n**self.n) + (P @ self._weights_p)
 
     # -- element access ------------------------------------------------
 
@@ -288,7 +297,7 @@ class ConcreteGroup:
         pos = np.searchsorted(self._codes_sorted, codes)
         if not (self._codes_sorted[pos] == codes).all():
             raise OracleConsistencyError("product left the group")
-        return pos.astype(np.int64)
+        return pos
 
     def right_table(self, g_idx: int) -> np.ndarray:
         tab = self._right_tables.get(g_idx)
@@ -329,8 +338,52 @@ class ConcreteGroup:
             scaling = (n_moved == 0) & (phased.sum(axis=1) == 1)
             swapping = ((n_moved == 2) & ~(phased & ~moved).any(axis=1)
                         & ((self._A * moved).sum(axis=1) % self.m == 0))
-            self._reflection_indices = np.flatnonzero(scaling | swapping).tolist()
+            self._reflection_mask = scaling | swapping
+            self._reflection_indices = np.flatnonzero(self._reflection_mask).tolist()
         return self._reflection_indices
+
+    def reflection_mask(self) -> np.ndarray:
+        """Boolean array over the elements, True at the reflections."""
+        self.reflection_indices()
+        return self._reflection_mask
+
+    def reflection_tables(self) -> dict[int, np.ndarray]:
+        """Right tables of every reflection, by index.  One table per G-class
+        of reflections is built by right_table; the class is then walked under
+        the generators, and the table of each new conjugate s' = c*s*c^{-1}
+        is two gathers of known tables, T[s'] = T[c^{-1}][T[s][T[c]]], since
+        x*c*s*c^{-1} is x moved right by c, s and c^{-1}.  Derived tables go
+        into the right-table cache, and each is checked at the identity:
+        T[s'][0] must be s'."""
+        if self._reflection_tables is None:
+            gens = self.generator_indices()
+            steps = [(c, self.right_table(g),
+                      self.right_table(int(np.argmin(self.right_table(g)))))
+                     for g, c in zip(gens, self.conjugation_tables())]
+            tables: dict[int, np.ndarray] = {}
+            for r in self.reflection_indices():
+                if r in tables:
+                    continue
+                tables[r] = self.right_table(r)
+                stack = [r]
+                while stack:
+                    s = stack.pop()
+                    for conj, t_c, t_c_inv in steps:
+                        s_new = int(conj[s])
+                        if s_new in tables:
+                            continue
+                        tab = self._right_tables.get(s_new)
+                        if tab is None:
+                            tab = t_c_inv[tables[s][t_c]]
+                            if tab[0] != s_new:
+                                raise OracleConsistencyError(
+                                    f"derived table of reflection {s_new} "
+                                    f"starts at {tab[0]}")
+                            self._right_tables[s_new] = tab
+                        tables[s_new] = tab
+                        stack.append(s_new)
+            self._reflection_tables = tables
+        return self._reflection_tables
 
     def generator_indices(self) -> list[int]:
         """A small generating set: adjacent transpositions plus two phase
@@ -429,23 +482,35 @@ def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
 
 
 def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
-    """All conjugates of h keyed by their keys, each carrying h's class
-    number: an orbit search under conjugation x -> g*x*g^{-1} by the
-    parent's generators."""
+    """All conjugates of h keyed by their keys: an orbit search under
+    conjugation x -> g*x*g^{-1} by the parent's generators, one level at a
+    time (one gather per generator over the whole frontier, then one sort).
+    Each orbit is found once per group: it is cached under the key of every
+    member, and every later call for a member returns the same dict, which
+    callers must not change."""
+    orbit = group._orbits.get(h.key)
+    if orbit is not None:
+        return orbit
     orbit = {h.key: h}
-    frontier = [h]
-    while frontier:
-        cur = frontier.pop()
-        for table in group.conjugation_tables():
-            new = Subgroup(np.sort(table[cur.idx]), h.class_id)
-            if new.key not in orbit:
-                orbit[new.key] = new
-                frontier.append(new)
+    tables = group.conjugation_tables()
+    frontier = h.idx[None, :]
+    while tables and len(frontier):  # G(1,1,1) has no generators
+        images = np.sort(np.concatenate([t[frontier] for t in tables]), axis=1)
+        fresh: dict[bytes, int] = {}
+        for i, row in enumerate(images):
+            key = row.tobytes()
+            if key not in orbit and key not in fresh:
+                fresh[key] = i
+        frontier = images[list(fresh.values())]
+        for key, row in zip(fresh, frontier):
+            orbit[key] = Subgroup(row, key)
+    for key in orbit:
+        group._orbits[key] = orbit
     return orbit
 
 
 def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
-    """Every subgroup generated by reflections, each tagged with its class.
+    """Every subgroup generated by reflections.
 
     Closure BFS from the trivial subgroup over one representative per
     conjugacy class: adjoin one reflection to a representative and close.
@@ -454,12 +519,14 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     closure not seen before enters with its whole class.  For h in H,
     <H, hrh^{-1}> = <H, r>, so a representative closes only the first
     reflection of each H-orbit of the reflections outside it (the orbits
-    under conjugation by the reflections that generate it).  More than
-    MAX_SUBGROUPS subgroups raise ResourceLimitError.
+    under conjugation by the reflections that generate it).  The trivial
+    subgroup has normalizer G, so it closes only the first reflection of
+    each G-class of reflections.  More than MAX_SUBGROUPS subgroups raise
+    ResourceLimitError.
     """
     refl = group.reflection_indices()
     refl_arr = np.array(refl, dtype=np.int64)
-    refl_tables = {r: group.right_table(r) for r in refl}
+    refl_tables = group.reflection_tables()
     conj: dict[int, np.ndarray] = {}
 
     def conjugation_by(r: int) -> np.ndarray:
@@ -472,8 +539,7 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
 
     found: dict[bytes, Subgroup] = {}
     # One (representative, reflections generating it) per class; the loop
-    # below walks this list while admit() appends to it, in BFS order, so a
-    # new class gets the number len(reps).
+    # below walks this list while admit() appends to it, in BFS order.
     reps: list[tuple[Subgroup, tuple[int, ...]]] = []
 
     def admit(h: Subgroup, gens: tuple[int, ...]) -> None:
@@ -484,15 +550,22 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
         found.update(orbit)
         reps.append((h, gens))
 
-    admit(Subgroup(np.array([0], dtype=np.int64), 0), ())
+    admit(Subgroup(np.array([0], dtype=np.int64)), ())
+    mask = np.zeros(group.size, dtype=bool)
     for rep, gens in reps:
-        inside = np.isin(refl_arr, rep.idx, assume_unique=True)
-        first = orbit_labels(len(refl), [conjugation_by(g) for g in gens])
+        mask[rep.idx] = True
+        inside = mask[refl_arr]
+        mask[rep.idx] = False
+        if gens:
+            maps = [conjugation_by(g) for g in gens]
+        else:  # the trivial subgroup, normalized by all of G
+            maps = [np.searchsorted(refl_arr, c[refl_arr])
+                    for c in group.conjugation_tables()]
+        first = orbit_labels(len(refl), maps)
         gen_tables = [refl_tables[r] for r in gens]
         for j in np.flatnonzero(~inside & (first == np.arange(len(refl)))).tolist():
             r = refl[j]
-            h = Subgroup(_generate_from(group, rep.idx, gen_tables + [refl_tables[r]]),
-                         len(reps))
+            h = Subgroup(_generate_from(group, rep.idx, gen_tables + [refl_tables[r]]))
             if h.key not in found:
                 admit(h, gens + (r,))
     return list(found.values())
@@ -508,10 +581,13 @@ def _as_classes(orbits: list[dict[bytes, Subgroup]]) -> list[OracleClass]:
 
 
 def reflection_subgroup_classes(group: ConcreteGroup) -> list[OracleClass]:
-    """Conjugacy classes of all reflection-generated subgroups."""
-    orbits: dict[int, dict[bytes, Subgroup]] = {}
+    """Conjugacy classes of all reflection-generated subgroups, grouped by
+    the orbit conjugacy_class cached for each (so whichever stage found an
+    orbit first, its members form one class)."""
+    orbits = {}
     for h in all_reflection_subgroups(group):
-        orbits.setdefault(h.class_id, {})[h.key] = h
+        orbit = conjugacy_class(group, h)
+        orbits[id(orbit)] = orbit
     return _as_classes(list(orbits.values()))
 
 
@@ -551,15 +627,11 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     for x in reps.tolist():
         sp = fixed_space(group.element(x))
         spaces.setdefault(sp.vectors, sp)
-    known: set[bytes] = set()
-    orbits = []
+    orbits = {}
     for sp in spaces.values():
-        h = pointwise_stabilizer(group, sp)
-        if h.key not in known:
-            orbit = conjugacy_class(group, h)
-            known.update(orbit)
-            orbits.append(orbit)
-    return _as_classes(orbits)
+        orbit = conjugacy_class(group, pointwise_stabilizer(group, sp))
+        orbits[id(orbit)] = orbit
+    return _as_classes(list(orbits.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -646,29 +718,39 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     and the blocks' orders m_i^n_i n_i!/p_i multiply to |h|.
     """
     n = group.n
-    inside = h.idx[np.isin(h.idx, group.reflection_indices(), assume_unique=True)]
+    inside = h.idx[group.reflection_mask()[h.idx]]
     if generate_subgroup(group, inside.tolist()).key != h.key:
         raise ValueError("subgroup is not generated by its reflections")
 
     moved = group._P[inside] != np.arange(n)
     swapping = moved.any(axis=1)
-    pairs = moved[swapping].astype(np.int64)
-    swaps_at = pairs.sum(axis=0)  # swapping reflections moving each coordinate
+    swaps_at = moved[swapping].sum(axis=0)  # swapping reflections moving each coordinate
     scales_at = (group._A[inside[~swapping]] != 0).sum(axis=0)
-    reach = (pairs.T @ pairs > 0) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):
-        reach = (reach.astype(np.int64) @ reach) > 0
+    # blocks: union-find over the coordinates of the swapped pairs
+    root = list(range(n))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for a, b in np.nonzero(moved[swapping])[1].reshape(-1, 2).tolist():
+        root[find(a)] = find(b)
+    blocks: dict[int, list[int]] = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
 
     triples = []
     order = 1
-    for block in np.unique(reach, axis=0):
-        size = int(block.sum())
+    for block in blocks.values():
+        size = len(block)
         q, r_scale = divmod(int(scales_at[block].sum()), size)
         m_i, r_swap = (divmod(int(swaps_at[block].sum()), size * (size - 1))
                        if size > 1 else (q + 1, 0))
         p_i, r_div = divmod(m_i, q + 1)
         if r_scale or r_swap or r_div:
-            raise ValueError(f"reflection counts of block {block.nonzero()[0]} "
+            raise ValueError(f"reflection counts of block {block} "
                              "fit no G(m_i,p_i,n_i)")
         triples.append((m_i, p_i, size))
         order *= m_i**size * factorial(size) // p_i

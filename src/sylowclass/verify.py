@@ -143,15 +143,25 @@ def verify_group(m: int, p: int, n: int, ells=None,
 
     primes = groups.group_primes(ambient) if ells is None else [
         ell for ell in ells if size % ell == 0]
-    parab = oracle.parabolic_classes(conc)
+    # the lattice first: its conjugacy classes are cached on conc, and the
+    # parabolic stabilizers (reflection subgroups too) find theirs there
     refl = oracle.reflection_subgroup_classes(conc)
+    parab = oracle.parabolic_classes(conc)
+    labels: dict = {}
 
     for ell in primes:
-        report.checks.extend(_check_prime(conc, ambient, parab, refl, ell))
+        report.checks.extend(_check_prime(conc, ambient, parab, refl, ell, labels))
     return report
 
 
-def _check_prime(conc, ambient, parab, refl, ell) -> list[Check]:
+def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
+    """The checks of one prime; labels memoises identify_class by subgroup
+    key across the primes of one group."""
+    def identify(h):
+        if h.key not in labels:
+            labels[h.key] = oracle.identify_class(conc, h)
+        return labels[h.key]
+
     checks = []
 
     theorem = classify.classify_parabolic(ambient, ell)
@@ -162,7 +172,7 @@ def _check_prime(conc, ambient, parab, refl, ell) -> list[Check]:
         cls = minimal[0]
         want = _label_multiset(theorem.member_groups())
         got = _label_multiset(
-            [oracle.identify_class(conc, cls.representative).group()])
+            [identify(cls.representative).group()])
         ok = cls.order == theorem.member_order and want == got
         detail = (f"oracle order {cls.order} vs {theorem.member_order}")
     checks.append(Check("parabolic", ell, ok, detail))
@@ -175,7 +185,7 @@ def _check_prime(conc, ambient, parab, refl, ell) -> list[Check]:
         got_orders = sorted(c.order for c in minimal)
         want_orders = sorted(theorem.orders)
         got_labels = _label_multiset(
-            oracle.identify_class(conc, c.representative).group()
+            identify(c.representative).group()
             for c in minimal)
         want_labels = _label_multiset(theorem.member_groups())
         ok = got_orders == want_orders and got_labels == want_labels

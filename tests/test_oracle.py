@@ -506,9 +506,71 @@ class TestOrbitPathsAgainstDefinitions:
         orbits = 0
         for cls in classes:
             inside = set(cls.representative.idx.tolist())
-            members = [elements[i] for i in sorted(inside)]
+            # the trivial subgroup closes one reflection per G-class (its
+            # normalizer is G), every other one per H-orbit
+            members = elements if cls.order == 1 else [
+                elements[i] for i in sorted(inside)]
             orbits += len({
                 frozenset(index[(c.phases, c.perm)]
                           for c in (x.mul(elements[r]).mul(x.inv()) for x in members))
                 for r in refl if r not in inside})
         assert len(calls) == orbits
+
+
+def _class_signatures(classes):
+    return [(c.order, c.size, c.representative.key) for c in classes]
+
+
+class TestReuseWithinAGroup:
+    """The per-group caches: derived reflection tables, and conjugacy classes
+    shared between the lattice and the parabolic stage."""
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 5), (4, 2, 2)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_classes_do_not_depend_on_stage_order(self, mpn):
+        parab = _class_signatures(parabolic_classes(enumerate_group(*mpn)))
+        refl = _class_signatures(reflection_subgroup_classes(enumerate_group(*mpn)))
+        first_parab = enumerate_group(*mpn)
+        got_parab = _class_signatures(parabolic_classes(first_parab))
+        got_refl = _class_signatures(reflection_subgroup_classes(first_parab))
+        assert (got_parab, got_refl) == (parab, refl)
+        first_refl = enumerate_group(*mpn)
+        got_refl = _class_signatures(reflection_subgroup_classes(first_refl))
+        got_parab = _class_signatures(parabolic_classes(first_refl))
+        assert (got_parab, got_refl) == (parab, refl)
+
+    @pytest.mark.parametrize("mpn", [(1, 1, 4), (3, 3, 3), (4, 2, 3), (6, 1, 2)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_reflection_tables_match_tables_built_from_elements(self, mpn):
+        g = enumerate_group(*mpn)
+        tables = g.reflection_tables()
+        assert sorted(tables) == g.reflection_indices()
+        for r, table in tables.items():
+            expected = g._table_from_element(g._A[r], g._P[r], "right")
+            assert np.array_equal(table, expected), r
+            assert g.right_table(r) is table
+
+    def test_corrupted_derived_table_is_caught(self):
+        g = enumerate_group(4, 2, 3)
+        # the phase generator diag(z, z^-1, 1) is no reflection; shift the
+        # table of its inverse, through which its conjugates are derived
+        c = g.index_of(MonomialElement(4, (1, 3, 0), (0, 1, 2)))
+        assert c in g.generator_indices() and c not in g.reflection_indices()
+        g.conjugation_tables()
+        c_inv = int(np.argmin(g.right_table(c)))
+        g._right_tables[c_inv] = np.roll(g.right_table(c_inv), 1)
+        with pytest.raises(oracle.OracleConsistencyError, match="derived table"):
+            g.reflection_tables()
+
+    def test_conjugacy_class_in_the_trivial_group(self):
+        g = enumerate_group(1, 1, 1)
+        assert g.generator_indices() == []
+        h = generate_subgroup(g, [])
+        assert list(conjugacy_class(g, h)) == [h.key]
+
+
+class TestCampaignPool:
+    def test_pooled_campaign_equals_one_process(self):
+        one = verify.run_campaign(order_cap=1000, jobs=1).as_dict()
+        assert one == verify.run_campaign(order_cap=1000, jobs=2).as_dict()
+        assert one["summary"]["groups"] > 100
