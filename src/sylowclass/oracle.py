@@ -33,6 +33,22 @@ parabolic stabilizers are reflection subgroups, and after the lattice they
 find their classes in the cache.  The reflection-subgroup lattice is
 searched over one representative per class.
 
+Lagrange's theorem bounds the closures.  If H <= K <= L, then |H| divides
+|K| divides |L|, so a subgroup K of L with more than |L|/p elements, p the
+smallest prime dividing [L:H], is L itself.  _generate_from therefore takes
+an optional bound and stops as soon as it has marked more elements:
+  (1) the lattice closes a representative H with the bound |G|/p, p the
+      smallest prime of [G:H]; past it the closure is G;
+  (2) after a closure K = <H,r> with [K:H] prime, each later orbit
+      representative r' of H lying in K has H < <H,r'> <= K, hence
+      <H,r'> = K, and its closure is skipped;
+  (3) identify_class regenerates h from its reflections inside h with the
+      bound |h|/p, p the smallest prime of |h|; past it the reflections
+      generate h.
+Each rule only skips the rest of a walk whose result it already knows (G,
+K or h), so the subgroups found, their order of admission and every answer
+are the same as without the bound.
+
 A reflection subgroup is labeled by counting its reflections, block by
 block (see identify_class).
 
@@ -52,7 +68,7 @@ import numpy as np
 from . import groups
 from .groups import AugmentedPartition, augmented_partition
 from .limits import DEFAULT_ORDER_CAP
-from .valuation import minimal_factorial_partition, nu
+from .valuation import factorization, minimal_factorial_partition, nu
 
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
 
@@ -226,10 +242,11 @@ class ConcreteGroup:
         if len(phase_list) * len(perms) != self.size:
             raise OracleConsistencyError("enumeration size mismatch")
 
-        A = np.array(
-            [ph for ph in phase_list for _ in perms], dtype=np.int64
-        ).reshape(len(phase_list) * len(perms), n)
-        P = np.array(perms * len(phase_list), dtype=np.int64).reshape(-1, n)
+        # every phase vector with every permutation; the order is fixed by
+        # the sort on the (unique) codes below
+        A = np.repeat(np.array(phase_list, dtype=np.int64).reshape(-1, n),
+                      len(perms), axis=0)
+        P = np.tile(np.array(perms, dtype=np.int64), (len(phase_list), 1))
 
         self._weights_a = np.array([self.m ** (n - 1 - j) for j in range(n)],
                                    dtype=np.int64)
@@ -441,7 +458,8 @@ def orbit_labels(size: int, maps) -> np.ndarray:
 
 
 def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
-                   gen_tables: list[np.ndarray]) -> np.ndarray:
+                   gen_tables: list[np.ndarray],
+                   bound: int | None = None) -> np.ndarray | None:
     """Sorted element indices of the closure of a subgroup (given by
     base_idx, which must already be closed) together with the generators
     behind gen_tables, which must include generators of the base subgroup.
@@ -449,35 +467,49 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
 
     Walks right cosets: a candidate coset H*t*g is new iff its
     representative index is unmarked, and its elements are one table
-    gather away from the elements of H*t.
+    gather away from the elements of H*t.  With a bound (at least |H|),
+    the walk stops and returns None as soon as more than bound elements
+    are marked: the closure then has more than bound elements, which
+    callers choose so that Lagrange's theorem leaves one subgroup that
+    large.
     """
     member = np.zeros(group.size, dtype=bool)
     member[base_idx] = True
+    marked = coset_size = len(base_idx)
+    limit = group.size if bound is None else bound  # no closure passes |G|
     stack = [(0, base_idx)]
+    pop, push = stack.pop, stack.append
     while stack:
-        t, coset = stack.pop()
+        t, coset = pop()
         for table in gen_tables:
             x = int(table[t])
             if not member[x]:
                 new_coset = table[coset]
                 member[new_coset] = True
-                stack.append((x, new_coset))
-    return np.flatnonzero(member).astype(np.int64)
+                marked += coset_size
+                if marked > limit:
+                    return None
+                push((x, new_coset))
+    return member.nonzero()[0]
 
 
-def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
+def generate_subgroup(group: ConcreteGroup, element_indices,
+                      bound: int | None = None) -> Subgroup | None:
     """Subgroup generated by arbitrary elements (by index); the trivial
     subgroup when there are none.
 
     Adjoins the generators one at a time with _generate_from, as the
     lattice adjoins reflections; a generator already inside (the identity
-    among them) is skipped."""
+    among them) is skipped.  None as soon as a partial closure has more
+    than bound elements (see _generate_from)."""
     idx = np.zeros(1, dtype=np.int64)
     tables: list[np.ndarray] = []
     for i in element_indices:
         if i not in idx:
             tables.append(group.right_table(i))
-            idx = _generate_from(group, idx, tables)
+            idx = _generate_from(group, idx, tables, bound)
+            if idx is None:
+                return None
     return Subgroup(idx)
 
 
@@ -521,8 +553,14 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     reflection of each H-orbit of the reflections outside it (the orbits
     under conjugation by the reflections that generate it).  The trivial
     subgroup has normalizer G, so it closes only the first reflection of
-    each G-class of reflections.  More than MAX_SUBGROUPS subgroups raise
-    ResourceLimitError.
+    each G-class of reflections.
+
+    Rules (1) and (2) of the module docstring cut the closures short: a
+    walk past |G|/p elements is G, and a reflection of a K = <H,r> of
+    prime index over H generates K with H, so its orbit is not closed.
+    Both only skip work whose result is already known, so the subgroups
+    and their order of admission do not change.  More than MAX_SUBGROUPS
+    subgroups raise ResourceLimitError.
     """
     refl = group.reflection_indices()
     refl_arr = np.array(refl, dtype=np.int64)
@@ -551,10 +589,11 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
         reps.append((h, gens))
 
     admit(Subgroup(np.array([0], dtype=np.int64)), ())
+    whole = Subgroup(np.arange(group.size, dtype=np.int64))
     mask = np.zeros(group.size, dtype=bool)
     for rep, gens in reps:
         mask[rep.idx] = True
-        inside = mask[refl_arr]
+        done = mask[refl_arr]  # reflections whose closure is known
         mask[rep.idx] = False
         if gens:
             maps = [conjugation_by(g) for g in gens]
@@ -563,11 +602,21 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
                     for c in group.conjugation_tables()]
         first = orbit_labels(len(refl), maps)
         gen_tables = [refl_tables[r] for r in gens]
-        for j in np.flatnonzero(~inside & (first == np.arange(len(refl)))).tolist():
+        # [K:H] divides [G:H], so it is prime iff it is one of these
+        primes = [q for q, _ in factorization(group.size // rep.order)]
+        bound = group.size // primes[0] if primes else None
+        for j in np.flatnonzero(~done & (first == np.arange(len(refl)))).tolist():
+            if done[j]:
+                continue
             r = refl[j]
-            h = Subgroup(_generate_from(group, rep.idx, gen_tables + [refl_tables[r]]))
+            idx = _generate_from(group, rep.idx, gen_tables + [refl_tables[r]], bound)
+            h = whole if idx is None else Subgroup(idx)
             if h.key not in found:
                 admit(h, gens + (r,))
+            if h.order // rep.order in primes:
+                mask[h.idx] = True
+                done |= mask[refl_arr]
+                mask[h.idx] = False
     return list(found.values())
 
 
@@ -622,7 +671,8 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     conjugate stabilizers, and one element per conjugacy class (the
     smallest index, from orbit_labels under the conjugation tables) is
     enough."""
-    reps = np.unique(orbit_labels(group.size, group.conjugation_tables()))
+    labels = orbit_labels(group.size, group.conjugation_tables())
+    reps = np.flatnonzero(labels == np.arange(group.size))
     spaces = {}
     for x in reps.tolist():
         sp = fixed_space(group.element(x))
@@ -719,7 +769,12 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     """
     n = group.n
     inside = h.idx[group.reflection_mask()[h.idx]]
-    if generate_subgroup(group, inside.tolist()).key != h.key:
+    # The reflections generate some K <= h; K != h means [h:K] >= p, the
+    # smallest prime of |h|, so a walk past |h|/p elements proves K = h.
+    primes = factorization(h.order)
+    regen = generate_subgroup(group, inside.tolist(),
+                              h.order // primes[0][0] if primes else None)
+    if regen is not None and regen.key != h.key:
         raise ValueError("subgroup is not generated by its reflections")
 
     moved = group._P[inside] != np.arange(n)

@@ -41,6 +41,12 @@ class TestEnumeration:
         assert len({(e.phases, e.perm) for e in map(g.element, range(g.size))}) \
             == g.size == 192
 
+    def test_canonical_order_follows_strictly_increasing_codes(self):
+        for mpn in [(4, 2, 3), (1, 1, 4), (6, 3, 2), (3, 1, 1)]:
+            g = enumerate_group(*mpn)
+            assert (np.diff(g._codes_sorted) > 0).all()
+            assert np.array_equal(g._codes(g._A, g._P), g._codes_sorted)
+
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_group(6, 1, 5, order_cap=20000)
@@ -444,6 +450,13 @@ class TestOrbitPathsAgainstDefinitions:
             assert labels[i] == min(cls)
             assert set(np.flatnonzero(labels == labels[i]).tolist()) == cls
 
+    def test_orbit_labels_fixed_points_are_the_distinct_labels(self):
+        for mpn in [(2, 1, 3), (3, 3, 3), (4, 2, 3)]:
+            g = enumerate_group(*mpn)
+            labels = orbit_labels(g.size, g.conjugation_tables())
+            assert np.array_equal(np.flatnonzero(labels == np.arange(g.size)),
+                                  np.unique(labels))
+
     def test_orbit_labels_without_maps(self):
         assert orbit_labels(4, []).tolist() == [0, 1, 2, 3]
         assert orbit_labels(5, [np.array([1, 2, 0, 4, 3])]).tolist() == \
@@ -484,10 +497,12 @@ class TestOrbitPathsAgainstDefinitions:
                     assert got.key == _brute_force_closure(g, gens), (m, p, n, gens)
                     assert got.idx.dtype == np.int64
 
-    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3)],
-                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    @pytest.mark.parametrize("mpn, skips", [
+        pytest.param(mpn, skips, id="G(%d,%d,%d)" % mpn)
+        for mpn, skips in [((2, 1, 3), False), ((3, 3, 3), False), ((4, 2, 3), False),
+                           ((6, 1, 2), True), ((16, 1, 2), True)]])
     def test_lattice_closes_once_per_orbit_of_outside_reflections(
-            self, mpn, monkeypatch):
+            self, mpn, skips, monkeypatch):
         calls = []
         walk = oracle._generate_from
 
@@ -503,18 +518,139 @@ class TestOrbitPathsAgainstDefinitions:
         elements = [g.element(i) for i in range(g.size)]
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         refl = g.reflection_indices()
-        orbits = 0
+        orbits = closures = 0
         for cls in classes:
             inside = set(cls.representative.idx.tolist())
+            inside_refl = [r for r in refl if r in inside]
             # the trivial subgroup closes one reflection per G-class (its
             # normalizer is G), every other one per H-orbit
             members = elements if cls.order == 1 else [
                 elements[i] for i in sorted(inside)]
-            orbits += len({
-                frozenset(index[(c.phases, c.perm)]
-                          for c in (x.mul(elements[r]).mul(x.inv()) for x in members))
-                for r in refl if r not in inside})
-        assert len(calls) == orbits
+            reps = {min(index[(c.phases, c.perm)]
+                        for c in (x.mul(elements[r]).mul(x.inv()) for x in members))
+                    for r in refl if r not in inside}
+            orbits += len(reps)
+            # An orbit whose closure K has prime index over H is closed only
+            # if no earlier orbit closed to K: every reflection of K outside
+            # H generates K with H.
+            prime_index = set()
+            for r in reps:
+                k = generate_subgroup(g, inside_refl + [r])
+                k_index = k.order // cls.order
+                if prime_factors(k_index) != [k_index]:
+                    closures += 1
+                elif k.key not in prime_index:
+                    prime_index.add(k.key)
+                    closures += 1
+        assert len(calls) == closures
+        assert (closures < orbits) == skips
+
+
+class _CountedTable(np.ndarray):
+    """A right table that counts its whole-coset gathers."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            _CountedTable.gathers += 1
+        return np.asarray(self).__getitem__(key)
+
+
+def _plain_lattice(g):
+    """Every reflection subgroup in order of admission, by a BFS over class
+    representatives that closes every reflection outside each one with the
+    unbounded walk: no orbit reduction, no Lagrange bound, no skips."""
+    found: dict = {}
+    reps = []
+
+    def admit(h, gens):
+        found.update(conjugacy_class(g, h))
+        reps.append((h, gens))
+
+    admit(Subgroup(np.zeros(1, dtype=np.int64)), ())
+    for rep, gens in reps:
+        inside = set(rep.idx.tolist())
+        tables = [g.right_table(s) for s in gens]
+        for r in g.reflection_indices():
+            if r not in inside:
+                h = Subgroup(oracle._generate_from(
+                    g, rep.idx, tables + [g.right_table(r)]))
+                if h.key not in found:
+                    admit(h, gens + (r,))
+    return list(found.values())
+
+
+class TestLagrangeBounds:
+    """The bounded closure walk and the three rules that use it."""
+
+    def test_bounded_walk_returns_none_exactly_past_the_bound(self):
+        rng = random.Random(5)
+        for m, p, n in [(2, 1, 3), (4, 2, 3), (3, 3, 3), (1, 1, 5), (6, 1, 2)]:
+            g = enumerate_group(m, p, n)
+            refl = g.reflection_indices()
+            for _ in range(6):
+                gens = rng.sample(refl, rng.randrange(3))
+                base = generate_subgroup(g, gens)
+                extra = [rng.randrange(g.size) for _ in range(rng.randrange(1, 3))]
+                tables = [g.right_table(i) for i in gens + extra]
+                full = oracle._generate_from(g, base.idx, tables)
+                for bound in sorted({base.order, len(full) // 2, len(full) - 1,
+                                     len(full), len(full) + 1, g.size}):
+                    if bound < base.order:
+                        continue
+                    got = oracle._generate_from(g, base.idx, tables, bound)
+                    if len(full) > bound:
+                        assert got is None, (m, p, n, bound)
+                    else:
+                        assert np.array_equal(got, full), (m, p, n, bound)
+
+    def test_bounded_walk_stops_at_the_first_coset_past_the_bound(self):
+        g = enumerate_group(4, 1, 3)
+        r = g.reflection_indices()[0]
+        base = generate_subgroup(g, [r])
+        tables = [g.right_table(i).view(_CountedTable)
+                  for i in [r] + g.generator_indices()]
+        _CountedTable.gathers = 0
+        assert oracle._generate_from(g, base.idx, tables, base.order) is None
+        assert _CountedTable.gathers == 1
+        _CountedTable.gathers = 0
+        whole = oracle._generate_from(g, base.idx, tables)
+        assert len(whole) == g.size
+        assert _CountedTable.gathers == g.size // base.order - 1
+
+    def test_generate_subgroup_with_a_bound(self):
+        g = enumerate_group(2, 1, 3)
+        gens = g.generator_indices()
+        assert generate_subgroup(g, gens, g.size // 2) is None
+        assert generate_subgroup(g, gens, g.size).key == generate_subgroup(g, gens).key
+
+    def test_lattice_equals_plain_bfs_up_to_order_2000(self):
+        for mpn in verify.grid_points(order_cap=2000):
+            plain_group, g = enumerate_group(*mpn), enumerate_group(*mpn)
+            plain = _plain_lattice(plain_group)
+            assert [h.key for h in oracle.all_reflection_subgroups(g)] == \
+                [h.key for h in plain], mpn
+            orbits = {}
+            for h in plain:
+                orbit = conjugacy_class(plain_group, h)
+                orbits[id(orbit)] = orbit
+            expected = [[h.key for h in c.members]
+                        for c in oracle._as_classes(list(orbits.values()))]
+            assert [[h.key for h in c.members]
+                    for c in reflection_subgroup_classes(g)] == expected, mpn
+
+    def test_regeneration_check_at_the_bound(self):
+        # S3 x <-1> in G(2,1,3): its reflections generate S3, of index 2 = the
+        # smallest prime of its order, so the bounded walk never passes |h|/2
+        g = enumerate_group(2, 1, 3)
+        h = generate_subgroup(g, [
+            g.index_of(MonomialElement(2, (0, 0, 0), (1, 0, 2))),
+            g.index_of(MonomialElement(2, (0, 0, 0), (0, 2, 1))),
+            g.index_of(MonomialElement(2, (1, 1, 1), (0, 1, 2)))])
+        assert h.order == 12
+        with pytest.raises(ValueError, match="not generated by its reflections"):
+            identify_class(g, h)
 
 
 def _class_signatures(classes):
