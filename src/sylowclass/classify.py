@@ -79,7 +79,6 @@ class SubgroupClassResult:
     ell: int
     kind: str
     members: tuple[ClassMember, ...]
-    equals_whole_group: bool
     twist_modulus: int | None = None
 
     @property
@@ -87,9 +86,10 @@ class SubgroupClassResult:
         return len(self.members)
 
     @property
-    def is_whole_single_class(self) -> bool:
-        """One minimal class, and it is the whole group."""
-        return self.class_count == 1 and self.equals_whole_group
+    def equals_whole_group(self) -> bool:
+        """One minimal class, and its member has the order of G."""
+        return (self.class_count == 1
+                and self.members[0].factors == order_factorization(self.group))
 
     @property
     def member_order(self) -> int:
@@ -132,7 +132,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     """The unique minimal class of parabolic subgroups containing an
     ell-Sylow subgroup."""
     g = normalize(g)
-    g_factors = require_divides(g, ell)
+    require_divides(g, ell)
 
     if isinstance(g, Product):
         return _classify_product(g, ell, PARABOLIC)
@@ -142,24 +142,19 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         member = row.members[0]
         result_member = ClassMember(
             normalize(member.group), factorization(member.order), label=member.label)
-        return SubgroupClassResult(
-            g, ell, PARABOLIC, (result_member,),
-            equals_whole_group=result_member.group == g)
+        return SubgroupClassResult(g, ell, PARABOLIC, (result_member,))
 
     if g.m % ell == 0:
-        return SubgroupClassResult(
-            g, ell, PARABOLIC, (_member_of(g),), equals_whole_group=True)
+        return SubgroupClassResult(g, ell, PARABOLIC, (_member_of(g),))
     member = _member_of(product_of(lambda_blocks(ell, g.n, groups.Sym, groups.TRIVIAL)))
-    return SubgroupClassResult(
-        g, ell, PARABOLIC, (member,),
-        equals_whole_group=member.factors == g_factors)
+    return SubgroupClassResult(g, ell, PARABOLIC, (member,))
 
 
 def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     """All minimal classes of reflection subgroups containing an ell-Sylow
     subgroup."""
     g = normalize(g)
-    g_factors = require_divides(g, ell)
+    require_divides(g, ell)
 
     if isinstance(g, Product):
         return _classify_product(g, ell, REFLECTION)
@@ -175,10 +170,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             members.append(ClassMember(
                 normalize(member.group), factorization(member.order),
                 distinguisher=idx, label=member.label))
-        single = len(members) == 1
-        return SubgroupClassResult(
-            g, ell, REFLECTION, tuple(members),
-            equals_whole_group=single and members[0].group == g)
+        return SubgroupClassResult(g, ell, REFLECTION, tuple(members))
 
     m, p, n = g.m, g.p, g.n
     if p % ell == 0:
@@ -189,17 +181,12 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             _member_of(member_type, distinguisher=t, twist_exponent=t)
             for t in range(count)
         )
-        return SubgroupClassResult(
-            g, ell, REFLECTION, members,
-            equals_whole_group=count == 1 and members[0].factors == g_factors,
-            twist_modulus=modulus)
+        return SubgroupClassResult(g, ell, REFLECTION, members, twist_modulus=modulus)
 
     a = ell_part(ell, m)
     member = _member_of(product_of(
         lambda_blocks(ell, n, lambda k: Imprimitive(a, 1, k), groups.TRIVIAL)))
-    return SubgroupClassResult(
-        g, ell, REFLECTION, (member,),
-        equals_whole_group=member.factors == g_factors)
+    return SubgroupClassResult(g, ell, REFLECTION, (member,))
 
 
 def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
@@ -217,10 +204,7 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
             distinguisher=len(members)))
     if not members:  # cannot happen: ell divides |G|
         raise NotADivisorError(f"{ell} does not divide any factor order")
-    single = len(members) == 1
-    return SubgroupClassResult(
-        g, ell, kind, tuple(members),
-        equals_whole_group=single and members[0].factors == order_factorization(g))
+    return SubgroupClassResult(g, ell, kind, tuple(members))
 
 
 def is_cuspidal(g: GroupType, ell: int) -> bool:
@@ -230,7 +214,7 @@ def is_cuspidal(g: GroupType, ell: int) -> bool:
 
 def is_supercuspidal(g: GroupType, ell: int) -> bool:
     """Whether the minimal reflection class is unique and the whole group."""
-    return classify_reflection(g, ell).is_whole_single_class
+    return classify_reflection(g, ell).equals_whole_group
 
 
 def degrees_criterion(g: GroupType, ell: int) -> bool:

@@ -15,7 +15,8 @@ limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
 
 Only `verify` runs the oracle, and only it imports numpy (through the
-`verify` module, imported inside cmd_verify).
+`verify` module, imported inside cmd_verify).  `verify --observation`
+checks closed forms only and imports neither.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def classification_report(g, ell: int, kind: str) -> dict:
             for m in result.members
         ],
         "cuspidal": parabolic.equals_whole_group,
-        "supercuspidal": reflection.is_whole_single_class,
+        "supercuspidal": reflection.equals_whole_group,
     }
 
 
@@ -346,17 +347,17 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # imports the oracle, and with it numpy
-
     if args.jobs is not None:
         _positive_int(args.jobs, "--jobs")
-    if args.observation:
-        violations = verify.observation_report()
+    if args.observation:  # closed forms only, over the default catalog
+        violations = cls.verify_observation()
         print(f"observation check: {len(violations)} violations")
         for v in violations:
             print(f"  VIOLATION {format_group(v.group)} ell={v.ell} "
                   f"P = {format_group(v.parabolic)}")
         return EXIT_OK if not violations else EXIT_VERIFY
+
+    from . import verify  # imports the oracle, and with it numpy
 
     cap = (_positive_int(args.max_order, "--max-order") if args.max_order is not None
            else default_order_cap())

@@ -13,25 +13,33 @@ of its orbit under a few index permutations.  Under the conjugation tables
 it gives the element conjugacy classes, and the parabolic stage computes
 one fixed space and stabilizer per class representative.  In the lattice
 it gives the orbits of a subgroup H on the reflections outside it, and H
-is closed with the first reflection of each orbit only.
+is closed with the first reflection of each orbit only.  In identify_class
+it gives the blocks: the orbits of the coordinates under the swapping
+reflections.
 
-A subgroup is one Subgroup: the sorted array of its element indices in the
-canonical element order, whose bytes key every dict.  There is one
-closure, _generate_from: it extends a subgroup H by walking right cosets,
-each new coset H*t*g one vectorized gather through the right-multiplication
-table of g, so the closure K costs about |K| integer moves.  The lattice
-adjoins one reflection to a subgroup it already has; generate_subgroup
-adjoins its generators one at a time to the trivial subgroup.  Only one
-right table per G-class of reflections is computed from the element rows;
-the others are derived by conjugation, two gathers each
-(ConcreteGroup.reflection_tables).  A conjugacy class is found whole when
-its first member is discovered, by one orbit search under conjugation by a
-fixed generating set of the parent group, through conjugation tables built
-once per group.  The group caches every orbit under each member's key, so
-each class is searched once per group, whichever stage meets it first: the
-parabolic stabilizers are reflection subgroups, and after the lattice they
-find their classes in the cache.  The reflection-subgroup lattice is
-searched over one representative per class.
+A subgroup and a conjugacy class each have one stored form.  A Subgroup
+holds the sorted int64 indices of its elements in the canonical element
+order once, as bytes: its key, which keys every dict; its idx is a
+read-only array view of the same bytes.  A class is one OracleClass, its
+members in key order, built when the class is first met and cached on the
+group under the key of every member, so every stage gets the same object
+back for every member and classes compare by identity.
+
+There is one closure, _generate_from: it extends a subgroup H by walking
+right cosets, each new coset H*t*g one vectorized gather through the
+right-multiplication table of g, so the closure K costs about |K| integer
+moves.  The lattice adjoins one reflection to a subgroup it already has;
+generate_subgroup adjoins its generators one at a time to the trivial
+subgroup.  Only one right table per G-class of reflections is computed
+from the element rows; the others are derived by conjugation, two gathers
+each (ConcreteGroup.reflection_tables).  A conjugacy class is found whole
+when its first member is discovered, by one orbit search under conjugation
+by a fixed generating set of the parent group, through conjugation tables
+built once per group.  So each class is searched once per group,
+whichever stage meets it first: the parabolic stabilizers are reflection
+subgroups, and after the lattice they find their classes in the cache.
+The reflection-subgroup lattice is searched over one representative per
+class.
 
 Lagrange's theorem bounds the closures.  If H <= K <= L, then |H| divides
 |K| divides |L|, so a subgroup K of L with more than |L|/p elements, p the
@@ -71,6 +79,7 @@ from .limits import DEFAULT_ORDER_CAP
 from .valuation import factorization, minimal_factorial_partition, nu
 
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
+_INT64 = np.dtype(np.int64)
 
 
 class ResourceLimitError(RuntimeError):
@@ -178,23 +187,27 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
 
 
 class Subgroup:
-    """A subgroup of a ConcreteGroup: its sorted int64 element indices and
-    their bytes as its dict key."""
+    """A subgroup of a ConcreteGroup, stored once: key holds the bytes of
+    its sorted int64 element indices and keys every dict, and idx is a
+    read-only array view of those bytes (built from an index array or from
+    its bytes)."""
 
-    __slots__ = ("idx", "key", "order")
+    __slots__ = ("key", "idx", "order")
 
-    def __init__(self, idx: np.ndarray, key: bytes | None = None):
-        self.idx = idx
-        self.key = idx.tobytes() if key is None else key
-        self.order = len(idx)
+    def __init__(self, indices: np.ndarray | bytes):
+        self.key = indices if isinstance(indices, bytes) else indices.tobytes()
+        self.idx = np.frombuffer(self.key, _INT64)
+        self.order = len(self.idx)
 
     def __repr__(self):
         return f"<subgroup of order {self.order}>"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OracleClass:
-    """One conjugacy class of subgroups."""
+    """One conjugacy class of subgroups, its members in key order.
+    conjugacy_class builds each class once per group, so classes compare
+    and hash by identity."""
 
     members: tuple[Subgroup, ...]
 
@@ -268,8 +281,8 @@ class ConcreteGroup:
         self._reflection_tables: dict[int, np.ndarray] | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
-        # member key -> its conjugacy class, shared by all its members
-        self._orbits: dict[bytes, dict[bytes, Subgroup]] = {}
+        # member key -> its conjugacy class, one object shared by all members
+        self._classes: dict[bytes, OracleClass] = {}
 
     def _codes(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
         return (A @ self._weights_a) * (self.n**self.n) + (P @ self._weights_p)
@@ -513,17 +526,17 @@ def generate_subgroup(group: ConcreteGroup, element_indices,
     return Subgroup(idx)
 
 
-def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
-    """All conjugates of h keyed by their keys: an orbit search under
-    conjugation x -> g*x*g^{-1} by the parent's generators, one level at a
-    time (one gather per generator over the whole frontier, then one sort).
-    Each orbit is found once per group: it is cached under the key of every
-    member, and every later call for a member returns the same dict, which
-    callers must not change."""
-    orbit = group._orbits.get(h.key)
-    if orbit is not None:
-        return orbit
-    orbit = {h.key: h}
+def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
+    """The class of all conjugates of h: an orbit search under conjugation
+    x -> g*x*g^{-1} by the parent's generators, one level at a time (one
+    gather per generator over the whole frontier, then one sort).  Each
+    class is found once per group: its OracleClass is cached under the key
+    of every member, and every later call for a member returns that same
+    object."""
+    cls = group._classes.get(h.key)
+    if cls is not None:
+        return cls
+    members = {h.key: h}
     tables = group.conjugation_tables()
     frontier = h.idx[None, :]
     while tables and len(frontier):  # G(1,1,1) has no generators
@@ -531,14 +544,15 @@ def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> dict[bytes, Subgroup]:
         fresh: dict[bytes, int] = {}
         for i, row in enumerate(images):
             key = row.tobytes()
-            if key not in orbit and key not in fresh:
+            if key not in members and key not in fresh:
                 fresh[key] = i
         frontier = images[list(fresh.values())]
-        for key, row in zip(fresh, frontier):
-            orbit[key] = Subgroup(row, key)
-    for key in orbit:
-        group._orbits[key] = orbit
-    return orbit
+        for key in fresh:
+            members[key] = Subgroup(key)
+    cls = OracleClass(tuple(members[key] for key in sorted(members)))
+    for key in members:
+        group._classes[key] = cls
+    return cls
 
 
 def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
@@ -575,17 +589,20 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
             conj[r] = np.searchsorted(refl_arr, refl_tables[r_inv][rs])
         return conj[r]
 
-    found: dict[bytes, Subgroup] = {}
     # One (representative, reflections generating it) per class; the loop
     # below walks this list while admit() appends to it, in BFS order.
     reps: list[tuple[Subgroup, tuple[int, ...]]] = []
+    admitted: dict[OracleClass, None] = {}  # in order of admission
+    count = 0
 
     def admit(h: Subgroup, gens: tuple[int, ...]) -> None:
-        orbit = conjugacy_class(group, h)
-        if len(found) + len(orbit) > MAX_SUBGROUPS:
+        nonlocal count
+        cls = conjugacy_class(group, h)
+        count += cls.size
+        if count > MAX_SUBGROUPS:
             raise ResourceLimitError(
                 f"more than {MAX_SUBGROUPS} reflection subgroups")
-        found.update(orbit)
+        admitted[cls] = None
         reps.append((h, gens))
 
     admit(Subgroup(np.array([0], dtype=np.int64)), ())
@@ -611,33 +628,26 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
             r = refl[j]
             idx = _generate_from(group, rep.idx, gen_tables + [refl_tables[r]], bound)
             h = whole if idx is None else Subgroup(idx)
-            if h.key not in found:
+            if group._classes.get(h.key) not in admitted:
                 admit(h, gens + (r,))
             if h.order // rep.order in primes:
                 mask[h.idx] = True
                 done |= mask[refl_arr]
                 mask[h.idx] = False
-    return list(found.values())
+    return [h for cls in admitted for h in cls.members]
 
 
-def _as_classes(orbits: list[dict[bytes, Subgroup]]) -> list[OracleClass]:
-    """OracleClass per orbit, members in key order, classes by order and
-    first member."""
-    classes = [OracleClass(tuple(orbit[k] for k in sorted(orbit)))
-               for orbit in orbits]
-    classes.sort(key=lambda c: (c.order, c.members[0].key))
-    return classes
+def _sorted_classes(classes) -> list[OracleClass]:
+    """The distinct classes among classes, by order and representative key."""
+    return sorted(set(classes), key=lambda c: (c.order, c.representative.key))
 
 
 def reflection_subgroup_classes(group: ConcreteGroup) -> list[OracleClass]:
-    """Conjugacy classes of all reflection-generated subgroups, grouped by
-    the orbit conjugacy_class cached for each (so whichever stage found an
-    orbit first, its members form one class)."""
-    orbits = {}
-    for h in all_reflection_subgroups(group):
-        orbit = conjugacy_class(group, h)
-        orbits[id(orbit)] = orbit
-    return _as_classes(list(orbits.values()))
+    """Conjugacy classes of all reflection-generated subgroups: the class
+    objects conjugacy_class cached for them (so whichever stage found a
+    class first, the same object comes back)."""
+    return _sorted_classes(conjugacy_class(group, h)
+                           for h in all_reflection_subgroups(group))
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +687,8 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     for x in reps.tolist():
         sp = fixed_space(group.element(x))
         spaces.setdefault(sp.vectors, sp)
-    orbits = {}
-    for sp in spaces.values():
-        orbit = conjugacy_class(group, pointwise_stabilizer(group, sp))
-        orbits[id(orbit)] = orbit
-    return _as_classes(list(orbits.values()))
+    return _sorted_classes(conjugacy_class(group, pointwise_stabilizer(group, sp))
+                           for sp in spaces.values())
 
 
 # ---------------------------------------------------------------------------
@@ -781,20 +788,11 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     swapping = moved.any(axis=1)
     swaps_at = moved[swapping].sum(axis=0)  # swapping reflections moving each coordinate
     scales_at = (group._A[inside[~swapping]] != 0).sum(axis=0)
-    # blocks: union-find over the coordinates of the swapped pairs
-    root = list(range(n))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for a, b in np.nonzero(moved[swapping])[1].reshape(-1, 2).tolist():
-        root[find(a)] = find(b)
+    # blocks: the orbits of the coordinates under the swapping reflections,
+    # in order of their smallest coordinate (the label orbit_labels gives)
     blocks: dict[int, list[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), []).append(i)
+    for i, label in enumerate(orbit_labels(n, group._P[inside[swapping]]).tolist()):
+        blocks.setdefault(label, []).append(i)
 
     triples = []
     order = 1

@@ -134,8 +134,12 @@ def verify_group(m: int, p: int, n: int, ells=None,
     size = groups.order(Imprimitive(m, p, n))
     report = GroupReport(m, p, n, size)
     ambient = normalize(Imprimitive(m, p, n))
-    try:
+    try:  # the order cap and the lattice's MAX_SUBGROUPS both skip the group
         conc = oracle.enumerate_group(m, p, n, order_cap)
+        # the lattice first: its conjugacy classes are cached on conc, and the
+        # parabolic stabilizers (reflection subgroups too) find theirs there
+        refl = oracle.reflection_subgroup_classes(conc)
+        parab = oracle.parabolic_classes(conc)
     except oracle.ResourceLimitError as exc:
         report.skipped = True
         report.skip_reason = str(exc)
@@ -143,10 +147,6 @@ def verify_group(m: int, p: int, n: int, ells=None,
 
     primes = groups.group_primes(ambient) if ells is None else [
         ell for ell in ells if size % ell == 0]
-    # the lattice first: its conjugacy classes are cached on conc, and the
-    # parabolic stabilizers (reflection subgroups too) find theirs there
-    refl = oracle.reflection_subgroup_classes(conc)
-    parab = oracle.parabolic_classes(conc)
     labels: dict = {}
 
     for ell in primes:
@@ -235,9 +235,3 @@ def run_campaign(points=None, ells=None,
         with mp.get_context("fork").Pool(jobs) as pool:
             reports = pool.map(_verify_point, tasks, chunksize=1)
     return CampaignReport(reports)
-
-
-def observation_report(max_m: int = 12, max_n: int = 6):
-    """Observation campaign over the full catalog; returns violations."""
-    catalog = list(classify.catalog_irreducibles(max_m, max_n))
-    return classify.verify_observation(catalog)

@@ -216,6 +216,25 @@ class TestExitCodes:
             f"SKIP G(2000,1,2000): |G(2000,1,2000)| exceeds cap {oracle.DEFAULT_ORDER_CAP}\n"
             "1 groups (1 skipped), 0 checks, 0 failed\n")
 
+    def test_verify_skips_a_group_past_the_subgroup_cap(self, capsys, monkeypatch):
+        # the lattice's cap ends the group with a SKIP line, as the order
+        # cap does, not with a traceback
+        monkeypatch.setattr(oracle, "MAX_SUBGROUPS", 10)
+        code, out, err = run(capsys, "verify", "--group", "G(2,1,3)")
+        assert (code, err) == (0, "")
+        assert out == ("SKIP G(2,1,3): more than 10 reflection subgroups\n"
+                       "1 groups (1 skipped), 0 checks, 0 failed\n")
+        code, out, err = run(capsys, "verify", "--group", "G(2,1,3)",
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["groups"] == [{
+            "group": "G(2,1,3)", "order": 48, "skipped": True,
+            "skip_reason": "more than 10 reflection subgroups", "checks": []}]
+        assert payload["summary"] == {"groups": 1, "skipped": 1, "checks": 0,
+                                      "failed": 0}
+        assert payload["all_passed"] is True
+
     def test_verify_json_order_too_long(self, capsys):
         code, out, err = run(capsys, "verify", "--group", "G(2000,1,2000)",
                              "--format", "json")
@@ -266,7 +285,7 @@ class TestClosedPipe:
 
 
 # Every closed-form command: both kinds and all formats of classify, sylow
-# in all formats, every table in both formats.
+# in all formats, every table in both formats, and the observation check.
 _CLOSED_FORM_ARGV = (
     [["classify", "--group", spec, "--ell", "all", "--kind", kind, "--format", fmt]
      for spec in ["G(12,6,3)", "G28", "G4 x G(6,1,5)"]
@@ -278,6 +297,7 @@ _CLOSED_FORM_ARGV = (
     + [["tables", "--id", table_id, "--format", fmt]
        for table_id in sorted(cli.TABLE_ALIASES)
        for fmt in ["markdown", "json"]]
+    + [["verify", "--observation"]]
 )
 
 _RUN_EACH = """

@@ -257,23 +257,27 @@ class TestLatticeBruteForce:
             assert {h.key for h in cls.members} == conjugates
 
 
+def _member_keys(cls):
+    return [h.key for h in cls.members]
+
+
 class TestConjugacy:
     def test_transpositions_conjugate(self):
         g = enumerate_group(1, 1, 3)
         a = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (1, 0, 2)))])
         b = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (0, 2, 1)))])
-        assert b.key in conjugacy_class(g, a)
+        assert b.key in _member_keys(conjugacy_class(g, a))
 
     def test_diagonal_vs_transposition_not_conjugate(self):
         g = enumerate_group(2, 1, 2)
         diag = generate_subgroup(g, [g.index_of(MonomialElement(2, (1, 0), (0, 1)))])
         swap = generate_subgroup(g, [g.index_of(MonomialElement(2, (0, 0), (1, 0)))])
-        assert swap.key not in conjugacy_class(g, diag)
+        assert swap.key not in _member_keys(conjugacy_class(g, diag))
 
     def test_self_conjugate(self):
         g = enumerate_group(3, 3, 2)
         h = generate_subgroup(g, [g.reflection_indices()[0]])
-        assert h.key in conjugacy_class(g, h)
+        assert h.key in _member_keys(conjugacy_class(g, h))
 
 
 class TestMinimalFullValuation:
@@ -474,9 +478,9 @@ class TestOrbitPathsAgainstDefinitions:
         for sp in spaces.values():
             h = pointwise_stabilizer(g, sp)
             if h.key not in known:
-                orbit = conjugacy_class(g, h)
-                known.update(orbit)
-                expected.append((h.order, len(orbit), sorted(orbit)))
+                keys = _member_keys(conjugacy_class(g, h))
+                known.update(keys)
+                expected.append((h.order, len(keys), sorted(keys)))
         got = [(c.order, c.size, [h.key for h in c.members])
                for c in parabolic_classes(g)]
         assert len(got) == len(expected)
@@ -565,7 +569,7 @@ def _plain_lattice(g):
     reps = []
 
     def admit(h, gens):
-        found.update(conjugacy_class(g, h))
+        found.update((m.key, m) for m in conjugacy_class(g, h).members)
         reps.append((h, gens))
 
     admit(Subgroup(np.zeros(1, dtype=np.int64)), ())
@@ -631,12 +635,9 @@ class TestLagrangeBounds:
             plain = _plain_lattice(plain_group)
             assert [h.key for h in oracle.all_reflection_subgroups(g)] == \
                 [h.key for h in plain], mpn
-            orbits = {}
-            for h in plain:
-                orbit = conjugacy_class(plain_group, h)
-                orbits[id(orbit)] = orbit
-            expected = [[h.key for h in c.members]
-                        for c in oracle._as_classes(list(orbits.values()))]
+            classes = {conjugacy_class(plain_group, h): None for h in plain}
+            expected = sorted((sorted(h.key for h in c.members) for c in classes),
+                              key=lambda keys: (len(keys[0]), keys[0]))
             assert [[h.key for h in c.members]
                     for c in reflection_subgroup_classes(g)] == expected, mpn
 
@@ -702,7 +703,56 @@ class TestReuseWithinAGroup:
         g = enumerate_group(1, 1, 1)
         assert g.generator_indices() == []
         h = generate_subgroup(g, [])
-        assert list(conjugacy_class(g, h)) == [h.key]
+        assert conjugacy_class(g, h).members == (h,)
+
+
+class TestOneStoredForm:
+    """A subgroup stores its element indices once, and a conjugacy class is
+    one object per group, whichever stage meets it."""
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 4), (4, 2, 2)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_every_member_gets_the_same_class_object(self, mpn):
+        g = enumerate_group(*mpn)
+        for cls in reflection_subgroup_classes(g):
+            keys = _member_keys(cls)
+            assert keys == sorted(keys)
+            for h in cls.members:
+                assert conjugacy_class(g, h) is cls
+                assert conjugacy_class(g, Subgroup(h.idx.copy())) is cls
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 4), (4, 2, 2)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_parabolic_classes_are_lattice_classes(self, mpn):
+        for lattice_first in (True, False):
+            g = enumerate_group(*mpn)
+            if lattice_first:
+                lattice = reflection_subgroup_classes(g)
+                parab = parabolic_classes(g)
+            else:
+                parab = parabolic_classes(g)
+                lattice = reflection_subgroup_classes(g)
+            by_key = {c.representative.key: c for c in lattice}
+            for cls in parab:
+                assert by_key[cls.representative.key] is cls
+            assert len(set(lattice)) == len(lattice)
+
+    def test_subgroup_indices_are_a_read_only_view_of_the_key(self):
+        g = enumerate_group(2, 1, 3)
+        space = fixed_space(g.element(g.reflection_indices()[0]))
+        subgroups = [generate_subgroup(g, g.generator_indices()[:2]),
+                     pointwise_stabilizer(g, space),
+                     *oracle.all_reflection_subgroups(g)]
+        for h in subgroups:
+            assert h.idx.base is h.key
+            assert not h.idx.flags.writeable
+            assert h.idx.dtype == np.int64
+            assert h.order == len(h.key) // 8
+            with pytest.raises(ValueError):
+                h.idx[0] = 1
+        h = subgroups[0]
+        again = Subgroup(h.key)
+        assert again.key is h.key and np.array_equal(again.idx, h.idx)
 
 
 class TestCampaignPool:
