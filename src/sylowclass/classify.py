@@ -9,6 +9,13 @@ ell | p, else the product of G(a,1,k) over k in lambda.  Exceptional groups
 are table lookups (their classifications rest on external subgroup tables
 and are deliberately not recomputed); products classify componentwise,
 with ell-free factors contributing nothing.
+
+classify_parabolic and classify_reflection are memoized per process, at
+most 1024 answers each, keyed by (g, ell); a product reaches its factors
+through the same memo.  A repeated query returns the same answer object,
+which is shared and immutable (frozen dataclasses with tuple fields);
+errors are not memoized, and cache_clear() on either function frees its
+answers.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 from . import groups, tables
@@ -128,6 +136,7 @@ def _member_of(g: GroupType, distinguisher: int = 0,
     return ClassMember(normalize(g), order_factorization(g), distinguisher, twist_exponent)
 
 
+@lru_cache(maxsize=1024)
 def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     """The unique minimal class of parabolic subgroups containing an
     ell-Sylow subgroup."""
@@ -150,6 +159,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
     return SubgroupClassResult(g, ell, PARABOLIC, (member,))
 
 
+@lru_cache(maxsize=1024)
 def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     """All minimal classes of reflection subgroups containing an ell-Sylow
     subgroup."""

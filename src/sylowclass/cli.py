@@ -349,9 +349,13 @@ def cmd_tables(args) -> int:
 def cmd_verify(args) -> int:
     if args.jobs is not None:
         _positive_int(args.jobs, "--jobs")
-    if args.observation:  # closed forms only, over the default catalog
-        violations = cls.verify_observation()
-        print(f"observation check: {len(violations)} violations")
+    if args.observation:  # closed forms only, over the --max-m/--max-n catalog
+        catalog = list(cls.catalog_irreducibles(_positive_int(args.max_m, "--max-m"),
+                                                _positive_int(args.max_n, "--max-n")))
+        violations = cls.verify_observation(catalog)
+        pairs = sum(len(groups.group_primes(g)) for g in catalog)
+        print(f"observation check: {len(catalog)} groups, {pairs} (group, ell) "
+              f"pairs, {len(violations)} violations")
         for v in violations:
             print(f"  VIOLATION {format_group(v.group)} ell={v.ell} "
                   f"P = {format_group(v.parabolic)}")
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes, at least 1 (default: cpu count)")
     p.add_argument("--observation", action="store_true",
                    help="check the cuspidal-to-supercuspidal observation "
-                        "over the whole catalog")
+                        "over the catalog bounded by --max-m and --max-n")
     p.set_defaults(func=cmd_verify)
     return parser
 

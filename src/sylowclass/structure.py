@@ -15,11 +15,16 @@ C(l)^(i) here is the i-fold iterated wreath product of the cyclic group of
 order l (order l^((l^i-1)/(l-1))), which is the Sylow subgroup of
 Sym(l^i); the source text says "of i copies of the cyclic group of order
 l^i", but only the l-reading matches the order of Sym(l^i)'s Sylow.
+
+sylow_structure is memoized per process like the classify answers, at most
+1024 terms keyed by (g, ell); the terms are shared and immutable, and
+sylow_structure.cache_clear() frees them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 from . import groups
@@ -220,6 +225,7 @@ _EXCEPTIONAL_SYLOW: dict[tuple[int, int], StructureTerm] = {
 }
 
 
+@lru_cache(maxsize=1024)
 def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
     """Isomorphism type of the ell-Sylow subgroups of g, of order exactly
     the ell-part of |g|."""

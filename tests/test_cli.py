@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sylowclass
-from sylowclass import cli, groups, oracle, valuation, verify
+from sylowclass import classify as cls
+from sylowclass import cli, groups, oracle, structure, valuation, verify
 from sylowclass.groups import parse_group
 from sylowclass.tables import load_tables
 
@@ -359,7 +360,10 @@ class TestOrdersFactoredFromParameters:
             if (name.split(".")[0] == "sylowclass"
                     and getattr(module, "factorization", None) is original):
                 monkeypatch.setattr(module, "factorization", recording)
-        groups.order_factorization.cache_clear()
+        # memoized answers from earlier tests would skip the factoring
+        for cached in (groups.order_factorization, cls.classify_parabolic,
+                       cls.classify_reflection, structure.sylow_structure):
+            cached.cache_clear()
         spec = "G(1155,5,1800) x G28"
         g = parse_group(spec)
         for kind in ("parabolic", "reflection"):
@@ -413,11 +417,38 @@ class TestTablesCommand:
                 assert found, (table_id, row.group_label, row.ell)
 
 
+def _observation_counts(out: str) -> tuple[int, int]:
+    # "observation check: <groups> groups, <pairs> (group, ell) pairs, ..."
+    words = out.split()
+    return int(words[2]), int(words[4])
+
+
+def _catalog_counts(max_m: int, max_n: int) -> tuple[int, int]:
+    catalog = list(cls.catalog_irreducibles(max_m, max_n))
+    return len(catalog), sum(len(groups.group_primes(g)) for g in catalog)
+
+
 class TestObservationFlag:
     def test_observation(self, capsys):
         code, out, _ = run(capsys, "verify", "--observation")
         assert code == 0
         assert "0 violations" in out
+        assert _observation_counts(out) == _catalog_counts(
+            verify.DEFAULT_MAX_M, verify.DEFAULT_MAX_N)
+
+    def test_max_m_and_max_n_bound_the_catalog(self, capsys):
+        code, small, _ = run(capsys, "verify", "--observation",
+                             "--max-m", "2", "--max-n", "2")
+        assert code == 0 and "0 violations" in small
+        assert _observation_counts(small) == _catalog_counts(2, 2)
+        code, default, _ = run(capsys, "verify", "--observation")
+        assert _observation_counts(small)[0] < _observation_counts(default)[0]
+
+    @pytest.mark.parametrize("flag", ["--max-m", "--max-n"])
+    def test_nonpositive_bound_is_a_usage_error(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--observation", flag, "0")
+        assert code == 2 and out == ""
+        assert flag in err
 
 
 # Group specs from the grammar of groups.parse_group, valid or not.
