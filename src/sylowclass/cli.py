@@ -346,6 +346,15 @@ def cmd_tables(args) -> int:
 # verify
 
 
+def _print_progress(report, seconds: float) -> None:
+    """verify --progress: one stderr line per finished group, its order
+    factored (a skipped order may have too many digits for str)."""
+    order = order_factored(groups.Imprimitive(report.m, report.p, report.n))
+    print(f"{report.label} order {order}: {seconds:.2f} s, "
+          f"{len(report.checks)} checks" + (" (skipped)" if report.skipped else ""),
+          file=sys.stderr, flush=True)
+
+
 def cmd_verify(args) -> int:
     if args.jobs is not None:
         _positive_int(args.jobs, "--jobs")
@@ -376,7 +385,8 @@ def cmd_verify(args) -> int:
     else:
         points = verify.grid_points(_positive_int(args.max_m, "--max-m"),
                                     _positive_int(args.max_n, "--max-n"), cap)
-    report = verify.run_campaign(points, ells, cap, jobs=args.jobs)
+    report = verify.run_campaign(points, ells, cap, jobs=args.jobs,
+                                 progress=_print_progress if args.progress else None)
     if args.format == "json":
         try:
             text = json.dumps(report.as_dict(), indent=2)
@@ -452,6 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, at least 1 (default: cpu count)")
+    p.add_argument("--progress", action="store_true",
+                   help="write one line per finished group to stderr")
     p.add_argument("--observation", action="store_true",
                    help="check the cuspidal-to-supercuspidal observation "
                         "over the catalog bounded by --max-m and --max-n")

@@ -17,29 +17,46 @@ is closed with the first reflection of each orbit only.  In identify_class
 it gives the blocks: the orbits of the coordinates under the swapping
 reflections.
 
-A subgroup and a conjugacy class each have one stored form.  A Subgroup
-holds the sorted int64 indices of its elements in the canonical element
-order once, as bytes: its key, which keys every dict; its idx is a
-read-only array view of the same bytes.  A class is one OracleClass, its
-members in key order, built when the class is first met and cached on the
-group under the key of every member, so every stage gets the same object
+A reflection subgroup is determined by the reflections it contains, and
+so is every parabolic subgroup, since parabolics are generated by their
+reflections (Steinberg 1964; Lehrer-Taylor 2009).  A Subgroup is therefore
+keyed by its order and refl_key, a packed bitmask over
+reflection_indices(), and that key keys every dict.  Its element indices
+(idx, and key, their sorted int64 bytes) are stored only where they are
+needed: for a closure that founds a new class, which later walks start
+from, for subgroups made from their elements (stabilizers, generated
+subgroups), and otherwise on first access, derived from the member the
+subgroup was conjugated from.  A class is one OracleClass, its members in
+refl_key order, built when the class is first met and cached on the group
+under the refl_key of every member, so every stage gets the same object
 back for every member and classes compare by identity.
 
 There is one closure, _generate_from: it extends a subgroup H by walking
 right cosets, each new coset H*t*g one vectorized gather through the
 right-multiplication table of g, so the closure K costs about |K| integer
-moves.  The lattice adjoins one reflection to a subgroup it already has;
-generate_subgroup adjoins its generators one at a time to the trivial
-subgroup.  Only one right table per G-class of reflections is computed
-from the element rows; the others are derived by conjugation, two gathers
-each (ConcreteGroup.reflection_tables).  A conjugacy class is found whole
-when its first member is discovered, by one orbit search under conjugation
-by a fixed generating set of the parent group, through conjugation tables
-built once per group.  So each class is searched once per group,
-whichever stage meets it first: the parabolic stabilizers are reflection
-subgroups, and after the lattice they find their classes in the cache.
+moves; it returns K's membership array, in which the lattice reads K's
+reflections (member[reflections]) to look K up.  The lattice adjoins one
+reflection to a subgroup it already has; generate_subgroup adjoins its
+generators one at a time to the trivial subgroup.  Only one right table
+per G-class of reflections is computed from the element rows; the others
+are derived by conjugation, two gathers each
+(ConcreteGroup.reflection_tables).  The conjugation tables of the
+generators come from their right tables and the group's inversion table,
+a few gathers each (ConcreteGroup.conjugation_tables).  A conjugacy class is found whole when
+its first member is discovered, as the orbit of its reflection mask under
+G's conjugation action on the reflection positions (one gather of the
+reflection positions per generator; ConcreteGroup.reflection_conjugations).
+So each class is searched once per group, whichever stage meets it first.
 The reflection-subgroup lattice is searched over one representative per
 class.
+
+Masks decide the later stages.  The minimal filter tests containment of
+reflection subgroups as containment of their masks.  The parabolic stage
+matches each pointwise stabilizer to the class of the subgroup its
+reflections generate, by its mask, and checks Steinberg's theorem exactly:
+that class's order must equal the stabilizer's element count.
+identify_class reads the reflections from the mask, and regenerates only a
+subgroup whose mask has no class yet.
 
 Lagrange's theorem bounds the closures.  If H <= K <= L, then |H| divides
 |K| divides |L|, so a subgroup K of L with more than |L|/p elements, p the
@@ -50,9 +67,9 @@ an optional bound and stops as soon as it has marked more elements:
   (2) after a closure K = <H,r> with [K:H] prime, each later orbit
       representative r' of H lying in K has H < <H,r'> <= K, hence
       <H,r'> = K, and its closure is skipped;
-  (3) identify_class regenerates h from its reflections inside h with the
-      bound |h|/p, p the smallest prime of |h|; past it the reflections
-      generate h.
+  (3) identify_class regenerates an h it finds no class for from the
+      reflections inside h with the bound |h|/p, p the smallest prime of
+      |h|; past it the reflections generate h.
 Each rule only skips the rest of a walk whose result it already knows (G,
 K or h), so the subgroups found, their order of admission and every answer
 are the same as without the bound.
@@ -187,17 +204,55 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
 
 
 class Subgroup:
-    """A subgroup of a ConcreteGroup, stored once: key holds the bytes of
-    its sorted int64 element indices and keys every dict, and idx is a
-    read-only array view of those bytes (built from an index array or from
-    its bytes)."""
+    """A subgroup of a ConcreteGroup: its order and refl_key, the packed
+    bitmask of the reflections it contains over reflection_indices(), which
+    keys every dict.  A reflection subgroup is generated by its reflections,
+    so for one the mask alone determines it.
 
-    __slots__ = ("key", "idx", "order")
+    key holds the bytes of its sorted int64 element indices, and idx is a
+    read-only array view of those bytes.  A subgroup made from its elements
+    (ConcreteGroup.subgroup) stores them at once; a class member found by
+    conjugacy_class stores only its source, the member it was conjugated
+    from and that conjugation's table, and derives its elements on first
+    access to idx or key: one gather and one sort from the source's."""
 
-    def __init__(self, indices: np.ndarray | bytes):
-        self.key = indices if isinstance(indices, bytes) else indices.tobytes()
-        self.idx = np.frombuffer(self.key, _INT64)
-        self.order = len(self.idx)
+    __slots__ = ("order", "refl_key", "_key", "_idx", "_source")
+
+    def __init__(self, order: int, refl_key: bytes,
+                 idx: np.ndarray | None = None, source=None):
+        self.order = order
+        self.refl_key = refl_key
+        self._key = self._idx = None
+        self._source = source
+        if idx is not None:
+            self._store(idx)
+
+    def _store(self, idx: np.ndarray) -> None:
+        self._key = idx.astype(_INT64, copy=False).tobytes()
+        self._idx = np.frombuffer(self._key, _INT64)
+        self._source = None
+
+    def _derive(self) -> None:
+        chain = []
+        h = self
+        while h._idx is None:  # up to the nearest subgroup holding elements
+            chain.append(h)
+            h = h._source[0]
+        for h in reversed(chain):
+            source, table = h._source
+            h._store(np.sort(table[source._idx]))
+
+    @property
+    def idx(self) -> np.ndarray:
+        if self._idx is None:
+            self._derive()
+        return self._idx
+
+    @property
+    def key(self) -> bytes:
+        if self._key is None:
+            self._derive()
+        return self._key
 
     def __repr__(self):
         return f"<subgroup of order {self.order}>"
@@ -205,7 +260,8 @@ class Subgroup:
 
 @dataclass(frozen=True, eq=False)
 class OracleClass:
-    """One conjugacy class of subgroups, its members in key order.
+    """One conjugacy class of reflection subgroups, its members in refl_key
+    order.
     conjugacy_class builds each class once per group, so classes compare
     and hash by identity."""
 
@@ -276,12 +332,14 @@ class ConcreteGroup:
 
         self._right_tables: dict[int, np.ndarray] = {}
         self._conj_tables: list[np.ndarray] | None = None
+        self._inversion: np.ndarray | None = None
         self._reflection_indices: list[int] | None = None
-        self._reflection_mask: np.ndarray | None = None
+        self._reflection_array: np.ndarray | None = None
         self._reflection_tables: dict[int, np.ndarray] | None = None
+        self._reflection_conjugations: np.ndarray | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
-        # member key -> its conjugacy class, one object shared by all members
+        # member refl_key -> its conjugacy class, one object shared by all members
         self._classes: dict[bytes, OracleClass] = {}
 
     def _codes(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -312,38 +370,57 @@ class ConcreteGroup:
 
     # -- multiplication tables ------------------------------------------
 
-    def _table_from_element(self, phases: np.ndarray, perm: np.ndarray,
-                            side: str) -> np.ndarray:
-        """Index table of x -> x*g (side 'right') or x -> g*x ('left')."""
-        m = self.m
-        if side == "right":
-            new_A = (self._A + phases[self._PINV]) % m
-            new_P = self._P[:, perm]
-        else:
-            pinv = np.argsort(perm)
-            new_A = (phases[None, :] + self._A[:, pinv]) % m
-            new_P = perm[self._P]
-        codes = self._codes(new_A, new_P)
+    def _positions(self, A: np.ndarray, P: np.ndarray, what: str) -> np.ndarray:
+        """Canonical indices of the elements with phase rows A and
+        permutation rows P; OracleConsistencyError unless all are in G."""
+        codes = self._codes(A, P)
         pos = np.searchsorted(self._codes_sorted, codes)
         if not (self._codes_sorted[pos] == codes).all():
-            raise OracleConsistencyError("product left the group")
+            raise OracleConsistencyError(f"{what} left the group")
         return pos
+
+    def _table_from_element(self, phases: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """Index table of x -> x*g, g the element with these rows."""
+        return self._positions((self._A + phases[self._PINV]) % self.m,
+                               self._P[:, perm], "product")
 
     def right_table(self, g_idx: int) -> np.ndarray:
         tab = self._right_tables.get(g_idx)
         if tab is None:
-            tab = self._table_from_element(self._A[g_idx], self._P[g_idx], "right")
+            tab = self._table_from_element(self._A[g_idx], self._P[g_idx])
             self._right_tables[g_idx] = tab
         return tab
 
+    def inversion_table(self) -> np.ndarray:
+        """Index table of x -> x^{-1}."""
+        if self._inversion is None:
+            self._inversion = self._positions(
+                -np.take_along_axis(self._A, self._P, axis=1) % self.m,
+                self._PINV, "inverse")
+        return self._inversion
+
+    def inverse_right_table(self, g_idx: int) -> np.ndarray:
+        """The right table of g^{-1}: the inverse permutation of g's, since
+        x*g*g^{-1} = x (cached as the right table of g^{-1})."""
+        g_inv = int(self.inversion_table()[g_idx])
+        tab = self._right_tables.get(g_inv)
+        if tab is None:
+            tab = np.empty(self.size, dtype=np.int64)
+            tab[self.right_table(g_idx)] = np.arange(self.size)
+            self._right_tables[g_inv] = tab
+        return tab
+
     def conjugation_tables(self) -> list[np.ndarray]:
-        """Index tables of x -> g*x*g^{-1}, one per generator g; g^{-1} is
-        the x with x*g the identity (index 0)."""
+        """Index tables of x -> g*x*g^{-1}, one per generator g.  With I the
+        inversion table and T the right table of g^{-1}, that is
+        I[T[I[T[x]]]]: x*g^{-1}, inverted to g*x^{-1}, times g^{-1},
+        inverted to g*x*g^{-1}."""
         if self._conj_tables is None:
-            self._conj_tables = [
-                self._table_from_element(self._A[g], self._P[g], "left")[
-                    self.right_table(int(np.argmin(self.right_table(g))))]
-                for g in self.generator_indices()]
+            inv = self.inversion_table()
+            self._conj_tables = []
+            for g in self.generator_indices():
+                t = self.inverse_right_table(g)
+                self._conj_tables.append(inv[t[inv[t]]])
         return self._conj_tables
 
     # -- reflections and fixed spaces -----------------------------------
@@ -368,14 +445,43 @@ class ConcreteGroup:
             scaling = (n_moved == 0) & (phased.sum(axis=1) == 1)
             swapping = ((n_moved == 2) & ~(phased & ~moved).any(axis=1)
                         & ((self._A * moved).sum(axis=1) % self.m == 0))
-            self._reflection_mask = scaling | swapping
-            self._reflection_indices = np.flatnonzero(self._reflection_mask).tolist()
+            self._reflection_array = np.flatnonzero(scaling | swapping)
+            self._reflection_indices = self._reflection_array.tolist()
         return self._reflection_indices
 
-    def reflection_mask(self) -> np.ndarray:
-        """Boolean array over the elements, True at the reflections."""
+    def reflection_array(self) -> np.ndarray:
+        """reflection_indices() as an int64 array."""
         self.reflection_indices()
-        return self._reflection_mask
+        return self._reflection_array
+
+    def reflection_conjugations(self) -> np.ndarray:
+        """One row per generator g: the index array q over the reflection
+        positions with q[j] the position of g^{-1} r_j g, r_j the j-th
+        reflection, so that the reflection bits b of a subgroup H give those
+        of gHg^{-1} as b[q]."""
+        if self._reflection_conjugations is None:
+            refl = self.reflection_array()
+            tables = self.conjugation_tables()
+            self._reflection_conjugations = np.array(
+                [np.argsort(np.searchsorted(refl, c[refl])) for c in tables],
+                dtype=np.int64).reshape(len(tables), len(refl))
+        return self._reflection_conjugations
+
+    def reflection_bits(self, refl_key: bytes) -> np.ndarray:
+        """The boolean array over reflection_indices() that refl_key packs
+        (a fresh, writable array)."""
+        return np.unpackbits(np.frombuffer(refl_key, np.uint8),
+                             count=self._reflection_array.size).view(bool)
+
+    def reflections_in(self, h: Subgroup) -> np.ndarray:
+        """The element indices of the reflections in h, ascending."""
+        return self.reflection_array()[self.reflection_bits(h.refl_key)]
+
+    def subgroup(self, member: np.ndarray) -> Subgroup:
+        """The subgroup whose elements are True in member, a boolean array
+        over the elements."""
+        idx = member.nonzero()[0]
+        return Subgroup(len(idx), _pack(member[self.reflection_array()]), idx)
 
     def reflection_tables(self) -> dict[int, np.ndarray]:
         """Right tables of every reflection, by index.  One table per G-class
@@ -387,8 +493,7 @@ class ConcreteGroup:
         T[s'][0] must be s'."""
         if self._reflection_tables is None:
             gens = self.generator_indices()
-            steps = [(c, self.right_table(g),
-                      self.right_table(int(np.argmin(self.right_table(g)))))
+            steps = [(c, self.right_table(g), self.inverse_right_table(g))
                      for g, c in zip(gens, self.conjugation_tables())]
             tables: dict[int, np.ndarray] = {}
             for r in self.reflection_indices():
@@ -443,6 +548,11 @@ class ConcreteGroup:
         return gens
 
 
+def _pack(bits: np.ndarray) -> bytes:
+    """The refl_key of a boolean array over the reflection positions."""
+    return np.packbits(bits).tobytes()
+
+
 def enumerate_group(m: int, p: int, n: int,
                     order_cap: int = DEFAULT_ORDER_CAP) -> ConcreteGroup:
     """All of G(m,p,n), exactly once each, identity first."""
@@ -466,17 +576,17 @@ def orbit_labels(size: int, maps) -> np.ndarray:
         before = labels
         for t in maps:
             labels = np.minimum(labels, labels[t])
-        if np.array_equal(labels, before):
+        if labels.tobytes() == before.tobytes():
             return labels
 
 
 def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
                    gen_tables: list[np.ndarray],
-                   bound: int | None = None) -> np.ndarray | None:
-    """Sorted element indices of the closure of a subgroup (given by
-    base_idx, which must already be closed) together with the generators
-    behind gen_tables, which must include generators of the base subgroup.
-    The oracle's only subgroup closure.
+                   bound: int | None = None) -> tuple[np.ndarray, int] | None:
+    """The closure of a subgroup (given by base_idx, which must already be
+    closed) together with the generators behind gen_tables, which must
+    include generators of the base subgroup: its boolean membership array
+    over the elements and its order.  The oracle's only subgroup closure.
 
     Walks right cosets: a candidate coset H*t*g is new iff its
     representative index is unmarked, and its elements are one table
@@ -490,20 +600,24 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
     member[base_idx] = True
     marked = coset_size = len(base_idx)
     limit = group.size if bound is None else bound  # no closure passes |G|
+    # scalar reads go through memoryviews, which return Python ints and
+    # bools several times faster than indexing the arrays
+    is_member = member.data
+    steps = [(table, table.data) for table in gen_tables]
     stack = [(0, base_idx)]
     pop, push = stack.pop, stack.append
     while stack:
         t, coset = pop()
-        for table in gen_tables:
-            x = int(table[t])
-            if not member[x]:
+        for table, entries in steps:
+            x = entries[t]
+            if not is_member[x]:
                 new_coset = table[coset]
                 member[new_coset] = True
                 marked += coset_size
                 if marked > limit:
                     return None
                 push((x, new_coset))
-    return member.nonzero()[0]
+    return member, marked
 
 
 def generate_subgroup(group: ConcreteGroup, element_indices,
@@ -515,40 +629,56 @@ def generate_subgroup(group: ConcreteGroup, element_indices,
     lattice adjoins reflections; a generator already inside (the identity
     among them) is skipped.  None as soon as a partial closure has more
     than bound elements (see _generate_from)."""
-    idx = np.zeros(1, dtype=np.int64)
+    member = np.zeros(group.size, dtype=bool)
+    member[0] = True
     tables: list[np.ndarray] = []
     for i in element_indices:
-        if i not in idx:
+        if not member[i]:
             tables.append(group.right_table(i))
-            idx = _generate_from(group, idx, tables, bound)
-            if idx is None:
+            walk = _generate_from(group, member.nonzero()[0], tables, bound)
+            if walk is None:
                 return None
-    return Subgroup(idx)
+            member = walk[0]
+    return group.subgroup(member)
 
 
 def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
-    """The class of all conjugates of h: an orbit search under conjugation
-    x -> g*x*g^{-1} by the parent's generators, one level at a time (one
-    gather per generator over the whole frontier, then one sort).  Each
-    class is found once per group: its OracleClass is cached under the key
-    of every member, and every later call for a member returns that same
-    object."""
-    cls = group._classes.get(h.key)
+    """The class of all conjugates of h, a reflection subgroup (one
+    generated by its reflections; its class is keyed by their mask).
+
+    An orbit search of h's reflection bits under conjugation by the
+    parent's generators, one level at a time: one gather of the reflection
+    positions per generator over the whole frontier, then one pack.  A new
+    member stores the member it was conjugated from and the conjugation
+    table, from which it derives its elements only if they are asked for.
+    Each class is found once per group: its OracleClass is cached under the
+    refl_key of every member, and every later call for a member returns
+    that same object."""
+    cls = group._classes.get(h.refl_key)
     if cls is not None:
         return cls
-    members = {h.key: h}
+    members = {h.refl_key: h}
     tables = group.conjugation_tables()
-    frontier = h.idx[None, :]
-    while tables and len(frontier):  # G(1,1,1) has no generators
-        images = np.sort(np.concatenate([t[frontier] for t in tables]), axis=1)
-        fresh: dict[bytes, int] = {}
-        for i, row in enumerate(images):
-            key = row.tobytes()
-            if key not in members and key not in fresh:
-                fresh[key] = i
-        frontier = images[list(fresh.values())]
-        for key in fresh:
-            members[key] = Subgroup(key)
+    maps = group.reflection_conjugations().ravel()
+    frontier, sources = group.reflection_bits(h.refl_key)[None, :], [h]
+    while tables:  # G(1,1,1) has no generators
+        # row f*len(tables) + g: the bits of g*F*g^{-1}, F the f-th source
+        # (take is faster than fancy indexing on these small 2-d arrays)
+        images = frontier.take(maps, axis=1).reshape(len(sources) * len(tables), -1)
+        packed = np.packbits(images, axis=1)
+        width, blob = packed.shape[1], packed.tobytes()
+        fresh, new_sources = [], []
+        for i in range(len(images)):
+            key = blob[i * width:(i + 1) * width]
+            if key not in members:
+                f, g = divmod(i, len(tables))
+                sub = Subgroup(h.order, key, source=(sources[f], tables[g]))
+                members[key] = sub
+                fresh.append(i)
+                new_sources.append(sub)
+        if not fresh:
+            break
+        frontier, sources = images.take(fresh, axis=0), new_sources
     cls = OracleClass(tuple(members[key] for key in sorted(members)))
     for key in members:
         group._classes[key] = cls
@@ -569,6 +699,10 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     subgroup has normalizer G, so it closes only the first reflection of
     each G-class of reflections.
 
+    A closure is looked up by its reflection bits, member[refl]; only a
+    closure that founds a new class has its element indices taken, since
+    it is the base of later walks.
+
     Rules (1) and (2) of the module docstring cut the closures short: a
     walk past |G|/p elements is G, and a reflection of a K = <H,r> of
     prime index over H generates K with H, so its orbit is not closed.
@@ -577,25 +711,26 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     subgroups raise ResourceLimitError.
     """
     refl = group.reflection_indices()
-    refl_arr = np.array(refl, dtype=np.int64)
+    refl_arr = group.reflection_array()
     refl_tables = group.reflection_tables()
     conj: dict[int, np.ndarray] = {}
+    entries = [refl_tables[s].data for s in refl]  # fast scalar reads
 
     def conjugation_by(r: int) -> np.ndarray:
         """Position in refl of r*s*r^{-1}, for each reflection s in refl."""
         if r not in conj:
-            rs = np.array([refl_tables[s][r] for s in refl], dtype=np.int64)
-            r_inv = int(np.argmin(refl_tables[r]))
-            conj[r] = np.searchsorted(refl_arr, refl_tables[r_inv][rs])
+            rs = np.array([e[r] for e in entries], dtype=np.int64)
+            conj[r] = np.searchsorted(refl_arr, group.inverse_right_table(r)[rs])
         return conj[r]
 
-    # One (representative, reflections generating it) per class; the loop
-    # below walks this list while admit() appends to it, in BFS order.
-    reps: list[tuple[Subgroup, tuple[int, ...]]] = []
+    # One (representative, reflections generating it, its reflection bits)
+    # per class; the loop below walks this list while admit() appends to
+    # it, in BFS order.
+    reps: list[tuple[Subgroup, tuple[int, ...], np.ndarray]] = []
     admitted: dict[OracleClass, None] = {}  # in order of admission
     count = 0
 
-    def admit(h: Subgroup, gens: tuple[int, ...]) -> None:
+    def admit(h: Subgroup, gens: tuple[int, ...], bits: np.ndarray) -> None:
         nonlocal count
         cls = conjugacy_class(group, h)
         count += cls.size
@@ -603,50 +738,54 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
             raise ResourceLimitError(
                 f"more than {MAX_SUBGROUPS} reflection subgroups")
         admitted[cls] = None
-        reps.append((h, gens))
+        reps.append((h, gens, bits))
 
-    admit(Subgroup(np.array([0], dtype=np.int64)), ())
-    whole = Subgroup(np.arange(group.size, dtype=np.int64))
-    mask = np.zeros(group.size, dtype=bool)
-    for rep, gens in reps:
-        mask[rep.idx] = True
-        done = mask[refl_arr]  # reflections whose closure is known
-        mask[rep.idx] = False
-        if gens:
-            maps = [conjugation_by(g) for g in gens]
-        else:  # the trivial subgroup, normalized by all of G
-            maps = [np.searchsorted(refl_arr, c[refl_arr])
-                    for c in group.conjugation_tables()]
+    trivial = np.zeros(group.size, dtype=bool)
+    trivial[0] = True
+    admit(group.subgroup(trivial), (), np.zeros(len(refl), dtype=bool))
+    whole = group.subgroup(np.ones(group.size, dtype=bool))
+    whole_bits = np.ones(len(refl), dtype=bool)
+    positions = np.arange(len(refl))
+    for rep, gens, rep_bits in reps:
+        done = rep_bits.copy()  # reflections whose closure is known
+        # the trivial subgroup is normalized by all of G
+        maps = ([conjugation_by(g) for g in gens] if gens
+                else group.reflection_conjugations())
         first = orbit_labels(len(refl), maps)
         gen_tables = [refl_tables[r] for r in gens]
         # [K:H] divides [G:H], so it is prime iff it is one of these
         primes = [q for q, _ in factorization(group.size // rep.order)]
         bound = group.size // primes[0] if primes else None
-        for j in np.flatnonzero(~done & (first == np.arange(len(refl)))).tolist():
+        for j in np.flatnonzero(~done & (first == positions)).tolist():
             if done[j]:
                 continue
             r = refl[j]
-            idx = _generate_from(group, rep.idx, gen_tables + [refl_tables[r]], bound)
-            h = whole if idx is None else Subgroup(idx)
-            if group._classes.get(h.key) not in admitted:
-                admit(h, gens + (r,))
-            if h.order // rep.order in primes:
-                mask[h.idx] = True
-                done |= mask[refl_arr]
-                mask[h.idx] = False
+            walk = _generate_from(group, rep.idx, gen_tables + [refl_tables[r]], bound)
+            if walk is None:
+                key, bits, order = whole.refl_key, whole_bits, group.size
+            else:
+                member, order = walk
+                bits = member[refl_arr]
+                key = _pack(bits)
+            if group._classes.get(key) not in admitted:
+                h = whole if walk is None else group.subgroup(member)
+                admit(h, gens + (r,), bits)
+            if order // rep.order in primes:
+                done |= bits
     return [h for cls in admitted for h in cls.members]
 
 
 def _sorted_classes(classes) -> list[OracleClass]:
-    """The distinct classes among classes, by order and representative key."""
-    return sorted(set(classes), key=lambda c: (c.order, c.representative.key))
+    """The distinct classes among classes, by order and representative
+    refl_key."""
+    return sorted(set(classes), key=lambda c: (c.order, c.representative.refl_key))
 
 
 def reflection_subgroup_classes(group: ConcreteGroup) -> list[OracleClass]:
     """Conjugacy classes of all reflection-generated subgroups: the class
     objects conjugacy_class cached for them (so whichever stage found a
     class first, the same object comes back)."""
-    return _sorted_classes(conjugacy_class(group, h)
+    return _sorted_classes(group._classes[h.refl_key]
                            for h in all_reflection_subgroups(group))
 
 
@@ -669,7 +808,7 @@ def pointwise_stabilizer(group: ConcreteGroup, space: FixedSpace) -> Subgroup:
             pre_in = in_c[pre]
             ok = pre_in & ((group._A[:, j] + xfull[pre] - xj) % m == 0)
             mask &= ok
-    return Subgroup(np.flatnonzero(mask).astype(np.int64))
+    return group.subgroup(mask)
 
 
 def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
@@ -680,15 +819,33 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     always appear.  Fix(gxg^{-1}) = g*Fix(x), so conjugate elements have
     conjugate stabilizers, and one element per conjugacy class (the
     smallest index, from orbit_labels under the conjugation tables) is
-    enough."""
+    enough.
+
+    Each stabilizer S is matched to the class of the subgroup its
+    reflections generate, by its reflection mask: the lattice's class when
+    the lattice has run, else the class of a fresh closure of those
+    reflections.  That subgroup lies in S, so S is generated by its
+    reflections (Steinberg's theorem) exactly when the class order equals
+    S's element count; OracleConsistencyError otherwise."""
     labels = orbit_labels(group.size, group.conjugation_tables())
     reps = np.flatnonzero(labels == np.arange(group.size))
     spaces = {}
-    for x in reps.tolist():
-        sp = fixed_space(group.element(x))
+    for phases, perm in zip(group._A[reps].tolist(), group._P[reps].tolist()):
+        sp = _fixed_space(group.m, phases, perm)
         spaces.setdefault(sp.vectors, sp)
-    return _sorted_classes(conjugacy_class(group, pointwise_stabilizer(group, sp))
-                           for sp in spaces.values())
+    classes = []
+    for sp in spaces.values():
+        stab = pointwise_stabilizer(group, sp)
+        cls = group._classes.get(stab.refl_key)
+        if cls is None:
+            cls = conjugacy_class(group, generate_subgroup(
+                group, group.reflections_in(stab).tolist()))
+        if cls.order != stab.order:
+            raise OracleConsistencyError(
+                f"the stabilizer of {sp.vectors} has {stab.order} elements, "
+                f"but its reflections generate {cls.order}")
+        classes.append(cls)
+    return _sorted_classes(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +859,18 @@ def minimal_full_valuation(group: ConcreteGroup, classes: list[OracleClass],
 
     Classes are closed under conjugation, so a member of one class lies in
     some member gAg^{-1} of another exactly when some member lies in A
-    itself; only the representative A is tested."""
+    itself; only the representative A is tested.  The classes hold
+    reflection subgroups, each generated by its reflections, so o lies in A
+    exactly when o's reflections do: containment is tested on the masks."""
     g_val = nu(ell, group.size)
     full = [c for c in classes if nu(ell, c.order) == g_val]
+    # the masks as integers: o lies in A iff o & ~A == 0
+    members = [(c.order, int.from_bytes(o.refl_key, "big"))
+               for c in full for o in c.members]
     minimal = []
     for c in full:
-        in_rep = np.zeros(group.size, dtype=bool)
-        in_rep[c.representative.idx] = True
-        if not any(in_rep[o.idx].all()
-                   for other in full if other.order < c.order
-                   for o in other.members):
+        outside = ~int.from_bytes(c.representative.refl_key, "big")
+        if all(o & outside for order, o in members if order < c.order):
             minimal.append(c)
     return minimal
 
@@ -771,17 +930,27 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     block of rank n_i >= 2 each pair carries m_i swapping reflections and
     each coordinate m_i/p_i - 1 scaling ones; a rank-1 block is cyclic of
     order 1 + its scaling reflections.  Both counts are unchanged by
-    conjugation.  ValueError unless h is regenerated by its reflections
-    and the blocks' orders m_i^n_i n_i!/p_i multiply to |h|.
+    conjugation.  ValueError unless h is generated by its reflections and
+    the blocks' orders m_i^n_i n_i!/p_i multiply to |h|.
+
+    The reflections are read from h's mask.  They generate some K <= h, so
+    K = h exactly when |K| = |h|.  A class cached under the same mask is
+    K's (classes hold reflection subgroups), so its order is |K|; only a
+    mask with no cached class is regenerated.
     """
     n = group.n
-    inside = h.idx[group.reflection_mask()[h.idx]]
-    # The reflections generate some K <= h; K != h means [h:K] >= p, the
-    # smallest prime of |h|, so a walk past |h|/p elements proves K = h.
-    primes = factorization(h.order)
-    regen = generate_subgroup(group, inside.tolist(),
-                              h.order // primes[0][0] if primes else None)
-    if regen is not None and regen.key != h.key:
+    inside = group.reflections_in(h)
+    cls = group._classes.get(h.refl_key)
+    if cls is not None:
+        generated = cls.order
+    else:
+        # K != h means [h:K] >= p, the smallest prime of |h|, so a walk
+        # past |h|/p elements proves K = h.
+        primes = factorization(h.order)
+        regen = generate_subgroup(group, inside.tolist(),
+                                  h.order // primes[0][0] if primes else None)
+        generated = h.order if regen is None else regen.order
+    if generated != h.order:
         raise ValueError("subgroup is not generated by its reflections")
 
     moved = group._P[inside] != np.arange(n)

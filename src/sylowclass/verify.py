@@ -11,6 +11,7 @@ run independently, so the campaign parallelizes across processes.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 
 from . import classify, groups, oracle, structure
@@ -155,12 +156,12 @@ def verify_group(m: int, p: int, n: int, ells=None,
 
 
 def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
-    """The checks of one prime; labels memoises identify_class by subgroup
-    key across the primes of one group."""
+    """The checks of one prime; labels memoises identify_class by reflection
+    mask across the primes of one group."""
     def identify(h):
-        if h.key not in labels:
-            labels[h.key] = oracle.identify_class(conc, h)
-        return labels[h.key]
+        if h.refl_key not in labels:
+            labels[h.refl_key] = oracle.identify_class(conc, h)
+        return labels[h.refl_key]
 
     checks = []
 
@@ -212,26 +213,41 @@ def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
     return checks
 
 
-def _verify_point(args) -> GroupReport:
+def _verify_point(args) -> tuple[GroupReport, float]:
     (m, p, n), ells, cap = args
-    return verify_group(m, p, n, ells, cap)
+    start = time.perf_counter()
+    report = verify_group(m, p, n, ells, cap)
+    return report, time.perf_counter() - start
 
 
 def run_campaign(points=None, ells=None,
                  order_cap: int = DEFAULT_ORDER_CAP,
-                 jobs: int | None = None) -> CampaignReport:
-    """Verify every grid point, optionally in parallel processes."""
+                 jobs: int | None = None, progress=None) -> CampaignReport:
+    """Verify every grid point, optionally in parallel processes.
+
+    progress, if given, is called with each GroupReport and the seconds its
+    group took, in grid order, as soon as that group and every group
+    before it have finished."""
     if points is None:
         points = grid_points(order_cap=order_cap)
     tasks = [(pt, ells, order_cap) for pt in points]
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(tasks) or 1))
+
+    def collect(results) -> list[GroupReport]:
+        reports = []
+        for report, seconds in results:
+            if progress is not None:
+                progress(report, seconds)
+            reports.append(report)
+        return reports
+
     if jobs == 1:
-        reports = [_verify_point(t) for t in tasks]
+        reports = collect(map(_verify_point, tasks))
     else:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(jobs) as pool:
-            reports = pool.map(_verify_point, tasks, chunksize=1)
+            reports = collect(pool.imap(_verify_point, tasks, chunksize=1))
     return CampaignReport(reports)

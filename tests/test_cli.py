@@ -264,6 +264,43 @@ def _run_python(code: str):
                           text=True, env=_module_env(), timeout=60)
 
 
+class TestVerifyProgress:
+    """verify --progress: one stderr line per finished group, stdout unchanged."""
+
+    def test_skipped_group_with_a_huge_order(self, capsys, monkeypatch):
+        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
+        argv = ["verify", "--group", "G(2000,1,2000)"]
+        code, plain, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--progress")
+        assert (code, out) == (0, plain)
+        order = groups.order_factored(groups.Imprimitive(2000, 1, 2000))
+        assert err.startswith(f"G(2000,1,2000) order {order}: ")
+        assert err.endswith(" s, 0 checks (skipped)\n")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lines_in_grid_order_and_stdout_unchanged(self, capsys, jobs):
+        for fmt in ("text", "json"):
+            argv = ["verify", "--max-order", "60", "--jobs", jobs, "--format", fmt]
+            code, plain, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            code, out, err = run(capsys, *argv, "--progress")
+            assert code == 0
+            assert out == plain, fmt
+            points = verify.grid_points(order_cap=60)
+            lines = err.splitlines()
+            assert len(lines) == len(points)
+            for (m, p, n), line in zip(points, lines):
+                label, order, rest = line.split(" ", 2)
+                assert (label, order) == (f"G({m},{p},{n})", "order")
+                assert rest.startswith(
+                    f"{groups.order_factored(groups.Imprimitive(m, p, n))}: ")
+                assert rest.endswith(" checks")
+                seconds, checks = rest.split(": ")[1].split(" s, ")
+                assert float(seconds) >= 0
+                assert int(checks.split()[0]) == len(groups.group_primes(
+                    groups.Imprimitive(m, p, n))) * 3
+
+
 class TestClosedPipe:
     # The read end is closed before the command starts, so its first write
     # fails whatever the timing: a large output (the reflection table as

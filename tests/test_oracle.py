@@ -179,6 +179,30 @@ class TestParabolicClasses:
                 for b in subs.values():
                     assert np.intersect1d(a, b).tobytes() in subs
 
+    @pytest.mark.parametrize("lattice_first", [True, False],
+                             ids=["lattice first", "parabolic first"])
+    def test_stabilizer_not_generated_by_its_reflections_is_caught(
+            self, monkeypatch, lattice_first):
+        # S3 x <-1> in G(2,1,3) has the reflections of S3, the stabilizer of
+        # the diagonal line, and twice its order
+        g = enumerate_group(2, 1, 3)
+        s3 = [g.index_of(MonomialElement(2, (0, 0, 0), (1, 0, 2))),
+              g.index_of(MonomialElement(2, (0, 0, 0), (0, 2, 1)))]
+        minus_one = g.index_of(MonomialElement(2, (1, 1, 1), (0, 1, 2)))
+        corrupted = generate_subgroup(g, s3 + [minus_one])
+        honest = oracle.pointwise_stabilizer
+
+        def stabilizer(group, space):
+            h = honest(group, space)
+            return corrupted if h.key == generate_subgroup(g, s3).key else h
+
+        monkeypatch.setattr(oracle, "pointwise_stabilizer", stabilizer)
+        if lattice_first:
+            reflection_subgroup_classes(g)
+        with pytest.raises(oracle.OracleConsistencyError,
+                           match="has 12 elements, but its reflections generate 6"):
+            parabolic_classes(g)
+
     def test_steinberg_regeneration(self):
         # every parabolic is generated by the reflections it contains
         for m, p, n in [(2, 1, 2), (1, 1, 4), (3, 3, 2), (4, 2, 2), (3, 1, 2)]:
@@ -255,6 +279,37 @@ class TestLatticeBruteForce:
                     for c in (x.mul(h).mul(x_inv) for h in rep)),
                     dtype=np.int64).tobytes())
             assert {h.key for h in cls.members} == conjugates
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_keyed_classes_are_conjugates_of_reflection_subsets(self, mpn):
+        # with MonomialElement products and Python sets only: every subset
+        # of the reflections generates a subgroup, each x*h*x^-1 conjugates
+        # it, and a subgroup's mask is the set of reflections it contains
+        g = enumerate_group(*mpn)
+        refl = g.reflection_indices()
+        elements = [g.element(i) for i in range(g.size)]
+        index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
+        subgroups = {}  # frozenset of reflections -> frozenset of elements
+        for k in range(len(refl) + 1):
+            for subset in itertools.combinations(refl, k):
+                h = frozenset(np.frombuffer(_brute_force_closure(g, subset),
+                                            np.int64).tolist())
+                subgroups[frozenset(r for r in refl if r in h)] = h
+        classes = reflection_subgroup_classes(g)
+        members = [h for c in classes for h in c.members]
+        assert len({h.refl_key for h in members}) == len(members) == len(subgroups)
+        for cls in classes:
+            rep = [elements[i] for i in cls.representative.idx]
+            conjugates = {frozenset(index[(c.phases, c.perm)]
+                                    for c in (x.mul(y).mul(x.inv()) for y in rep))
+                          for x in elements}
+            assert cls.size == len(conjugates)
+            for h in cls.members:
+                inside = frozenset(g.reflections_in(h).tolist())
+                assert frozenset(h.idx.tolist()) == subgroups[inside]
+                assert subgroups[inside] in conjugates
+                assert h.order == len(subgroups[inside])
 
 
 def _member_keys(cls):
@@ -384,7 +439,7 @@ class TestIdentifyClass:
 
     def test_whole_group_identifies_as_itself(self):
         g = enumerate_group(4, 2, 3)
-        delta = identify_class(g, Subgroup(np.arange(g.size)))
+        delta = identify_class(g, g.subgroup(np.ones(g.size, dtype=bool)))
         assert delta.group() == Imprimitive(4, 2, 3)
 
     def test_validation_rejects_non_reflection_subgroup(self):
@@ -481,7 +536,7 @@ class TestOrbitPathsAgainstDefinitions:
                 keys = _member_keys(conjugacy_class(g, h))
                 known.update(keys)
                 expected.append((h.order, len(keys), sorted(keys)))
-        got = [(c.order, c.size, [h.key for h in c.members])
+        got = [(c.order, c.size, sorted(h.key for h in c.members))
                for c in parabolic_classes(g)]
         assert len(got) == len(expected)
         assert sorted(got) == sorted(expected)
@@ -572,14 +627,15 @@ def _plain_lattice(g):
         found.update((m.key, m) for m in conjugacy_class(g, h).members)
         reps.append((h, gens))
 
-    admit(Subgroup(np.zeros(1, dtype=np.int64)), ())
+    admit(generate_subgroup(g, []), ())
     for rep, gens in reps:
         inside = set(rep.idx.tolist())
         tables = [g.right_table(s) for s in gens]
         for r in g.reflection_indices():
             if r not in inside:
-                h = Subgroup(oracle._generate_from(
-                    g, rep.idx, tables + [g.right_table(r)]))
+                member, _ = oracle._generate_from(
+                    g, rep.idx, tables + [g.right_table(r)])
+                h = g.subgroup(member)
                 if h.key not in found:
                     admit(h, gens + (r,))
     return list(found.values())
@@ -598,16 +654,18 @@ class TestLagrangeBounds:
                 base = generate_subgroup(g, gens)
                 extra = [rng.randrange(g.size) for _ in range(rng.randrange(1, 3))]
                 tables = [g.right_table(i) for i in gens + extra]
-                full = oracle._generate_from(g, base.idx, tables)
-                for bound in sorted({base.order, len(full) // 2, len(full) - 1,
-                                     len(full), len(full) + 1, g.size}):
+                full, size = oracle._generate_from(g, base.idx, tables)
+                assert size == full.sum()
+                for bound in sorted({base.order, size // 2, size - 1,
+                                     size, size + 1, g.size}):
                     if bound < base.order:
                         continue
                     got = oracle._generate_from(g, base.idx, tables, bound)
-                    if len(full) > bound:
+                    if size > bound:
                         assert got is None, (m, p, n, bound)
                     else:
-                        assert np.array_equal(got, full), (m, p, n, bound)
+                        assert np.array_equal(got[0], full), (m, p, n, bound)
+                        assert got[1] == size, (m, p, n, bound)
 
     def test_bounded_walk_stops_at_the_first_coset_past_the_bound(self):
         g = enumerate_group(4, 1, 3)
@@ -619,8 +677,8 @@ class TestLagrangeBounds:
         assert oracle._generate_from(g, base.idx, tables, base.order) is None
         assert _CountedTable.gathers == 1
         _CountedTable.gathers = 0
-        whole = oracle._generate_from(g, base.idx, tables)
-        assert len(whole) == g.size
+        member, size = oracle._generate_from(g, base.idx, tables)
+        assert size == g.size and member.all()
         assert _CountedTable.gathers == g.size // base.order - 1
 
     def test_generate_subgroup_with_a_bound(self):
@@ -636,9 +694,10 @@ class TestLagrangeBounds:
             assert [h.key for h in oracle.all_reflection_subgroups(g)] == \
                 [h.key for h in plain], mpn
             classes = {conjugacy_class(plain_group, h): None for h in plain}
-            expected = sorted((sorted(h.key for h in c.members) for c in classes),
-                              key=lambda keys: (len(keys[0]), keys[0]))
-            assert [[h.key for h in c.members]
+            expected = sorted(((c.order, sorted(h.refl_key for h in c.members))
+                               for c in classes),
+                              key=lambda entry: (entry[0], entry[1][0]))
+            assert [(c.order, [h.refl_key for h in c.members])
                     for c in reflection_subgroup_classes(g)] == expected, mpn
 
     def test_regeneration_check_at_the_bound(self):
@@ -683,7 +742,7 @@ class TestReuseWithinAGroup:
         tables = g.reflection_tables()
         assert sorted(tables) == g.reflection_indices()
         for r, table in tables.items():
-            expected = g._table_from_element(g._A[r], g._P[r], "right")
+            expected = g._table_from_element(g._A[r], g._P[r])
             assert np.array_equal(table, expected), r
             assert g.right_table(r) is table
 
@@ -707,7 +766,8 @@ class TestReuseWithinAGroup:
 
 
 class TestOneStoredForm:
-    """A subgroup stores its element indices once, and a conjugacy class is
+    """A subgroup is keyed by its reflection mask and stores its element
+    indices at most once, only when they are asked for; a conjugacy class is
     one object per group, whichever stage meets it."""
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 4), (4, 2, 2)],
@@ -715,11 +775,13 @@ class TestOneStoredForm:
     def test_every_member_gets_the_same_class_object(self, mpn):
         g = enumerate_group(*mpn)
         for cls in reflection_subgroup_classes(g):
-            keys = _member_keys(cls)
+            keys = [h.refl_key for h in cls.members]
             assert keys == sorted(keys)
             for h in cls.members:
                 assert conjugacy_class(g, h) is cls
-                assert conjugacy_class(g, Subgroup(h.idx.copy())) is cls
+                member = np.zeros(g.size, dtype=bool)
+                member[h.idx] = True
+                assert conjugacy_class(g, g.subgroup(member)) is cls
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 4), (4, 2, 2)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
@@ -743,6 +805,7 @@ class TestOneStoredForm:
         subgroups = [generate_subgroup(g, g.generator_indices()[:2]),
                      pointwise_stabilizer(g, space),
                      *oracle.all_reflection_subgroups(g)]
+        refl = g.reflection_array()
         for h in subgroups:
             assert h.idx.base is h.key
             assert not h.idx.flags.writeable
@@ -750,9 +813,28 @@ class TestOneStoredForm:
             assert h.order == len(h.key) // 8
             with pytest.raises(ValueError):
                 h.idx[0] = 1
+            # the mask holds exactly the reflections among the elements
+            assert np.array_equal(g.reflections_in(h), h.idx[np.isin(h.idx, refl)])
         h = subgroups[0]
-        again = Subgroup(h.key)
-        assert again.key is h.key and np.array_equal(again.idx, h.idx)
+        member = np.zeros(g.size, dtype=bool)
+        member[h.idx] = True
+        again = g.subgroup(member)
+        assert (again.key, again.refl_key, again.order) == (h.key, h.refl_key, h.order)
+
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_only_founding_closures_store_elements(self, mpn):
+        # the lattice takes element indices only for the representative it
+        # walks from (one per class, the whole group among them); every
+        # other member derives them on first access
+        g = enumerate_group(*mpn)
+        classes = reflection_subgroup_classes(g)
+        stored = [h for c in classes for h in c.members if h._key is not None]
+        assert len(stored) == len(classes)
+        lazy = [h for c in classes for h in c.members if h._key is None]
+        assert lazy
+        for h in lazy:
+            assert g.subgroup(np.isin(np.arange(g.size), h.idx)).refl_key == h.refl_key
 
 
 class TestCampaignPool:
