@@ -6,7 +6,14 @@ parabolic and reflection subgroups minimal with respect to inclusion among
 those containing an ell-Sylow subgroup, describes the ell-Sylow isomorphism
 types, and cross-validates the closed-form answers against a brute-force
 enumeration oracle for small G(m,p,n).
+
+The Sylow structure names (render_term, structure_order, sylow_structure,
+sylow_symmetric) are served on first access, so that importing the package
+does not import the structure module; the embedded tables are likewise
+loaded only by the first query on an exceptional group.
 """
+
+from importlib import import_module as _import_module
 
 from .classify import (
     ClassMember,
@@ -37,7 +44,6 @@ from .groups import (
     order_factorization,
     parse_group,
 )
-from .structure import render_term, structure_order, sylow_structure, sylow_symmetric
 from .valuation import (
     base_digits,
     kummer_carries,
@@ -47,6 +53,10 @@ from .valuation import (
 )
 
 __version__ = "0.1.0"
+
+# served on first access (PEP 562), so that `import sylowclass` imports neither
+_STRUCTURE_NAMES = ("render_term", "structure_order", "sylow_structure", "sylow_symmetric")
+_SUBMODULES = ("structure", "tables")
 
 __all__ = [
     "AugmentedPartition",
@@ -84,3 +94,15 @@ __all__ = [
     "sylow_symmetric",
     "verify_observation",
 ]
+
+
+def __getattr__(name):
+    if name in _STRUCTURE_NAMES:
+        return getattr(_import_module(".structure", __name__), name)
+    if name in _SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_STRUCTURE_NAMES))

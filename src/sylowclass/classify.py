@@ -7,8 +7,10 @@ member is G if ell | m, else the product of Sym(k) over k in lambda; the
 reflection members are gcd(p/ell^nu(p), n) twisted G(a, ell^nu(p), n) if
 ell | p, else the product of G(a,1,k) over k in lambda.  Exceptional groups
 are table lookups (their classifications rest on external subgroup tables
-and are deliberately not recomputed); products classify componentwise,
-with ell-free factors contributing nothing.
+and are deliberately not recomputed; the tables module is imported by the
+first exceptional query, so a process that asks none never loads it);
+products classify componentwise, with ell-free factors contributing
+nothing.
 
 classify_parabolic and classify_reflection are memoized per process, at
 most 1024 answers each, keyed by (g, ell); a product reaches its factors
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 
-from . import groups, tables
+from . import groups
 from .groups import (
     Exceptional,
     GroupType,
@@ -147,6 +149,8 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         return _classify_product(g, ell, PARABOLIC)
 
     if isinstance(g, Exceptional):
+        from . import tables  # the imprimitive family never reads the tables
+
         row = tables.lookup("t1", g, ell)
         member = row.members[0]
         result_member = ClassMember(
@@ -170,6 +174,8 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
         return _classify_product(g, ell, REFLECTION)
 
     if isinstance(g, Exceptional):
+        from . import tables
+
         table_id = "t3" if g.st >= 23 else "t3b"
         row = tables.lookup(table_id, g, ell)
         members = []

@@ -14,9 +14,13 @@ SYLOW_ORACLE_CAP overrides the default enumeration cap,
 limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
 
-Only `verify` runs the oracle, and only it imports numpy (through the
-`verify` module, imported inside cmd_verify).  `verify --observation`
-checks closed forms only and imports neither.
+Each subcommand imports only the modules it runs.  `classify` on an
+imprimitive group or a product of them loads neither the embedded tables
+(`tables`, imported by an exceptional query) nor the Sylow terms
+(`structure`, imported inside cmd_sylow); `tables` loads the tables and
+not `structure`.  Only `verify` runs the oracle, and only it imports numpy
+(through the `verify` module, imported inside cmd_verify).  `verify
+--observation` checks closed forms only and imports neither.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ import os
 import sys
 
 from . import classify as cls
-from . import groups, structure, tables
+from . import groups
 from .classify import NotADivisorError, UnsupportedGroupError
-from .groups import (GroupParseError, format_factorization, format_group,
-                     order_factored, order_factorization, parse_group)
+from .groups import (GroupParseError, TableLookupError, format_factorization,
+                     format_group, order_factored, order_factorization,
+                     parse_group)
 from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
-from .tables import TableLookupError
 # perfbench/tracing.py wraps cli.prime_factors, so the name stays here.
 from .valuation import is_prime, prime_factors  # noqa: F401
 
@@ -152,6 +156,8 @@ def _resolve_ells(g, ell_arg: str) -> list[int]:
 
 
 def cmd_sylow(args) -> int:
+    from . import structure
+
     g = parse_group(args.group)
     ells = _resolve_ells(g, args.ell)
     exponents = dict(order_factorization(g))
@@ -214,6 +220,8 @@ def _cross_check_row(row) -> None:
 def generate_table(table_key: str) -> list[dict]:
     """Rows of one table, regenerated from the data plus classifier
     cross-checks; keys depend on the table."""
+    from . import tables
+
     tabs = tables.load_tables()
     out: list[dict] = []
     if table_key == "parabolic":
@@ -323,6 +331,8 @@ def render_table(table_key: str, fmt: str) -> str:
     if fmt == "json":
         payload: dict = {"table": table_key, "rows": rows}
         if table_key == "cuspidal":
+            from . import tables
+
             report = tables.check_consistency()
             payload["anomalies"] = [
                 {"id": a.anomaly_id, "detail": a.detail} for a in report.findings

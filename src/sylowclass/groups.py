@@ -363,6 +363,14 @@ class GroupParseError(ValueError):
     pass
 
 
+class TableLookupError(KeyError):
+    """No table row for the requested (table, group, ell).
+
+    Raised by the tables module, which re-exports it; it lives here so that
+    the command line can map it to its exit code without importing the
+    tables."""
+
+
 def _parse_atom(token: str) -> GroupType:
     if m := _G_MPN.match(token):
         return normalize(Imprimitive(*map(int, m.groups())))

@@ -25,7 +25,6 @@ valuation.  It is not patched either: classify keeps the printed order.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,7 +32,7 @@ from importlib import resources
 from math import prod
 
 from . import groups
-from .groups import Exceptional, GroupType, Imprimitive, parse_group
+from .groups import Exceptional, GroupType, Imprimitive, TableLookupError, parse_group
 from .valuation import ell_part, nu
 
 TABLES_SHA256 = "95ec4910b7cfcba9e2a400ebe01010b910b3be824410ee92b734b9ba7062ab59"
@@ -47,10 +46,6 @@ KNOWN_ANOMALY_IDS = (
 TABLE_IDS = ("order", "t1", "t2", "t3", "t3b", "t4", "t5")
 
 _CONCRETE_ORDER = re.compile(r"^[0-9^*x]+$")
-
-
-class TableLookupError(KeyError):
-    """No table row for the requested (table, group, ell)."""
 
 
 @dataclass(frozen=True)
@@ -206,6 +201,8 @@ def _data_text() -> str:
 
 @lru_cache(maxsize=1)
 def load_tables() -> Tables:
+    import hashlib  # about 4 ms to import; only the first load needs it
+
     text = _data_text()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if digest != TABLES_SHA256:

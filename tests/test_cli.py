@@ -349,25 +349,31 @@ for argv in json.loads({argv!r}):
         code = cli.main(argv)
     results.append([code, out.getvalue()])
 print(json.dumps({{"results": results, "loaded": sorted(
-    name for name in ("numpy", "sylowclass.oracle", "sylowclass.verify")
+    name for name in ("numpy", "sylowclass.oracle", "sylowclass.structure",
+                      "sylowclass.tables", "sylowclass.verify")
     if sys.modules.get(name) is not None)}}))
 """
+
+
+def _run_each(capsys, argvs, prelude=""):
+    """Run argvs through cli.main in one fresh process; check each (exit
+    code, stdout) against an in-process run and return the modules of
+    _RUN_EACH's list that the process loaded."""
+    proc = _run_python(_RUN_EACH.format(prelude=prelude, argv=json.dumps(argvs)))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    for argv, (code, out) in zip(argvs, payload["results"], strict=True):
+        assert (code, out) == run(capsys, *argv)[:2], argv
+        assert code == 0, argv
+    return payload["loaded"]
 
 
 class TestNumpyFreeCommands:
     def test_closed_form_commands_run_without_numpy(self, capsys):
         # numpy is made unimportable before sylowclass.cli is imported
-        script = _RUN_EACH.format(prelude='sys.modules["numpy"] = None',
-                                  argv=json.dumps(_CLOSED_FORM_ARGV))
-        proc = _run_python(script)
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["loaded"] == []
-        for argv, (code, out) in zip(_CLOSED_FORM_ARGV, payload["results"],
-                                     strict=True):
-            want = run(capsys, *argv)
-            assert (code, out) == want[:2], argv
-            assert code == 0, argv
+        loaded = _run_each(capsys, _CLOSED_FORM_ARGV,
+                           prelude='sys.modules["numpy"] = None')
+        assert loaded == ["sylowclass.structure", "sylowclass.tables"]
 
     def test_verify_imports_the_oracle_on_demand(self):
         script = _RUN_EACH.format(
@@ -375,10 +381,102 @@ class TestNumpyFreeCommands:
         proc = _run_python(script)
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        assert payload["loaded"] == ["numpy", "sylowclass.oracle", "sylowclass.verify"]
+        # the campaign reads no table: G(m,p,n) answers are closed forms
+        assert payload["loaded"] == ["numpy", "sylowclass.oracle",
+                                     "sylowclass.structure", "sylowclass.verify"]
         [[code, out]] = payload["results"]
         assert code == 0
         assert out.endswith("1 groups (0 skipped), 3 checks, 0 failed\n")
+
+
+_IMPRIMITIVE_SPECS = ("G(12,6,3)", "G(6,1,5) x G(3,3,2)")
+
+
+class TestLazyImports:
+    """Each subcommand imports only the modules it runs: the embedded
+    tables for an exceptional group or a `tables` command, the Sylow terms
+    for `sylow`."""
+
+    def test_classify_imprimitive_loads_neither_tables_nor_structure(self, capsys):
+        argvs = [["classify", "--group", spec, "--ell", "all", "--kind", kind,
+                  "--format", fmt]
+                 for spec in _IMPRIMITIVE_SPECS
+                 for kind in ["parabolic", "reflection"]
+                 for fmt in ["text", "json"]]
+        argvs.append(["classify", "--group", "G(12,6,3)", "--ell", "3"])
+        assert _run_each(capsys, argvs) == []
+
+    def test_sylow_imprimitive_loads_structure_only(self, capsys):
+        argvs = [["sylow", "--group", spec, "--ell", "all", "--format", fmt]
+                 for spec in _IMPRIMITIVE_SPECS for fmt in ["text", "json"]]
+        assert _run_each(capsys, argvs) == ["sylowclass.structure"]
+
+    def test_tables_command_loads_tables_only(self, capsys):
+        argvs = [["tables", "--id", table_id, "--format", fmt]
+                 for table_id in sorted(cli.TABLE_ALIASES)
+                 for fmt in ["markdown", "json"]]
+        assert _run_each(capsys, argvs) == ["sylowclass.tables"]
+
+    def test_exceptional_classify_loads_tables(self, capsys):
+        argvs = [["classify", "--group", "G28", "--ell", "all", "--kind", kind]
+                 for kind in ["parabolic", "reflection"]]
+        assert _run_each(capsys, argvs) == ["sylowclass.tables"]
+
+    def test_package_exports_resolve_before_structure_is_imported(self):
+        proc = _run_python(
+            "import json, sys\n"
+            "import sylowclass\n"
+            "before = 'sylowclass.structure' in sys.modules\n"
+            "tables = sylowclass.tables.__name__  # an attribute, as before\n"
+            "from sylowclass import *\n"
+            "from sylowclass import structure\n"
+            "print(json.dumps({'before': before, 'tables': tables,\n"
+            "    'missing': [n for n in sylowclass.__all__ if n not in globals()],\n"
+            "    'same': [getattr(sylowclass, n) is getattr(structure, n) for n in (\n"
+            "        'render_term', 'structure_order', 'sylow_structure',\n"
+            "        'sylow_symmetric')],\n"
+            "    'dir': sorted(set(sylowclass.__all__) - set(dir(sylowclass)))}))\n")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "before": False, "tables": "sylowclass.tables", "missing": [],
+            "same": [True] * 4, "dir": []}
+        assert sylowclass.sylow_structure is structure.sylow_structure
+        with pytest.raises(AttributeError):
+            sylowclass.no_such_name  # noqa: B018
+
+    def test_readme_quick_start_runs_as_written(self):
+        readme = Path(sylowclass.__file__).resolve().parents[2] / "README.md"
+        if not readme.exists():
+            pytest.skip("no README.md next to the package (installed copy)")
+        text = readme.read_text("utf-8")
+        start = text.index("## Library quick start")
+        block = text[text.index("```python\n", start) + len("```python\n"):]
+        block = block[:block.index("```")]
+        proc = _run_python(
+            "import doctest, sys\n"
+            f"test = doctest.DocTestParser().get_doctest({block!r}, {{}}, 'README', None, 0)\n"
+            "runner = doctest.DocTestRunner()\n"
+            "runner.run(test)\n"
+            "sys.exit(1 if runner.failures or not runner.tries else 0)\n")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_table_lookup_error_maps_to_exit_3(self, capsys, monkeypatch):
+        from sylowclass import tables
+
+        assert tables.TableLookupError is groups.TableLookupError
+        assert cli.TableLookupError is tables.TableLookupError
+
+        def missing(table_id, group, ell=None):
+            raise tables.TableLookupError(f"no {table_id} row for {group}")
+
+        monkeypatch.setattr(tables, "lookup", missing)
+        cls.classify_parabolic.cache_clear()  # a memoized answer skips the lookup
+        try:
+            code, out, err = run(capsys, "classify", "--group", "G28", "--ell", "3")
+        finally:
+            cls.classify_parabolic.cache_clear()
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "no t1 row" in err
 
 
 class TestOrdersFactoredFromParameters:
