@@ -1,62 +1,20 @@
 """Exact brute-force engine for small G(m,p,n).
 
-Elements are pairs (phases, perm): a vector of phase exponents mod m and a
-permutation of the coordinates, acting as e_j -> zeta^phases(perm(j)) *
-e_perm(j).  Membership requires the phase exponents to sum to 0 mod p.
-Elements live only in two integer arrays (phases, permutations), one row
-each in canonical order.  All arithmetic is integer arithmetic mod m; fixed
-spaces and stabilizers are computed combinatorially from cycle/phase data,
-and the reflections are read from the rows directly.
+An element is only its row in two integer arrays, in canonical order: the
+phase exponents mod m, summing to 0 mod p, and a permutation, acting as
+e_j -> zeta^phases[perm[j]] * e_perm[j].  README "The oracle" describes
+the stages; these invariants hold across them.
 
-One orbit helper, orbit_labels, labels each point with the smallest point
-of its orbit under a few index permutations.  Under the conjugation tables
-it gives the element conjugacy classes, and the parabolic stage computes
-one fixed space and stabilizer per class representative.  In the lattice
-it gives the orbits of a subgroup H on the reflections outside it, and H
-is closed with the first reflection of each orbit only.  In identify_class
-it gives the blocks: the orbits of the coordinates under the swapping
-reflections.
+Mask keys.  A reflection subgroup is determined by the reflections it
+contains, and so is every parabolic subgroup, since parabolics are
+generated by their reflections (Steinberg 1964; Lehrer-Taylor 2009).  A
+Subgroup is therefore keyed by its order and refl_key, a packed bitmask
+over reflection_indices(), and that key keys every dict; a class is one
+OracleClass, cached under the refl_key of every member.
 
-A reflection subgroup is determined by the reflections it contains, and
-so is every parabolic subgroup, since parabolics are generated by their
-reflections (Steinberg 1964; Lehrer-Taylor 2009).  A Subgroup is therefore
-keyed by its order and refl_key, a packed bitmask over
-reflection_indices(), and that key keys every dict.  Its element indices
-(idx, and key, their sorted int64 bytes) are stored only where they are
-needed: for a closure that founds a new class, which later walks start
-from, for subgroups made from their elements (stabilizers, generated
-subgroups), and otherwise on first access, derived from the member the
-subgroup was conjugated from.  A class is one OracleClass, its members in
-refl_key order, built when the class is first met and cached on the group
-under the refl_key of every member, so every stage gets the same object
-back for every member and classes compare by identity.
-
-There is one closure, _generate_from: it extends a subgroup H by walking
-right cosets, each new coset H*t*g one vectorized gather through the
-right-multiplication table of g, so the closure K costs about |K| integer
-moves; it returns K's membership array, in which the lattice reads K's
-reflections (member[reflections]) to look K up.  The lattice adjoins one
-reflection to a subgroup it already has; generate_subgroup adjoins its
-generators one at a time to the trivial subgroup.  Only one right table
-per G-class of reflections is computed from the element rows; the others
-are derived by conjugation, two gathers each
-(ConcreteGroup.reflection_tables).  The conjugation tables of the
-generators come from their right tables and the group's inversion table,
-a few gathers each (ConcreteGroup.conjugation_tables).  A conjugacy class is found whole when
-its first member is discovered, as the orbit of its reflection mask under
-G's conjugation action on the reflection positions (one gather of the
-reflection positions per generator; ConcreteGroup.reflection_conjugations).
-So each class is searched once per group, whichever stage meets it first.
-The reflection-subgroup lattice is searched over one representative per
-class.
-
-Masks decide the later stages.  The minimal filter tests containment of
-reflection subgroups as containment of their masks.  The parabolic stage
-matches each pointwise stabilizer to the class of the subgroup its
-reflections generate, by its mask, and checks Steinberg's theorem exactly:
-that class's order must equal the stabilizer's element count.
-identify_class reads the reflections from the mask, and regenerates only a
-subgroup whose mask has no class yet.
+One closure.  _generate_from is the only subgroup closure: it walks right
+cosets, one gather through a right table per new coset, and returns the
+membership array in which the lattice reads its reflections.
 
 Lagrange's theorem bounds the closures.  If H <= K <= L, then |H| divides
 |K| divides |L|, so a subgroup K of L with more than |L|/p elements, p the
@@ -73,13 +31,6 @@ an optional bound and stops as soon as it has marked more elements:
 Each rule only skips the rest of a walk whose result it already knows (G,
 K or h), so the subgroups found, their order of admission and every answer
 are the same as without the bound.
-
-A reflection subgroup is labeled by counting its reflections, block by
-block (see identify_class).
-
-Everything is exhaustive and capped (default order cap
-limits.DEFAULT_ORDER_CAP); no permutation-group machinery beyond tables
-and orbits is needed at this scale.
 """
 
 from __future__ import annotations
@@ -108,50 +59,6 @@ class OracleConsistencyError(AssertionError):
 
 
 @dataclass(frozen=True)
-class MonomialElement:
-    """(theta, pi) with per-coordinate phase exponents mod m."""
-
-    m: int
-    phases: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.phases) != len(self.perm):
-            raise ValueError("phase and permutation length differ")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    def mul(self, other: "MonomialElement") -> "MonomialElement":
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("mixed ambient groups")
-        pinv = inverse_perm(self.perm)
-        phases = tuple(
-            (self.phases[j] + other.phases[pinv[j]]) % self.m
-            for j in range(self.n)
-        )
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.n))
-        return MonomialElement(self.m, phases, perm)
-
-    def inv(self) -> "MonomialElement":
-        pinv = inverse_perm(self.perm)
-        phases = tuple((-self.phases[self.perm[i]]) % self.m for i in range(self.n))
-        return MonomialElement(self.m, phases, pinv)
-
-    def is_identity(self) -> bool:
-        return all(a == 0 for a in self.phases) and all(
-            p == i for i, p in enumerate(self.perm))
-
-
-def inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class FixedSpace:
     """Combinatorial fixed-space basis: one vector per phase-trivial cycle,
     given as (support coordinates ascending, phase exponents relative to the
@@ -164,12 +71,6 @@ class FixedSpace:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
-
-
-def fixed_space(e: MonomialElement) -> FixedSpace:
-    """Fix(e): each perm cycle whose phase exponents sum to 0 mod m spans
-    one dimension; the exponent pattern along the cycle pins the vector."""
-    return _fixed_space(e.m, e.phases, e.perm)
 
 
 def _fixed_space(m: int, phases, perm) -> FixedSpace:
@@ -327,7 +228,7 @@ class ConcreteGroup:
         self._P = np.ascontiguousarray(P[order_idx])
         self._PINV = np.argsort(self._P, axis=1)
         self._codes_sorted = codes[order_idx]
-        if not self.is_identity_index(0):
+        if self._A[0].any() or (self._P[0] != np.arange(n)).any():
             raise OracleConsistencyError("identity not first in canonical order")
 
         self._right_tables: dict[int, np.ndarray] = {}
@@ -336,6 +237,7 @@ class ConcreteGroup:
         self._reflection_indices: list[int] | None = None
         self._reflection_array: np.ndarray | None = None
         self._reflection_tables: dict[int, np.ndarray] | None = None
+        self._reflection_conjugation: dict[int, np.ndarray] = {}
         self._reflection_conjugations: np.ndarray | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
@@ -345,37 +247,17 @@ class ConcreteGroup:
     def _codes(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
         return (A @ self._weights_a) * (self.n**self.n) + (P @ self._weights_p)
 
-    # -- element access ------------------------------------------------
-
-    def element(self, i: int) -> MonomialElement:
-        """The element with canonical index i."""
-        return MonomialElement(self.m, tuple(self._A[i].tolist()),
-                               tuple(self._P[i].tolist()))
-
-    def index_of(self, e: MonomialElement) -> int:
-        """Canonical index of e; KeyError if e is not in the group."""
-        if e.n != self.n:
-            raise KeyError(e)
-        code = self._codes(np.array([e.phases], dtype=np.int64),
-                           np.array([e.perm], dtype=np.int64))[0]
-        pos = int(np.searchsorted(self._codes_sorted, code))
-        # Out-of-range entries can alias another element's code.
-        if pos == self.size or self.element(pos) != e:
-            raise KeyError(e)
-        return pos
-
-    def is_identity_index(self, i: int) -> bool:
-        return bool((self._A[i] == 0).all()) and bool(
-            (self._P[i] == np.arange(self.n)).all())
-
     # -- multiplication tables ------------------------------------------
 
     def _positions(self, A: np.ndarray, P: np.ndarray, what: str) -> np.ndarray:
-        """Canonical indices of the elements with phase rows A and
-        permutation rows P; OracleConsistencyError unless all are in G."""
+        """Canonical indices of the elements with phase rows A (reduced mod
+        m) and permutation rows P, the oracle's only element lookup;
+        OracleConsistencyError unless all are in G.  The codes of reduced
+        rows are distinct, so a row is in G iff its code is."""
         codes = self._codes(A, P)
         pos = np.searchsorted(self._codes_sorted, codes)
-        if not (self._codes_sorted[pos] == codes).all():
+        # a code past the last one gives pos == size, clipped to a mismatch
+        if not (self._codes_sorted.take(pos, mode="clip") == codes).all():
             raise OracleConsistencyError(f"{what} left the group")
         return pos
 
@@ -454,17 +336,30 @@ class ConcreteGroup:
         self.reflection_indices()
         return self._reflection_array
 
+    def reflection_conjugation(self, x: int) -> np.ndarray:
+        """The index array q over the reflection positions with q[j] the
+        position of x*r_j*x^{-1}, r_j the j-th reflection: r_j's right table
+        read at x gives x*r_j, and the right table of x^{-1} moves that to
+        x*r_j*x^{-1}.  The oracle's only map of conjugation on reflections."""
+        q = self._reflection_conjugation.get(x)
+        if q is None:
+            tables = self.reflection_tables()
+            xr = np.array([tables[r].item(x) for r in self.reflection_indices()],
+                          dtype=np.int64)
+            q = np.searchsorted(self.reflection_array(),
+                                self.inverse_right_table(x)[xr])
+            self._reflection_conjugation[x] = q
+        return q
+
     def reflection_conjugations(self) -> np.ndarray:
-        """One row per generator g: the index array q over the reflection
-        positions with q[j] the position of g^{-1} r_j g, r_j the j-th
-        reflection, so that the reflection bits b of a subgroup H give those
-        of gHg^{-1} as b[q]."""
+        """reflection_conjugation at g^{-1}, one row per generator g, so that
+        the reflection bits b of a subgroup H give those of gHg^{-1} as b[q]."""
         if self._reflection_conjugations is None:
-            refl = self.reflection_array()
-            tables = self.conjugation_tables()
+            inv = self.inversion_table()
+            gens = self.generator_indices()
             self._reflection_conjugations = np.array(
-                [np.argsort(np.searchsorted(refl, c[refl])) for c in tables],
-                dtype=np.int64).reshape(len(tables), len(refl))
+                [self.reflection_conjugation(int(inv[g])) for g in gens],
+                dtype=np.int64).reshape(len(gens), len(self.reflection_indices()))
         return self._reflection_conjugations
 
     def reflection_bits(self, refl_key: bytes) -> np.ndarray:
@@ -522,30 +417,23 @@ class ConcreteGroup:
 
     def generator_indices(self) -> list[int]:
         """A small generating set: adjacent transpositions plus two phase
-        generators (a difference and a p-step)."""
-        if self._gen_indices is not None:
-            return self._gen_indices
-        m, p, n = self.m, self.p, self.n
-        gens: list[int] = []
-
-        def add(phases, perm):
-            e = MonomialElement(m, tuple(a % m for a in phases), tuple(perm))
-            if not e.is_identity():
-                idx = self.index_of(e)
-                if idx not in gens:
-                    gens.append(idx)
-
-        ident = list(range(n))
-        for i in range(n - 1):
-            swapped = ident.copy()
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            add([0] * n, swapped)
-        if m > 1:
-            if n > 1:
-                add([1, m - 1] + [0] * (n - 2), ident)
-            add([p] + [0] * (n - 1), ident)
-        self._gen_indices = gens
-        return gens
+        generators (a difference and a p-step), without the identity and
+        repeats."""
+        if self._gen_indices is None:
+            m, p, n = self.m, self.p, self.n
+            # for m > 1, diag(z, z^-1, 1, ...) if n > 1 and diag(z^p, 1, ...)
+            phase_gens = (m > 1) * (1 + (n > 1))
+            A = np.zeros((n - 1 + phase_gens, n), dtype=np.int64)
+            P = np.tile(np.arange(n), (len(A), 1))
+            for i in range(n - 1):
+                P[i, i:i + 2] = i + 1, i
+            if phase_gens == 2:
+                A[n - 1, :2] = 1, m - 1
+            if phase_gens:
+                A[-1, 0] = p % m
+            positions = self._positions(A, P, "generator").tolist()
+            self._gen_indices = [g for g in dict.fromkeys(positions) if g]
+        return self._gen_indices
 
 
 def _pack(bits: np.ndarray) -> bytes:
@@ -713,15 +601,6 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     refl = group.reflection_indices()
     refl_arr = group.reflection_array()
     refl_tables = group.reflection_tables()
-    conj: dict[int, np.ndarray] = {}
-    entries = [refl_tables[s].data for s in refl]  # fast scalar reads
-
-    def conjugation_by(r: int) -> np.ndarray:
-        """Position in refl of r*s*r^{-1}, for each reflection s in refl."""
-        if r not in conj:
-            rs = np.array([e[r] for e in entries], dtype=np.int64)
-            conj[r] = np.searchsorted(refl_arr, group.inverse_right_table(r)[rs])
-        return conj[r]
 
     # One (representative, reflections generating it, its reflection bits)
     # per class; the loop below walks this list while admit() appends to
@@ -749,7 +628,7 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     for rep, gens, rep_bits in reps:
         done = rep_bits.copy()  # reflections whose closure is known
         # the trivial subgroup is normalized by all of G
-        maps = ([conjugation_by(g) for g in gens] if gens
+        maps = ([group.reflection_conjugation(g) for g in gens] if gens
                 else group.reflection_conjugations())
         first = orbit_labels(len(refl), maps)
         gen_tables = [refl_tables[r] for r in gens]
@@ -884,20 +763,16 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
     m, p, n = group.m, group.p, group.n
     if group.size % ell:
         raise ValueError(f"{ell} does not divide |G| = {group.size}")
-    gens: list[int] = []
-
-    def add(phases, perm):
-        gens.append(group.index_of(
-            MonomialElement(m, tuple(a % m for a in phases), tuple(perm))))
+    rows: list[tuple] = []  # (phases, perm) of each generator
 
     c = m // ell ** nu(ell, m)
     ident = tuple(range(n))
     if c != m:
-        add([c * ell ** nu(ell, p)] + [0] * (n - 1), ident)
+        rows.append(([c * ell ** nu(ell, p)] + [0] * (n - 1), ident))
         for i in range(n - 1):
             phases = [0] * n
             phases[i], phases[i + 1] = c, m - c
-            add(phases, ident)
+            rows.append((phases, ident))
 
     # Wreath towers over the blocks of lambda(ell, n), largest first.
     offset = 0
@@ -907,9 +782,12 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
             perm = list(range(n))
             for j in range(width):
                 perm[offset + j] = offset + (j + ell ** (t - 1)) % width
-            add([0] * n, perm)
+            rows.append(([0] * n, perm))
         offset += k
 
+    A = np.array([a for a, _ in rows], dtype=np.int64).reshape(-1, n) % m
+    P = np.array([perm for _, perm in rows], dtype=np.int64).reshape(-1, n)
+    gens = group._positions(A, P, "Sylow generator").tolist()
     sylow = generate_subgroup(group, gens)
     expected = ell ** nu(ell, group.size)
     if sylow.order != expected:

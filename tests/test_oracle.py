@@ -8,12 +8,10 @@ from sylowclass import oracle, verify
 from sylowclass.groups import (
     Imprimitive, Sym, alpha_class_count, degrees_imprimitive, order)
 from sylowclass.oracle import (
-    MonomialElement,
     ResourceLimitError,
     Subgroup,
     conjugacy_class,
     enumerate_group,
-    fixed_space,
     generate_subgroup,
     identify_class,
     minimal_full_valuation,
@@ -25,6 +23,9 @@ from sylowclass.oracle import (
 )
 from sylowclass.valuation import nu, prime_factors
 
+from monomial import (
+    Element, all_elements, element, fixed_space, index_of, inv, is_identity, mul)
+
 
 class TestEnumeration:
     def test_sizes(self):
@@ -34,11 +35,11 @@ class TestEnumeration:
 
     def test_identity_first(self):
         g = enumerate_group(4, 2, 3)
-        assert g.element(0).is_identity()
+        assert is_identity(element(g, 0))
 
     def test_no_duplicates(self):
         g = enumerate_group(4, 2, 3)
-        assert len({(e.phases, e.perm) for e in map(g.element, range(g.size))}) \
+        assert len({(e.phases, e.perm) for e in all_elements(g)}) \
             == g.size == 192
 
     def test_canonical_order_follows_strictly_increasing_codes(self):
@@ -55,18 +56,22 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_group(6, 4, 2)
 
-    def test_index_of_rejects_non_member(self):
+    def test_positions_reject_rows_outside_the_group(self):
         g = enumerate_group(4, 2, 2)
-        assert g.index_of(MonomialElement(4, (1, 1), (1, 0))) > 0
+        inside = g._positions(np.array([[1, 1]]), np.array([[1, 0]]), "row")
+        assert inside.tolist() == [index_of(g, Element(4, (1, 1), (1, 0)))]
         # phase sum 1 is odd, so this is in G(4,1,2) but not in G(4,2,2)
-        with pytest.raises(KeyError):
-            g.index_of(MonomialElement(4, (1, 0), (0, 1)))
-        with pytest.raises(KeyError):
-            g.index_of(MonomialElement(4, (4, 0), (0, 1)))
+        with pytest.raises(oracle.OracleConsistencyError, match="row left the group"):
+            g._positions(np.array([[1, 1], [1, 0]]), np.array([[1, 0], [0, 1]]), "row")
+        # phase sum 4 is not 0 mod 3, and the code lies past G(3,3,2)'s last
+        g = enumerate_group(3, 3, 2)
+        assert g._codes(np.array([[2, 2]]), np.array([[1, 0]]))[0] > g._codes_sorted[-1]
+        with pytest.raises(oracle.OracleConsistencyError, match="row left the group"):
+            g._positions(np.array([[2, 2]]), np.array([[1, 0]]), "row")
 
     def test_membership_constraint(self):
         g = enumerate_group(6, 3, 2)
-        for e in map(g.element, range(g.size)):
+        for e in all_elements(g):
             assert sum(e.phases) % 3 == 0
 
     def test_closure_and_inverses_random(self):
@@ -74,18 +79,19 @@ class TestEnumeration:
         for m, p, n in [(2, 1, 2), (3, 3, 2), (4, 2, 3), (6, 3, 2)]:
             g = enumerate_group(m, p, n)
             for _ in range(1000):
-                a = g.element(rng.randrange(g.size))
-                b = g.element(rng.randrange(g.size))
-                assert g.index_of(a.mul(b)) is not None
-                assert a.mul(a.inv()).is_identity()
+                a = element(g, rng.randrange(g.size))
+                b = element(g, rng.randrange(g.size))
+                assert index_of(g, mul(a, b)) is not None
+                assert is_identity(mul(a, inv(a)))
 
     def test_multiplication_is_matrix_composition(self):
         # check against explicit monomial matrices over the 12th roots
         import cmath
 
         def matrix(e):
-            m = np.zeros((e.n, e.n), dtype=complex)
-            for j in range(e.n):
+            n = len(e.perm)
+            m = np.zeros((n, n), dtype=complex)
+            for j in range(n):
                 m[e.perm[j], j] = cmath.exp(
                     2j * cmath.pi * e.phases[e.perm[j]] / e.m)
             return m
@@ -93,9 +99,9 @@ class TestEnumeration:
         g = enumerate_group(4, 2, 2)
         rng = random.Random(1)
         for _ in range(50):
-            a = g.element(rng.randrange(g.size))
-            b = g.element(rng.randrange(g.size))
-            assert np.allclose(matrix(a) @ matrix(b), matrix(a.mul(b)))
+            a = element(g, rng.randrange(g.size))
+            b = element(g, rng.randrange(g.size))
+            assert np.allclose(matrix(a) @ matrix(b), matrix(mul(a, b)))
 
 
 class TestReflectionsAndFixedSpaces:
@@ -118,42 +124,42 @@ class TestReflectionsAndFixedSpaces:
                     assert len(g.reflection_indices()) == expected, (m, p, n)
 
     def test_fixed_space_examples(self):
-        assert fixed_space(MonomialElement(4, (0, 0, 0), (0, 1, 2))).dimension == 3
-        e = MonomialElement(1, (0, 0, 0), (1, 0, 2))
+        assert fixed_space(Element(4, (0, 0, 0), (0, 1, 2))).dimension == 3
+        e = Element(1, (0, 0, 0), (1, 0, 2))
         assert fixed_space(e).dimension == 2
-        e = MonomialElement(4, (2, 0), (0, 1))
+        e = Element(4, (2, 0), (0, 1))
         assert fixed_space(e).dimension == 1
 
     def test_reflections_have_hyperplane_fixed_space(self):
         for m, p, n in [(2, 1, 2), (4, 2, 3), (3, 1, 3)]:
             g = enumerate_group(m, p, n)
             for r in g.reflection_indices():
-                assert fixed_space(g.element(r)).dimension == n - 1
+                assert fixed_space(element(g, r)).dimension == n - 1
 
     def test_cycle_order_does_not_change_descriptor(self):
         # the 3-cycles (123) and (132) both fix exactly the diagonal line
-        a = fixed_space(MonomialElement(1, (0, 0, 0), (1, 2, 0)))
-        b = fixed_space(MonomialElement(1, (0, 0, 0), (2, 0, 1)))
+        a = fixed_space(Element(1, (0, 0, 0), (1, 2, 0)))
+        b = fixed_space(Element(1, (0, 0, 0), (2, 0, 1)))
         assert a == b
 
 
 class TestStabilizers:
     def test_examples(self):
         g = enumerate_group(2, 1, 2)
-        st = pointwise_stabilizer(g, fixed_space(MonomialElement(2, (1, 0), (0, 1))))
+        st = pointwise_stabilizer(g, fixed_space(Element(2, (1, 0), (0, 1))))
         assert st.order == 2
-        identity = MonomialElement(2, (0, 0), (0, 1))
+        identity = Element(2, (0, 0), (0, 1))
         assert pointwise_stabilizer(g, fixed_space(identity)).order == 1
         g3 = enumerate_group(1, 1, 3)
-        st = pointwise_stabilizer(g3, fixed_space(MonomialElement(1, (0, 0, 0), (1, 0, 2))))
+        st = pointwise_stabilizer(g3, fixed_space(Element(1, (0, 0, 0), (1, 0, 2))))
         assert st.order == 2
 
     def test_stabilizer_fixes_space(self):
         g = enumerate_group(4, 2, 2)
-        for e in map(g.element, range(g.size)):
+        for e in all_elements(g):
             space = fixed_space(e)
             st = pointwise_stabilizer(g, space)
-            assert g.index_of(e) in set(st.idx.tolist())
+            assert index_of(g, e) in set(st.idx.tolist())
 
 
 class TestParabolicClasses:
@@ -186,9 +192,9 @@ class TestParabolicClasses:
         # S3 x <-1> in G(2,1,3) has the reflections of S3, the stabilizer of
         # the diagonal line, and twice its order
         g = enumerate_group(2, 1, 3)
-        s3 = [g.index_of(MonomialElement(2, (0, 0, 0), (1, 0, 2))),
-              g.index_of(MonomialElement(2, (0, 0, 0), (0, 2, 1)))]
-        minus_one = g.index_of(MonomialElement(2, (1, 1, 1), (0, 1, 2)))
+        s3 = [index_of(g, Element(2, (0, 0, 0), (1, 0, 2))),
+              index_of(g, Element(2, (0, 0, 0), (0, 2, 1)))]
+        minus_one = index_of(g, Element(2, (1, 1, 1), (0, 1, 2)))
         corrupted = generate_subgroup(g, s3 + [minus_one])
         honest = oracle.pointwise_stabilizer
 
@@ -267,28 +273,28 @@ class TestLatticeBruteForce:
         assert len(members) == len(set(members))
         assert set(members) == expected
 
-        elements = [g.element(i) for i in range(g.size)]
+        elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         for cls in classes:
             rep = [elements[i] for i in cls.representative.idx]
             conjugates = set()
             for x in elements:
-                x_inv = x.inv()
+                x_inv = inv(x)
                 conjugates.add(np.array(sorted(
                     index[(c.phases, c.perm)]
-                    for c in (x.mul(h).mul(x_inv) for h in rep)),
+                    for c in (mul(mul(x, h), x_inv) for h in rep)),
                     dtype=np.int64).tobytes())
             assert {h.key for h in cls.members} == conjugates
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
     def test_keyed_classes_are_conjugates_of_reflection_subsets(self, mpn):
-        # with MonomialElement products and Python sets only: every subset
+        # with monomial products and Python sets only: every subset
         # of the reflections generates a subgroup, each x*h*x^-1 conjugates
         # it, and a subgroup's mask is the set of reflections it contains
         g = enumerate_group(*mpn)
         refl = g.reflection_indices()
-        elements = [g.element(i) for i in range(g.size)]
+        elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         subgroups = {}  # frozenset of reflections -> frozenset of elements
         for k in range(len(refl) + 1):
@@ -302,7 +308,7 @@ class TestLatticeBruteForce:
         for cls in classes:
             rep = [elements[i] for i in cls.representative.idx]
             conjugates = {frozenset(index[(c.phases, c.perm)]
-                                    for c in (x.mul(y).mul(x.inv()) for y in rep))
+                                    for c in (mul(mul(x, y), inv(x)) for y in rep))
                           for x in elements}
             assert cls.size == len(conjugates)
             for h in cls.members:
@@ -319,14 +325,14 @@ def _member_keys(cls):
 class TestConjugacy:
     def test_transpositions_conjugate(self):
         g = enumerate_group(1, 1, 3)
-        a = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (1, 0, 2)))])
-        b = generate_subgroup(g, [g.index_of(MonomialElement(1, (0, 0, 0), (0, 2, 1)))])
+        a = generate_subgroup(g, [index_of(g, Element(1, (0, 0, 0), (1, 0, 2)))])
+        b = generate_subgroup(g, [index_of(g, Element(1, (0, 0, 0), (0, 2, 1)))])
         assert b.key in _member_keys(conjugacy_class(g, a))
 
     def test_diagonal_vs_transposition_not_conjugate(self):
         g = enumerate_group(2, 1, 2)
-        diag = generate_subgroup(g, [g.index_of(MonomialElement(2, (1, 0), (0, 1)))])
-        swap = generate_subgroup(g, [g.index_of(MonomialElement(2, (0, 0), (1, 0)))])
+        diag = generate_subgroup(g, [index_of(g, Element(2, (1, 0), (0, 1)))])
+        swap = generate_subgroup(g, [index_of(g, Element(2, (0, 0), (1, 0)))])
         assert swap.key not in _member_keys(conjugacy_class(g, diag))
 
     def test_self_conjugate(self):
@@ -388,7 +394,7 @@ class TestSylowConstruct:
         syl = sylow_construct(g, 2)
         assert syl.order == 8
         element_orders = sorted(
-            _element_order(g.element(i)) for i in syl.idx.tolist())
+            _element_order(element(g, i)) for i in syl.idx.tolist())
         # dihedral of order 8: identity, five involutions, two 4-elements
         assert element_orders == [1, 2, 2, 2, 2, 2, 4, 4]
 
@@ -398,12 +404,25 @@ class TestSylowConstruct:
             for ell in prime_factors(g.size):
                 assert sylow_construct(g, ell).order == ell ** nu(ell, g.size)
 
+    def test_generator_outside_the_group_fails_the_sylow_check(self):
+        # with p read as 1, the recipe's diagonal generator diag(z^2, 1) of
+        # G(4,2,2) becomes diag(z, 1), whose phase sum is odd
+        g = enumerate_group(4, 2, 2)
+        parab, refl = parabolic_classes(g), reflection_subgroup_classes(g)
+        g.p = 1
+        with pytest.raises(oracle.OracleConsistencyError,
+                           match="Sylow generator left the group"):
+            sylow_construct(g, 2)
+        checks = verify._check_prime(g, Imprimitive(4, 2, 2), parab, refl, 2, {})
+        assert (checks[-1].name, checks[-1].passed) == ("sylow", False)
+        assert "left the group" in checks[-1].detail
+
 
 def _element_order(e):
     k = 1
     x = e
-    while not x.is_identity():
-        x = x.mul(e)
+    while not is_identity(x):
+        x = mul(x, e)
         k += 1
     return k
 
@@ -412,8 +431,8 @@ class TestIdentifyClass:
     def test_diagonal_sign_subgroup(self):
         g = enumerate_group(2, 1, 2)
         h = generate_subgroup(g, [
-            g.index_of(MonomialElement(2, (1, 0), (0, 1))),
-            g.index_of(MonomialElement(2, (0, 1), (0, 1))),
+            index_of(g, Element(2, (1, 0), (0, 1))),
+            index_of(g, Element(2, (0, 1), (0, 1))),
         ])
         assert h.order == 4
         delta = identify_class(g, h)
@@ -422,8 +441,8 @@ class TestIdentifyClass:
     def test_symmetric_inside_wreath(self):
         g = enumerate_group(6, 1, 3)
         h = generate_subgroup(g, [
-            g.index_of(MonomialElement(6, (0, 0, 0), (1, 0, 2))),
-            g.index_of(MonomialElement(6, (0, 0, 0), (0, 2, 1))),
+            index_of(g, Element(6, (0, 0, 0), (1, 0, 2))),
+            index_of(g, Element(6, (0, 0, 0), (0, 2, 1))),
         ])
         delta = identify_class(g, h)
         assert delta.group() == Sym(3)
@@ -445,7 +464,7 @@ class TestIdentifyClass:
     def test_validation_rejects_non_reflection_subgroup(self):
         g = enumerate_group(1, 1, 4)
         four_cycle = generate_subgroup(
-            g, [g.index_of(MonomialElement(1, (0,) * 4, (1, 2, 3, 0)))])
+            g, [index_of(g, Element(1, (0,) * 4, (1, 2, 3, 0)))])
         assert four_cycle.order == 4
         with pytest.raises(ValueError):
             identify_class(g, four_cycle)
@@ -473,15 +492,15 @@ class TestLabelsOverClasses:
 
 def _brute_force_closure(g, gens) -> bytes:
     """The key of the subgroup generated by gens, from products of
-    MonomialElements until no new element appears."""
-    elements = {g.element(0)}
+    monomial elements until no new element appears."""
+    elements = {element(g, 0)}
     frontier = list(elements)
-    generators = [g.element(i) for i in gens]
+    generators = [element(g, i) for i in gens]
     while frontier:
-        new = {x.mul(y) for x in frontier for y in generators} - elements
+        new = {mul(x, y) for x in frontier for y in generators} - elements
         elements |= new
         frontier = list(new)
-    return np.array(sorted(map(g.index_of, elements)), dtype=np.int64).tobytes()
+    return np.array(sorted(index_of(g, e) for e in elements), dtype=np.int64).tobytes()
 
 
 class TestOrbitPathsAgainstDefinitions:
@@ -500,12 +519,12 @@ class TestOrbitPathsAgainstDefinitions:
         ids=lambda mpn: "G(%d,%d,%d)" % mpn)
     def test_element_classes_are_conjugacy_classes(self, mpn):
         g = enumerate_group(*mpn)
-        elements = [g.element(i) for i in range(g.size)]
+        elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         labels = orbit_labels(g.size, g.conjugation_tables())
         for i, e in enumerate(elements):
             cls = {index[(c.phases, c.perm)]
-                   for c in (x.mul(e).mul(x.inv()) for x in elements)}
+                   for c in (mul(mul(x, e), inv(x)) for x in elements)}
             assert labels[i] == min(cls)
             assert set(np.flatnonzero(labels == labels[i]).tolist()) == cls
 
@@ -515,6 +534,22 @@ class TestOrbitPathsAgainstDefinitions:
             labels = orbit_labels(g.size, g.conjugation_tables())
             assert np.array_equal(np.flatnonzero(labels == np.arange(g.size)),
                                   np.unique(labels))
+
+    def test_shephard_todd_identity(self):
+        # sum over g of t^dim Fix(g) = t^(n-k) * prod (t + d_i - 1) over the
+        # k degrees d_i > 1 (Shephard-Todd 1954), with one fixed space per
+        # element class, weighted by the class size
+        for m, p, n in verify.grid_points():
+            g = enumerate_group(m, p, n)
+            sizes = np.bincount(orbit_labels(g.size, g.conjugation_tables()))
+            got = [0] * (n + 1)  # coefficient of t^d at index d
+            for x in np.flatnonzero(sizes).tolist():
+                got[fixed_space(element(g, x)).dimension] += int(sizes[x])
+            degrees = degrees_imprimitive(m, p, n)
+            want = [0] * (n - len(degrees)) + [1]
+            for d in degrees:
+                want = [(d - 1) * c + low for c, low in zip(want + [0], [0] + want)]
+            assert got == want, (m, p, n)
 
     def test_orbit_labels_without_maps(self):
         assert orbit_labels(4, []).tolist() == [0, 1, 2, 3]
@@ -574,7 +609,7 @@ class TestOrbitPathsAgainstDefinitions:
         classes = reflection_subgroup_classes(g)
         monkeypatch.undo()
 
-        elements = [g.element(i) for i in range(g.size)]
+        elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
         refl = g.reflection_indices()
         orbits = closures = 0
@@ -586,7 +621,7 @@ class TestOrbitPathsAgainstDefinitions:
             members = elements if cls.order == 1 else [
                 elements[i] for i in sorted(inside)]
             reps = {min(index[(c.phases, c.perm)]
-                        for c in (x.mul(elements[r]).mul(x.inv()) for x in members))
+                        for c in (mul(mul(x, elements[r]), inv(x)) for x in members))
                     for r in refl if r not in inside}
             orbits += len(reps)
             # An orbit whose closure K has prime index over H is closed only
@@ -705,9 +740,9 @@ class TestLagrangeBounds:
         # smallest prime of its order, so the bounded walk never passes |h|/2
         g = enumerate_group(2, 1, 3)
         h = generate_subgroup(g, [
-            g.index_of(MonomialElement(2, (0, 0, 0), (1, 0, 2))),
-            g.index_of(MonomialElement(2, (0, 0, 0), (0, 2, 1))),
-            g.index_of(MonomialElement(2, (1, 1, 1), (0, 1, 2)))])
+            index_of(g, Element(2, (0, 0, 0), (1, 0, 2))),
+            index_of(g, Element(2, (0, 0, 0), (0, 2, 1))),
+            index_of(g, Element(2, (1, 1, 1), (0, 1, 2)))])
         assert h.order == 12
         with pytest.raises(ValueError, match="not generated by its reflections"):
             identify_class(g, h)
@@ -750,7 +785,7 @@ class TestReuseWithinAGroup:
         g = enumerate_group(4, 2, 3)
         # the phase generator diag(z, z^-1, 1) is no reflection; shift the
         # table of its inverse, through which its conjugates are derived
-        c = g.index_of(MonomialElement(4, (1, 3, 0), (0, 1, 2)))
+        c = index_of(g, Element(4, (1, 3, 0), (0, 1, 2)))
         assert c in g.generator_indices() and c not in g.reflection_indices()
         g.conjugation_tables()
         c_inv = int(np.argmin(g.right_table(c)))
@@ -758,9 +793,24 @@ class TestReuseWithinAGroup:
         with pytest.raises(oracle.OracleConsistencyError, match="derived table"):
             g.reflection_tables()
 
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_reflection_conjugation_against_products(self, mpn):
+        g = enumerate_group(*mpn)
+        refl = g.reflection_indices()
+        position = {r: j for j, r in enumerate(refl)}
+        for i, x in enumerate(all_elements(g)):
+            expected = [position[index_of(g, mul(mul(x, element(g, r)), inv(x)))]
+                        for r in refl]
+            assert g.reflection_conjugation(i).tolist() == expected, i
+        inv_table = g.inversion_table()
+        assert np.array_equal(g.reflection_conjugations(), np.array(
+            [g.reflection_conjugation(int(inv_table[x])) for x in g.generator_indices()]))
+
     def test_conjugacy_class_in_the_trivial_group(self):
         g = enumerate_group(1, 1, 1)
         assert g.generator_indices() == []
+        assert g.reflection_conjugations().shape == (0, 0)
         h = generate_subgroup(g, [])
         assert conjugacy_class(g, h).members == (h,)
 
@@ -801,7 +851,7 @@ class TestOneStoredForm:
 
     def test_subgroup_indices_are_a_read_only_view_of_the_key(self):
         g = enumerate_group(2, 1, 3)
-        space = fixed_space(g.element(g.reflection_indices()[0]))
+        space = fixed_space(element(g, g.reflection_indices()[0]))
         subgroups = [generate_subgroup(g, g.generator_indices()[:2]),
                      pointwise_stabilizer(g, space),
                      *oracle.all_reflection_subgroups(g)]
