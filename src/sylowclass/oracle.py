@@ -1,9 +1,11 @@
 """Exact brute-force engine for small G(m,p,n).
 
-An element is only its row in two integer arrays, in canonical order: the
-phase exponents mod m, summing to 0 mod p, and a permutation, acting as
-e_j -> zeta^phases[perm[j]] * e_perm[j].  README "The oracle" describes
-the stages; these invariants hold across them.
+An element is only its row in two integer arrays: the phase exponents mod
+m, summing to 0 mod p, and a permutation, acting as
+e_j -> zeta^phases[perm[j]] * e_perm[j].  The canonical order is
+lexicographic in (phases, permutation), and an element's index is its rank
+in it.  README "The oracle" describes the stages; these invariants hold
+across them.
 
 Mask keys.  A reflection subgroup is determined by the reflections it
 contains, and so is every parabolic subgroup, since parabolics are
@@ -196,38 +198,20 @@ class ConcreteGroup:
 
     # -- construction -------------------------------------------------
 
-    def _enumerate_phase_vectors(self):
-        m, p, n = self.m, self.p, self.n
-        # Free choice of the first n-1 exponents; the last is determined
-        # mod p, with m/p lifts.  Avoids filtering all m^n tuples.
-        for prefix in itertools.product(range(m), repeat=n - 1):
-            rem = (-sum(prefix)) % p
-            for t in range(m // p):
-                yield prefix + (rem + t * p,)
-
     def _build(self):
-        n = self.n
-        perms = list(itertools.permutations(range(n)))
-        phase_list = list(self._enumerate_phase_vectors())
-        if len(phase_list) * len(perms) != self.size:
+        m, p, n = self.m, self.p, self.n
+        # every phase vector with every permutation, in lexicographic order:
+        # the first n-1 phases are free and the last is fixed mod p, with m/p
+        # lifts (no filter over all m^n tuples)
+        phases = np.array([prefix + (-sum(prefix) % p + p * t,)
+                           for prefix in itertools.product(range(m), repeat=n - 1)
+                           for t in range(m // p)], dtype=np.int64)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        if len(phases) * len(perms) != self.size:
             raise OracleConsistencyError("enumeration size mismatch")
-
-        # every phase vector with every permutation; the order is fixed by
-        # the sort on the (unique) codes below
-        A = np.repeat(np.array(phase_list, dtype=np.int64).reshape(-1, n),
-                      len(perms), axis=0)
-        P = np.tile(np.array(perms, dtype=np.int64), (len(phase_list), 1))
-
-        self._weights_a = np.array([self.m ** (n - 1 - j) for j in range(n)],
-                                   dtype=np.int64)
-        self._weights_p = np.array([n ** (n - 1 - j) for j in range(n)],
-                                   dtype=np.int64)
-        codes = self._codes(A, P)
-        order_idx = np.argsort(codes, kind="stable")
-        self._A = np.ascontiguousarray(A[order_idx])
-        self._P = np.ascontiguousarray(P[order_idx])
+        self._A = np.repeat(phases, len(perms), axis=0)
+        self._P = np.tile(perms, (len(phases), 1))
         self._PINV = np.argsort(self._P, axis=1)
-        self._codes_sorted = codes[order_idx]
         if self._A[0].any() or (self._P[0] != np.arange(n)).any():
             raise OracleConsistencyError("identity not first in canonical order")
 
@@ -244,22 +228,30 @@ class ConcreteGroup:
         # member refl_key -> its conjugacy class, one object shared by all members
         self._classes: dict[bytes, OracleClass] = {}
 
-    def _codes(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-        return (A @ self._weights_a) * (self.n**self.n) + (P @ self._weights_p)
-
     # -- multiplication tables ------------------------------------------
 
     def _positions(self, A: np.ndarray, P: np.ndarray, what: str) -> np.ndarray:
-        """Canonical indices of the elements with phase rows A (reduced mod
-        m) and permutation rows P, the oracle's only element lookup;
-        OracleConsistencyError unless all are in G.  The codes of reduced
-        rows are distinct, so a row is in G iff its code is."""
-        codes = self._codes(A, P)
-        pos = np.searchsorted(self._codes_sorted, codes)
-        # a code past the last one gives pos == size, clipped to a mismatch
-        if not (self._codes_sorted.take(pos, mode="clip") == codes).all():
+        """Canonical indices of the elements with phase rows A and
+        permutation rows P (each row of P a permutation of 0..n-1), the
+        oracle's only element lookup.  The canonical order is lexicographic
+        in (phases, permutation), so an index is the row's rank: the first
+        n-1 phases in mixed radix m and the last phase's lift A[:, -1] // p
+        in radix m/p, times n!, plus the Lehmer rank of the permutation,
+        sum_j #{k > j : P[k] < P[j]} * (n-1-j)!.  OracleConsistencyError
+        unless every phase lies in [0, m) and every phase sum is 0 mod p:
+        the element at the rank of such a row has the row's phases, and no
+        element has the phases of any other row."""
+        m, p, n = self.m, self.p, self.n
+        rank = np.zeros(len(A), dtype=np.int64)
+        for j in range(n - 1):
+            rank = rank * m + A[:, j]
+        rank = rank * (m // p) + A[:, -1] // p
+        for j in range(n - 1):  # Horner in the factorial radix n, n-1, ..., 2
+            rank = rank * (n - j) + (P[:, j + 1:] < P[:, j, None]).sum(axis=1)
+        # a rank outside [0, |G|) is clipped to a row with other phases
+        if (self._A.take(rank, axis=0, mode="clip") != A).any():
             raise OracleConsistencyError(f"{what} left the group")
-        return pos
+        return rank
 
     def _table_from_element(self, phases: np.ndarray, perm: np.ndarray) -> np.ndarray:
         """Index table of x -> x*g, g the element with these rows."""

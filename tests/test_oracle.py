@@ -42,11 +42,18 @@ class TestEnumeration:
         assert len({(e.phases, e.perm) for e in all_elements(g)}) \
             == g.size == 192
 
-    def test_canonical_order_follows_strictly_increasing_codes(self):
-        for mpn in [(4, 2, 3), (1, 1, 4), (6, 3, 2), (3, 1, 1)]:
-            g = enumerate_group(*mpn)
-            assert (np.diff(g._codes_sorted) > 0).all()
-            assert np.array_equal(g._codes(g._A, g._P), g._codes_sorted)
+    def test_index_is_the_lexicographic_rank(self):
+        # G(1,1,8) has the grid's longest Lehmer rank, G(2,1,6) a long one
+        # next to phases
+        for mpn in verify.grid_points(order_cap=1000) + [(1, 1, 8), (2, 1, 6)]:
+            g = enumerate_group(*mpn, order_cap=50000)
+            assert np.array_equal(g._positions(g._A, g._P, "row"),
+                                  np.arange(g.size)), mpn
+            # consecutive (phases, permutation) rows increase strictly in
+            # lexicographic order: the first nonzero difference is positive
+            steps = np.diff(np.hstack([g._A, g._P]), axis=0)
+            first = (steps != 0).argmax(axis=1)
+            assert (steps[np.arange(len(steps)), first] > 0).all(), mpn
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -63,11 +70,11 @@ class TestEnumeration:
         # phase sum 1 is odd, so this is in G(4,1,2) but not in G(4,2,2)
         with pytest.raises(oracle.OracleConsistencyError, match="row left the group"):
             g._positions(np.array([[1, 1], [1, 0]]), np.array([[1, 0], [0, 1]]), "row")
-        # phase sum 4 is not 0 mod 3, and the code lies past G(3,3,2)'s last
-        g = enumerate_group(3, 3, 2)
-        assert g._codes(np.array([[2, 2]]), np.array([[1, 0]]))[0] > g._codes_sorted[-1]
-        with pytest.raises(oracle.OracleConsistencyError, match="row left the group"):
-            g._positions(np.array([[2, 2]]), np.array([[1, 0]]), "row")
+        # phases outside [0, m), with phase sums 4 and 0, both even
+        for phases in ([4, 0], [-1, 1]):
+            with pytest.raises(oracle.OracleConsistencyError,
+                               match="row left the group"):
+                g._positions(np.array([phases]), np.array([[1, 0]]), "row")
 
     def test_membership_constraint(self):
         g = enumerate_group(6, 3, 2)
@@ -404,12 +411,14 @@ class TestSylowConstruct:
             for ell in prime_factors(g.size):
                 assert sylow_construct(g, ell).order == ell ** nu(ell, g.size)
 
-    def test_generator_outside_the_group_fails_the_sylow_check(self):
-        # with p read as 1, the recipe's diagonal generator diag(z^2, 1) of
-        # G(4,2,2) becomes diag(z, 1), whose phase sum is odd
+    def test_generator_outside_the_group_fails_the_sylow_check(self, monkeypatch):
+        # with nu(2, p) read as 0, the recipe's diagonal generator
+        # diag(z^2, 1) of G(4,2,2) becomes diag(z, 1), whose phase sum is odd
         g = enumerate_group(4, 2, 2)
         parab, refl = parabolic_classes(g), reflection_subgroup_classes(g)
-        g.p = 1
+        real_nu = oracle.nu
+        monkeypatch.setattr(oracle, "nu",
+                            lambda ell, x: 0 if x == g.p else real_nu(ell, x))
         with pytest.raises(oracle.OracleConsistencyError,
                            match="Sylow generator left the group"):
             sylow_construct(g, 2)
