@@ -15,7 +15,6 @@ Group spec grammar (CLI and table data):
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import factorial, gcd, prod
@@ -180,21 +179,30 @@ def order_factorization(g: GroupType) -> Factorization:
     order of an exceptional group, the sum over the factors of a product."""
     g = normalize(g)
     if isinstance(g, Imprimitive):
-        return factorization_product([
-            [(q, g.n * e) for q, e in factorization(g.m)],
-            [(q, -e) for q, e in factorization(g.p)],
-            factorial_factorization(g.n)])
+        exponents = dict(factorial_factorization(g.n))
+        for q, e in factorization(g.m):
+            exponents[q] = exponents.get(q, 0) + g.n * e
+        # p | m, so each prime of p is already a key
+        for q, e in factorization(g.p):
+            if exponents[q] == e:
+                del exponents[q]
+            else:
+                exponents[q] -= e
+        return tuple(sorted(exponents.items()))
     if isinstance(g, Exceptional):
         return factorization(EXCEPTIONAL_ORDERS[g.st])
     return factorization_product(map(order_factorization, g.factors))
 
 
 def factorization_product(factorizations) -> Factorization:
-    """Factorization of a product of factored integers (exponents added)."""
-    exponents: Counter = Counter()
+    """Factorization of a product of factored integers (exponents added;
+    every exponent is positive)."""
+    factorizations = iter(factorizations)
+    exponents = dict(next(factorizations, ()))
     for pairs in factorizations:
-        exponents.update(dict(pairs))
-    return tuple(sorted((q, e) for q, e in exponents.items() if e))
+        for q, e in pairs:
+            exponents[q] = exponents.get(q, 0) + e
+    return tuple(sorted(exponents.items()))
 
 
 def group_primes(g: GroupType) -> list[int]:
@@ -211,7 +219,7 @@ def format_factorization(pairs: Factorization) -> str:
     """(prime, exponent) pairs as a string like 2^7*3^2; "1" when empty."""
     if not pairs:
         return "1"
-    return "*".join(f"{q}^{e}" if e > 1 else str(q) for q, e in pairs)
+    return "*".join([f"{q}^{e}" if e > 1 else str(q) for q, e in pairs])
 
 
 @total_ordering

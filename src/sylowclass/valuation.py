@@ -7,8 +7,10 @@ Python's arbitrary-precision ints, valuations always fit in machine words.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 
@@ -79,14 +81,39 @@ def prime_factors(n: int) -> list[int]:
     return [p for p, _ in factorization(n)]
 
 
+# Ascending primes below _sieved, for factorial_factorization.  The list
+# only grows, by doubling, and is replaced whole, never mutated.
+_primes: list[int] = []
+_sieved = 0
+
+
+def _primes_upto(n: int) -> list[int]:
+    """Ascending primes q <= n, cut from the per-process prime list, which
+    a sieve of Eratosthenes grows to at least twice its size when n is past
+    its end."""
+    global _primes, _sieved
+    if n >= _sieved:
+        size = max(2 * _sieved, n + 1, 64)
+        sieve = bytearray([1]) * size
+        sieve[:2] = b"\0\0"
+        for q in range(2, isqrt(size - 1) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, size, q)))
+        _primes, _sieved = list(compress(range(size), sieve)), size
+    primes = _primes
+    return primes[:bisect_right(primes, n)]
+
+
 def factorial_factorization(n: int) -> list[tuple[int, int]]:
-    """n! as ascending (prime, exponent) pairs: the primes q <= n from a
-    sieve of Eratosthenes, each exponent by Legendre's formula."""
-    sieve = bytearray([1]) * (n + 1)
-    for q in range(2, isqrt(n) + 1):
-        if sieve[q]:
-            sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
-    return [(q, _legendre(q, n)) for q in range(2, n + 1) if sieve[q]]
+    """n! as ascending (prime, exponent) pairs, each exponent by Legendre's
+    formula; a prime q with q^2 > n divides n! exactly n // q times."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    primes = _primes_upto(n)
+    k = bisect_right(primes, isqrt(n))
+    large = primes[k:]
+    return ([(q, _legendre(q, n)) for q in primes[:k]]
+            + list(zip(large, map(n.__floordiv__, large))))
 
 
 def nu(ell: int, x: int) -> int:

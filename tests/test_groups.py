@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowclass.classify import catalog_irreducibles
+from sylowclass.classify import (catalog_irreducibles, classify_parabolic,
+                                 classify_reflection)
 
 from sylowclass.groups import (
     Cyclic,
@@ -288,3 +289,16 @@ class TestOrderFactorization:
         assert max(pairs) == 1789  # the largest prime <= 1800
         assert order_factored(Imprimitive(3000, 1, 3000)).startswith(
             "2^11993*3^4498*5^9748*")
+
+    def test_huge_class_members(self):
+        # ell | p gives twisted members (G(360,6,300) at 2 and 3), ell >= 5
+        # prime to m repeats Sym and G(a,1,k) blocks up to ell - 1 times
+        for (m, p, n), ells in (((360, 6, 300), (2, 3, 5, 7, 11)),
+                                ((210, 1, 399), (2, 7, 11, 13)),
+                                ((242, 22, 250), (2, 5, 11, 13)),
+                                ((221, 13, 342), (3, 13, 17, 19))):
+            g = Imprimitive(m, p, n)
+            for ell in ells:
+                for classify in (classify_parabolic, classify_reflection):
+                    for member in classify(g, ell).members:
+                        assert member.factors == factorization(order(member.group))

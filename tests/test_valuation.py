@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sylowclass import valuation
 from sylowclass.groups import Imprimitive, order_factorization
 from sylowclass.valuation import (
     MR_EXACT_BOUND,
@@ -225,6 +226,31 @@ class TestFactorization:
             assert tuple(pairs) == factorization(math.factorial(n))
             assert pairs == [(q, nu_factorial(q, n))
                              for q in range(2, n + 1) if is_prime(q)]
+
+    def test_factorial_does_not_depend_on_call_order(self, monkeypatch):
+        # an empty prime list first grown far past n, then cut at each n
+        # on the way down
+        monkeypatch.setattr(valuation, "_primes", [])
+        monkeypatch.setattr(valuation, "_sieved", 0)
+        big = factorial_factorization(5000)
+        assert big[-1] == (4999, 1)
+        for n in range(399, -1, -1):
+            assert tuple(factorial_factorization(n)) == factorization(math.factorial(n))
+
+    def test_factorial_at_square_and_growth_boundaries(self, monkeypatch):
+        # 1996 sieves below the prime 1997, which the next call must add;
+        # 2209 = 47^2: 47 moves from n // q to the Legendre sum there
+        monkeypatch.setattr(valuation, "_primes", [])
+        monkeypatch.setattr(valuation, "_sieved", 0)
+        for n in (1996, 1997, 1999, 2000, 2208, 2209, 2210):
+            assert factorial_factorization(n) == [
+                (q, nu_factorial(q, n)) for q in range(2, n + 1) if is_prime(q)]
+        assert dict(factorial_factorization(2209))[47] == 47 + 1
+
+    def test_factorial_rejects_negative_n(self):
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                factorial_factorization(n)
 
 
 def order_valuation(m, p, n, ell):
