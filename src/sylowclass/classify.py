@@ -17,7 +17,12 @@ most 1024 answers each, keyed by (g, ell); a product reaches its factors
 through the same memo.  A repeated query returns the same answer object,
 which is shared and immutable (frozen dataclasses with tuple fields);
 errors are not memoized, and cache_clear() on either function frees its
-answers.
+answers.  An answer renders its text (group label, factored orders,
+whether its class is the whole group) on first use and keeps it, so a
+repeated query is printed from the stored text; answers that are never
+printed, such as the factor answers inside a product, are never rendered.
+A product answer with more than MAX_PRODUCT_CLASSES classes raises
+TooManyClassesError instead of listing them.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .groups import (
     GroupType,
     Imprimitive,
     Product,
+    format_factorization,
     format_group,
     normalize,
     order_factorization,
@@ -43,6 +49,9 @@ from .valuation import ell_part, factorization, lambda_blocks
 
 PARABOLIC = "parabolic"
 REFLECTION = "reflection"
+# A product answer lists every combination of its factors' classes; above
+# this many it lists none (G(6,6,3)^11 has 3^11 reflection classes at 2).
+MAX_PRODUCT_CLASSES = 10000
 
 
 class NotADivisorError(ValueError):
@@ -53,9 +62,37 @@ class UnsupportedGroupError(ValueError):
     """The operation has no data for this group type."""
 
 
+class TooManyClassesError(UnsupportedGroupError):
+    """A product has more minimal classes than MAX_PRODUCT_CLASSES."""
+
+
+class _once:
+    """A lazily computed attribute of a frozen answer: computed on first
+    access and stored in the instance dict under its own name, which later
+    lookups read directly (a non-data descriptor yields to the instance
+    dict).  functools.cached_property does the same, but on Python 3.11 it
+    takes a lock on every first access.  Fields, ==, hash and
+    FrozenInstanceError are unchanged: the dataclass methods read only the
+    fields."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, answer, owner=None):
+        if answer is None:
+            return self
+        value = answer.__dict__[self.name] = self.compute(answer)
+        return value
+
+
 @dataclass(frozen=True)
 class ClassMember:
-    """One conjugacy class in a classification answer, its order factored."""
+    """One conjugacy class in a classification answer, its order factored.
+
+    Its text (display_label, order_factored) is computed on first use and
+    kept on the member."""
 
     group: GroupType
     factors: groups.Factorization
@@ -67,13 +104,24 @@ class ClassMember:
     def order(self) -> int:
         return prod(q**e for q, e in self.factors)
 
-    def display(self) -> str:
+    @_once
+    def display_label(self) -> str:
+        """The table label, or the group; "~" marks a second class of one
+        type that is not a twist."""
         if self.label:
             return ("~" if self.distinguisher else "") + self.label
         base = format_group(self.group)
         if self.twist_exponent is not None or self.distinguisher == 0:
             return base
         return f"~{base}"
+
+    @_once
+    def order_factored(self) -> str:
+        """The member order as a string like 2^7*3^2."""
+        return format_factorization(self.factors)
+
+    def display(self) -> str:
+        return self.display_label
 
 
 @dataclass(frozen=True)
@@ -82,7 +130,9 @@ class SubgroupClassResult:
 
     Parabolic answers always have a single class.  Reflection answers may
     have several classes, of equal or (for a few exceptional groups) of
-    different member orders; each member carries its own order.
+    different member orders; each member carries its own order.  The text
+    of the answer (group_label, order_factored, equals_whole_group) is
+    computed on first use and kept on the answer.
     """
 
     group: GroupType
@@ -95,11 +145,31 @@ class SubgroupClassResult:
     def class_count(self) -> int:
         return len(self.members)
 
-    @property
+    @_once
     def equals_whole_group(self) -> bool:
         """One minimal class, and its member has the order of G."""
         return (self.class_count == 1
                 and self.members[0].factors == order_factorization(self.group))
+
+    @_once
+    def group_label(self) -> str:
+        return format_group(self.group)
+
+    @_once
+    def order_factored(self) -> str:
+        """|G| as a string like 2^7*3^2.  Each distinct factorization of
+        the answer is formatted once: a member whose factors are the tuple
+        of |G| (the member G, when ell | m) or of an earlier member (the
+        twists of one type) gets that text as its order_factored."""
+        factors = order_factorization(self.group)
+        texts = {id(factors): format_factorization(factors)}
+        for m in self.members:
+            text = texts.get(id(m.factors))
+            if text is None:
+                texts[id(m.factors)] = m.order_factored
+            else:
+                m.__dict__.setdefault("order_factored", text)
+        return texts[id(factors)]
 
     @property
     def member_order(self) -> int:
@@ -135,7 +205,7 @@ def require_divides(g: GroupType, ell: int) -> groups.Factorization:
 
 def _member_of(g: GroupType, distinguisher: int = 0,
                twist_exponent: int | None = None) -> ClassMember:
-    return ClassMember(normalize(g), order_factorization(g), distinguisher, twist_exponent)
+    return ClassMember(g, order_factorization(g), distinguisher, twist_exponent)
 
 
 @lru_cache(maxsize=1024)
@@ -154,7 +224,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         row = tables.lookup("t1", g, ell)
         member = row.members[0]
         result_member = ClassMember(
-            normalize(member.group), factorization(member.order), label=member.label)
+            member.group, factorization(member.order), label=member.label)
         return SubgroupClassResult(g, ell, PARABOLIC, (result_member,))
 
     if g.m % ell == 0:
@@ -184,7 +254,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
             idx = seen.get(member.label, 0)
             seen[member.label] = idx + 1
             members.append(ClassMember(
-                normalize(member.group), factorization(member.order),
+                member.group, factorization(member.order),
                 distinguisher=idx, label=member.label))
         return SubgroupClassResult(g, ell, REFLECTION, tuple(members))
 
@@ -207,11 +277,18 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
 
 def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
     """Componentwise classification; factors of ell-free order drop out
-    (their minimal class is the trivial subgroup)."""
+    (their minimal class is the trivial subgroup).  The classes are the
+    combinations of the factors' classes, so their count is the product of
+    the factors' counts; above MAX_PRODUCT_CLASSES none are built."""
     classify = classify_parabolic if kind == PARABOLIC else classify_reflection
     factor_results = [
         classify(f, ell) for f in g.factors if ell in groups.group_primes(f)
     ]
+    count = prod(len(r.members) for r in factor_results)
+    if count > MAX_PRODUCT_CLASSES:
+        raise TooManyClassesError(
+            f"{format_group(g)} has {count} minimal {kind} classes at ell = {ell}; "
+            f"at most {MAX_PRODUCT_CLASSES} are listed")
     members = []
     for combo in itertools.product(*(r.members for r in factor_results)):
         combined = product_of(c.group for c in combo)

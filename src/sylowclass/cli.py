@@ -8,8 +8,10 @@ Subcommands:
     verify     oracle-vs-theorem campaign over the imprimitive grid
 
 Exit codes: 0 success, 2 usage error, 3 domain error (prime does not
-divide the order, unknown table row, a JSON order too long to print), 4
-verification failure.  Results go to stdout, diagnostics to stderr.
+divide the order, unknown table row, a JSON order too long to print, a
+parameter that cannot be factored exactly, a product with more minimal
+classes than are listed), 4 verification failure.  Results go to stdout,
+diagnostics to stderr.
 SYLOW_ORACLE_CAP overrides the default enumeration cap,
 limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
@@ -38,7 +40,7 @@ from .groups import (GroupParseError, TableLookupError, format_factorization,
                      parse_group)
 from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 # perfbench/tracing.py wraps cli.prime_factors, so the name stays here.
-from .valuation import is_prime, prime_factors  # noqa: F401
+from .valuation import FactorizationError, is_prime, prime_factors  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,24 +84,31 @@ def default_order_cap() -> int:
 
 
 def classification_report(g, ell: int, kind: str) -> dict:
+    """One classify answer as a fresh dict, filled from the text that the
+    memoized answers render once."""
     parabolic = cls.classify_parabolic(g, ell)
-    reflection = cls.classify_reflection(g, ell)
+    try:
+        reflection = cls.classify_reflection(g, ell)
+    except cls.TooManyClassesError:
+        if kind == "reflection":
+            raise
+        reflection = None  # more than one minimal class: not supercuspidal
     result = parabolic if kind == "parabolic" else reflection
     return {
-        "group": format_group(g),
-        "order_factored": order_factored(g),
+        "group": result.group_label,
+        "order_factored": result.order_factored,
         "ell": ell,
         "kind": kind,
         "classes": [
             {
-                "label": m.display(),
-                "order_factored": format_factorization(m.factors),
+                "label": m.display_label,
+                "order_factored": m.order_factored,
                 "twist_index": m.twist_exponent,
             }
             for m in result.members
         ],
         "cuspidal": parabolic.equals_whole_group,
-        "supercuspidal": reflection.equals_whole_group,
+        "supercuspidal": reflection is not None and reflection.equals_whole_group,
     }
 
 
@@ -491,7 +500,8 @@ def main(argv=None) -> int:
     except (GroupParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotADivisorError, TableLookupError, UnsupportedGroupError) as exc:
+    except (NotADivisorError, TableLookupError, UnsupportedGroupError,
+            FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, total_ordering
+from itertools import groupby
 from math import factorial, gcd, prod
 
 from .valuation import factorial_factorization, factorization
@@ -113,24 +114,34 @@ def Sym(n: int) -> Imprimitive:
 
 def normalize(g: GroupType) -> GroupType:
     """Canonical form: G(m,p,1) becomes the cyclic G(m/p,1,1); products are
-    flattened, trivial factors dropped, singleton products unwrapped."""
-    if isinstance(g, Imprimitive):
+    flattened, trivial factors dropped, singleton products unwrapped.
+
+    A canonical value (an Imprimitive other than G(m,p,1) with p > 1, an
+    Exceptional, a Product of canonical non-trivial factors) comes back as
+    itself: normalizing what product_of or parse_group built allocates
+    nothing."""
+    if type(g) is Imprimitive:
         if g.n == 1 and g.p > 1:
             return Imprimitive(g.m // g.p, 1, 1)
         return g
-    if isinstance(g, Product):
-        return product_of(g.factors)
+    if type(g) is Product:
+        for f in g.factors:
+            if type(f) is Imprimitive and f.n == 1 and (f.p > 1 or f.m == 1):
+                return product_of(g.factors)
     return g
 
 
 def product_of(factors) -> GroupType:
-    """Normalized product of arbitrarily many group types."""
+    """Normalized product of arbitrarily many group types; each factor is
+    normalized once, and a trivial one is told by its fields."""
     flat = []
-    for f in factors:
-        f = normalize(f)
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        elif f != TRIVIAL:
+    for factor in factors:
+        for f in (factor.factors if type(factor) is Product else (factor,)):
+            if type(f) is Imprimitive and f.n == 1:
+                if f.m == f.p:  # G(m,m,1) is the trivial group
+                    continue
+                if f.p > 1:
+                    f = Imprimitive(f.m // f.p, 1, 1)
             flat.append(f)
     if not flat:
         return TRIVIAL
@@ -160,8 +171,8 @@ EXCEPTIONAL_ORDERS = {
 
 
 def order(g: GroupType) -> int:
-    """Exact group order; |G(m,p,n)| = m^n n!/p."""
-    g = normalize(g)
+    """Exact group order; |G(m,p,n)| = m^n n!/p, which also holds for a
+    G(m,p,1) or a product that is not normalized."""
     if isinstance(g, Imprimitive):
         return g.m**g.n * factorial(g.n) // g.p
     if isinstance(g, Exceptional):
@@ -176,8 +187,8 @@ Factorization = tuple[tuple[int, int], ...]
 def order_factorization(g: GroupType) -> Factorization:
     """|G| as ascending (prime, exponent) pairs from the parameters alone:
     n*factor(m) - factor(p) + factor(n!) for G(m,p,n), the factored ledger
-    order of an exceptional group, the sum over the factors of a product."""
-    g = normalize(g)
+    order of an exceptional group, the sum over the factors of a product.
+    Like order, it needs no normalized input."""
     if isinstance(g, Imprimitive):
         exponents = dict(factorial_factorization(g.n))
         for q, e in factorization(g.m):
@@ -455,20 +466,19 @@ def format_group(g: GroupType, classical: bool = False) -> str:
     (H3, E8, ...) when one exists.
     """
     g = normalize(g)
-    if isinstance(g, Product):
-        parts = []
-        run_start = 0
-        factors = g.factors
-        for i in range(len(factors) + 1):
-            if i == len(factors) or (i > run_start and factors[i] != factors[run_start]):
-                count = i - run_start
-                base = format_group(factors[run_start], classical)
-                parts.append(base if count == 1 else f"{base}^{count}")
-                run_start = i
-        return " x ".join(parts)
-    if isinstance(g, Exceptional):
+    if type(g) is not Product:
+        return _format_irreducible(g, classical)
+    parts = []
+    for f, run in groupby(g.factors):
+        base = _format_irreducible(f, classical)
+        count = len(list(run))
+        parts.append(base if count == 1 else f"{base}^{count}")
+    return " x ".join(parts)
+
+
+def _format_irreducible(g: GroupType, classical: bool) -> str:
+    if type(g) is Exceptional:
         if classical and g.st in _CLASSICAL_NAMES:
             return _CLASSICAL_NAMES[g.st]
         return f"G{g.st}"
     return f"G({g.m},{g.p},{g.n})"
-

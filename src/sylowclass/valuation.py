@@ -8,10 +8,11 @@ Python's arbitrary-precision ints, valuations always fit in machine words.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from math import isqrt
+from itertools import compress, count
+from math import gcd, isqrt
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
@@ -56,14 +57,30 @@ def _check_prime(ell: int) -> None:
         raise ValueError(f"ell must be prime, got {ell}")
 
 
+# factorization trial-divides up to this bound; a cofactor left above its
+# square has no prime factor up to it and goes to is_prime and, when
+# composite, to Pollard-Brent rho.
+TRIAL_BOUND = 1 << 12
+
+
+class FactorizationError(ValueError):
+    """A cofactor without prime factors up to TRIAL_BOUND is at or above
+    MR_EXACT_BOUND, where is_prime decides nothing."""
+
+
 @lru_cache(maxsize=1024)
 def factorization(n: int) -> tuple[tuple[int, int], ...]:
-    """Ascending (prime, exponent) pairs of n >= 1, by trial division."""
+    """Ascending (prime, exponent) pairs of n >= 1: trial division up to
+    TRIAL_BOUND, then is_prime on the cofactor and Pollard-Brent rho to
+    split a composite one.  FactorizationError when a cofactor's primality
+    cannot be decided."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     d = 2
     while d * d <= n:
+        if d > TRIAL_BOUND:
+            return tuple(out) + _factor_cofactor(n)
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -74,6 +91,57 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+def _factor_cofactor(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of an n whose prime factors all
+    exceed TRIAL_BOUND."""
+    primes = []
+    parts = [n]
+    while parts:
+        x = parts.pop()
+        try:
+            prime = is_prime(x)
+        except ValueError:
+            raise FactorizationError(
+                f"cannot factor a {x.bit_length()}-bit cofactor without prime "
+                f"factors up to {TRIAL_BOUND}: primality is decided only below "
+                f"{MR_EXACT_BOUND}") from None
+        if prime:
+            primes.append(x)
+        else:
+            divisor = _pollard_brent(x)
+            parts += [divisor, x // divisor]
+    return tuple(sorted(Counter(primes).items()))
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of an odd composite n: Pollard's rho on x^2 + c in
+    Brent's form, which takes one gcd per batch of differences and, when a
+    batch overshoots to n, steps through it again one difference at a time."""
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def prime_factors(n: int) -> list[int]:

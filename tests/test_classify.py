@@ -1,7 +1,9 @@
 import pytest
 
+from sylowclass import classify
 from sylowclass.classify import (
     NotADivisorError,
+    TooManyClassesError,
     UnsupportedGroupError,
     catalog_irreducibles,
     classify_parabolic,
@@ -183,6 +185,21 @@ class TestReflection:
         g = product_of([Exceptional(28), Exceptional(28)])
         r = classify_reflection(g, 2)
         assert r.class_count == 4
+
+    def test_product_class_count_is_bounded(self, monkeypatch):
+        # G(6,6,3) has 3 minimal reflection classes at 2 and 1 parabolic
+        g = product_of([Imprimitive(6, 6, 3)] * 2)
+        for limit, listed in ((9, True), (8, False)):
+            monkeypatch.setattr(classify, "MAX_PRODUCT_CLASSES", limit)
+            classify_reflection.cache_clear()
+            if listed:
+                assert classify_reflection(g, 2).class_count == 9
+            else:
+                with pytest.raises(TooManyClassesError,
+                                   match="has 9 minimal reflection classes"):
+                    classify_reflection(g, 2)
+        assert classify_parabolic(product_of([Imprimitive(6, 6, 3)] * 20), 2).class_count == 1
+        classify_reflection.cache_clear()
 
 
 class TestCuspidality:

@@ -176,6 +176,41 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("G(20000,1,20000) (order 2^119995*3^9996*")
 
+    def test_parameter_past_trial_division(self, capsys):
+        # m = 10^18 + 3 is prime; trial division alone would run to 10^9
+        spec = "G(1000000000000000003,1,1)"
+        for command in ("classify", "sylow"):
+            code, out, err = run(capsys, command, "--group", spec, "--ell", "2")
+            assert (code, out) == (3, ""), command
+            assert "does not divide" in err
+        code, out, _ = run(capsys, "classify", "--group", spec, "--ell", "all")
+        assert code == 0 and "ell = 1000000000000000003" in out
+
+    def test_4000_digit_parameter(self, capsys):
+        smooth = 10**3999
+        code, out, _ = run(capsys, "classify", "--group", f"G({smooth},1,1)", "--ell", "5")
+        assert code == 0 and "order 2^3999*5^3999" in out
+        code, out, err = run(capsys, "classify", "--group", f"G({smooth + 1},1,1)",
+                             "--ell", "2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot factor a 13266-bit cofactor")
+
+    def test_product_with_too_many_classes(self, capsys):
+        # 3 minimal reflection classes per factor at ell = 2: 3^11 in all
+        code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^11", "--ell", "2",
+                             "--kind", "reflection")
+        assert (code, out) == (3, "")
+        assert "177147 minimal reflection classes" in err
+        code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^20", "--ell", "2",
+                             "--kind", "reflection", "--format", "json")
+        assert (code, out) == (3, "") and "3486784401" in err
+        # the parabolic report needs only whether the class is unique
+        code, out, _ = run(capsys, "classify", "--group", "G(6,6,3)^20", "--ell", "2",
+                           "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and len(report["classes"]) == 1
+        assert (report["cuspidal"], report["supercuspidal"]) == (True, False)
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         failing = verify.CampaignReport([verify.GroupReport(2, 1, 2, 8, checks=[
             verify.Check("parabolic", 2, False, "forced")])])

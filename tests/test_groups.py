@@ -66,6 +66,43 @@ class TestOrder:
             assert order(Imprimitive(m, p, n)) == m**n * math.factorial(n) // p
 
 
+def _reference_normal(factors):
+    """normalize of a product of irreducible factors, written out: each
+    G(m,p,1) becomes G(m/p,1,1), trivial factors go, one factor unwraps."""
+    out = [Imprimitive(f.m // f.p, 1, 1) if isinstance(f, Imprimitive) and f.n == 1
+           else f for f in factors]
+    out = [f for f in out if f != TRIVIAL]
+    if not out:
+        return TRIVIAL
+    return out[0] if len(out) == 1 else Product(tuple(out))
+
+
+def _is_canonical(g) -> bool:
+    def irreducible(f, trivial_ok):
+        if isinstance(f, Exceptional):
+            return True
+        return (isinstance(f, Imprimitive) and not (f.n == 1 and f.p > 1)
+                and (trivial_ok or f != TRIVIAL))
+
+    if isinstance(g, Product):
+        return len(g.factors) >= 2 and all(irreducible(f, False) for f in g.factors)
+    return irreducible(g, True)
+
+
+# Irreducible group types in any form: G(m,p,n) with p | m, m <= 12, n <= 3
+# (so G(m,p,1) and G(1,1,1) occur often), and the exceptional groups.
+_RAW_IMPRIMITIVE = st.integers(1, 12).flatmap(lambda m: st.builds(
+    Imprimitive, st.just(m), st.sampled_from([p for p in range(1, m + 1) if m % p == 0]),
+    st.integers(1, 3)))
+_RAW_ATOMS = st.one_of(_RAW_IMPRIMITIVE, st.builds(Exceptional, st.integers(4, 37)))
+_RAW_PRODUCTS = st.lists(_RAW_ATOMS, min_size=2, max_size=5).map(
+    lambda fs: Product(tuple(fs)))
+# The factors normalize changes: G(1,1,1) and G(m,p,1) with p > 1.
+_RANK_ONE = st.one_of(st.just(TRIVIAL), st.integers(2, 12).flatmap(lambda m: st.builds(
+    Imprimitive, st.just(m), st.sampled_from([p for p in range(2, m + 1) if m % p == 0]),
+    st.just(1))))
+
+
 class TestNormalization:
     def test_cyclic_alias(self):
         assert Cyclic(6) == Imprimitive(6, 1, 1)
@@ -80,6 +117,38 @@ class TestNormalization:
         assert product_of([]) == TRIVIAL
         g = product_of([Sym(3), product_of([Sym(2), Sym(2)])])
         assert isinstance(g, Product) and len(g.factors) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_RAW_ATOMS, _RAW_PRODUCTS))
+    def test_normalize_is_idempotent(self, g):
+        canonical = normalize(g)
+        assert _is_canonical(canonical)
+        assert normalize(canonical) is canonical
+        assert canonical == _reference_normal(
+            g.factors if isinstance(g, Product) else (g,))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_RAW_ATOMS, _RAW_PRODUCTS), max_size=5))
+    def test_built_values_come_back_as_themselves(self, factors):
+        built = product_of(factors)
+        assert _is_canonical(built)
+        assert normalize(built) is built
+        parsed = parse_group(format_group(built))
+        assert parsed == built and normalize(parsed) is parsed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RAW_ATOMS, min_size=1, max_size=4),
+           st.lists(_RANK_ONE, min_size=1, max_size=2), st.randoms())
+    def test_products_with_trivial_or_rank_one_factors(self, factors, rank_one, rng):
+        # a Product built directly, bypassing product_of, holding TRIVIAL
+        # or G(m,p,1) factors
+        factors = factors + rank_one
+        rng.shuffle(factors)
+        raw = Product(tuple(factors))
+        canonical = normalize(raw)
+        assert canonical is not raw
+        assert canonical == _reference_normal(factors)
+        assert normalize(canonical) is canonical
 
     def test_invalid(self):
         with pytest.raises(ValueError):

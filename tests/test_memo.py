@@ -4,13 +4,18 @@ classify_parabolic, classify_reflection and sylow_structure are
 lru_cache(maxsize=1024) functions of (g, ell); these tests pin that a
 memoized answer is the one the function computes, that it is shared and
 immutable, that errors are not memoized and that the memo stays bounded.
+The classification answers render their text once and keep it; the tests
+below the rule pin that reports read from it equal freshly computed ones,
+that rendering leaves the answers frozen, equal and hashable, and that
+answers nobody prints stay unrendered.
 """
 
+import copy
 import dataclasses
 
 import pytest
 
-from sylowclass import classify, structure
+from sylowclass import classify, cli, structure
 from sylowclass.classify import NotADivisorError, catalog_irreducibles
 from sylowclass.groups import (
     Cyclic,
@@ -93,3 +98,100 @@ def test_memo_stays_bounded(fn, cleared):
     info = fn.cache_info()
     assert info.maxsize == 1024
     assert info.misses == 1100 and info.currsize <= 1024
+
+
+# ---------------------------------------------------------------------------
+# Each answer renders its text once (group_label, order_factored,
+# equals_whole_group, and each member's display_label and order_factored);
+# cli.classification_report reads it.
+
+ANSWERS = (classify.classify_parabolic, classify.classify_reflection)
+KINDS = ("parabolic", "reflection")
+TEXT = {"group_label", "order_factored", "equals_whole_group",
+        "display_label"}
+
+
+def _rendered(answer) -> set:
+    """The text attributes an answer or member holds, beyond its fields."""
+    return set(vars(answer)) & TEXT
+
+
+def test_warm_reports_equal_cold_ones(cleared):
+    catalog = list(catalog_irreducibles(16, 8)) + PRODUCTS
+    warm = {}
+    for _ in range(2):  # the second pass reads the text the first one stored
+        for g in catalog:
+            for ell in group_primes(g):
+                for kind in KINDS:
+                    warm[g, ell, kind] = cli.classification_report(g, ell, kind)
+    for (g, ell, kind), report in warm.items():
+        for fn in ANSWERS:
+            fn.cache_clear()
+        assert cli.classification_report(g, ell, kind) == report, (g, ell, kind)
+
+
+def test_reports_are_fresh_dicts(cleared):
+    g = parse_group("G(12,6,3) x G(6,1,5)")
+    first = cli.classification_report(g, 2, "reflection")
+    want = copy.deepcopy(first)
+    first["group"] = "changed"
+    first["classes"][0]["label"] = "changed"
+    first["classes"].append({"label": "extra"})
+    second = cli.classification_report(g, 2, "reflection")
+    assert second == want
+    assert second is not first and second["classes"] is not first["classes"]
+    assert all(a is not b for a, b in zip(first["classes"], second["classes"]))
+
+
+@pytest.mark.parametrize("spec,ell", [("G(12,6,3)", 2), ("G(12,6,3) x G28", 3),
+                                      ("G28", 2), ("G(6,1,5)", 5)])
+def test_rendering_keeps_answers_frozen_equal_and_hashable(spec, ell, cleared):
+    g = parse_group(spec)
+    for fn, kind in zip(ANSWERS, KINDS):
+        answer = fn(g, ell)
+        twin = fn.__wrapped__(g, ell)  # computed afresh, never rendered
+        before = hash(answer)
+        cli.classification_report(g, ell, kind)
+        assert _rendered(answer) == {"group_label", "order_factored", "equals_whole_group"}
+        assert all(_rendered(m) == {"display_label", "order_factored"}
+                   for m in answer.members)
+        assert not _rendered(twin)
+        assert answer == twin and hash(answer) == hash(twin) == before
+        assert answer.members == twin.members
+        assert hash(answer.members) == hash(twin.members)
+        for name in ("group", "group_label", "order_factored", "equals_whole_group"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(answer, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            answer.members[0].display_label = "changed"
+
+
+def test_each_distinct_factorization_is_formatted_once(cleared, monkeypatch):
+    formatted = []
+    original = classify.format_factorization
+
+    def recording(pairs):
+        formatted.append(pairs)
+        return original(pairs)
+
+    monkeypatch.setattr(classify, "format_factorization", recording)
+    # ell | m: the member is G itself; ell | p: three twists of G(4,2,3)
+    for kind, ell in (("parabolic", 2), ("reflection", 2)):
+        formatted.clear()
+        report = cli.classification_report(Imprimitive(12, 6, 3), ell, kind)
+        assert len(formatted) == len(set(formatted)) == 1 + (kind == "reflection")
+        assert report["classes"][0]["order_factored"] == (
+            "2^6*3^3" if kind == "parabolic" else "2^6*3")
+
+
+def test_factor_answers_inside_a_product_are_not_rendered(cleared):
+    g = parse_group("G(12,6,3) x G28 x G(6,1,5)")
+    for ell in group_primes(g):
+        for kind in KINDS:
+            cli.classification_report(g, ell, kind)
+    for fn in ANSWERS:
+        for f in g.factors:
+            for ell in group_primes(f):
+                answer = fn(f, ell)  # the memoized factor answer
+                assert not _rendered(answer), (fn.__name__, f, ell)
+                assert not any(_rendered(m) for m in answer.members)

@@ -220,6 +220,41 @@ class TestFactorization:
         with pytest.raises(ValueError):
             factorization(0)
 
+    def test_prime_near_10_18(self):
+        # trial division alone would run to 10^9
+        assert factorization(10**18 + 3) == ((10**18 + 3, 1),)
+        assert factorization(2 * (10**18 + 9)) == ((2, 1), (10**18 + 9, 1))
+
+    def test_semiprime_of_two_primes_near_10_9(self):
+        p, q = 1_000_000_007, 1_000_000_009
+        assert factorization(p * q) == ((p, 1), (q, 1))
+        assert factorization(p * p) == ((p, 2),)
+        assert factorization(2**5 * 3 * p * q) == ((2, 5), (3, 1), (p, 1), (q, 1))
+
+    def test_cofactors_past_the_trial_bound(self):
+        # primes just above TRIAL_BOUND = 4096, whose products the loop
+        # leaves as a cofactor for is_prime and Pollard-Brent rho
+        assert valuation.TRIAL_BOUND == 4096
+        above = [q for q in range(4097, 4300) if is_prime(q)]
+        for n in (above[0] * above[1], above[0] ** 2, above[0] ** 3,
+                  above[0] * above[1] * above[2], 4093 * above[0],
+                  2**3 * above[0] * above[5] ** 2, above[-1] ** 4 * 4093**2):
+            pairs = factorization(n)
+            assert math.prod(q**e for q, e in pairs) == n
+            assert all(is_prime(q) and e >= 1 for q, e in pairs)
+            assert [q for q, _ in pairs] == sorted({q for q, _ in pairs})
+
+    def test_4000_digit_numbers(self):
+        assert factorization(10**3999) == ((2, 3999), (5, 3999))
+        # 10^3999 + 1 keeps a cofactor of about 13000 bits after trial
+        # division, far past MR_EXACT_BOUND: an error, not a hang
+        with pytest.raises(valuation.FactorizationError,
+                           match="decided only below"):
+            factorization(10**3999 + 1)
+        # 92 bits, two primes past the bound: no certain answer either
+        with pytest.raises(valuation.FactorizationError):
+            factorization((2**61 - 1) * (2**31 - 1))
+
     def test_factorial_below_400(self):
         for n in range(0, 400):
             pairs = factorial_factorization(n)
