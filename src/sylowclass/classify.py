@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from . import groups
@@ -66,27 +66,6 @@ class TooManyClassesError(UnsupportedGroupError):
     """A product has more minimal classes than MAX_PRODUCT_CLASSES."""
 
 
-class _once:
-    """A lazily computed attribute of a frozen answer: computed on first
-    access and stored in the instance dict under its own name, which later
-    lookups read directly (a non-data descriptor yields to the instance
-    dict).  functools.cached_property does the same, but on Python 3.11 it
-    takes a lock on every first access.  Fields, ==, hash and
-    FrozenInstanceError are unchanged: the dataclass methods read only the
-    fields."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
-
-    def __get__(self, answer, owner=None):
-        if answer is None:
-            return self
-        value = answer.__dict__[self.name] = self.compute(answer)
-        return value
-
-
 @dataclass(frozen=True)
 class ClassMember:
     """One conjugacy class in a classification answer, its order factored.
@@ -104,7 +83,7 @@ class ClassMember:
     def order(self) -> int:
         return prod(q**e for q, e in self.factors)
 
-    @_once
+    @cached_property
     def display_label(self) -> str:
         """The table label, or the group; "~" marks a second class of one
         type that is not a twist."""
@@ -115,7 +94,7 @@ class ClassMember:
             return base
         return f"~{base}"
 
-    @_once
+    @cached_property
     def order_factored(self) -> str:
         """The member order as a string like 2^7*3^2."""
         return format_factorization(self.factors)
@@ -145,31 +124,20 @@ class SubgroupClassResult:
     def class_count(self) -> int:
         return len(self.members)
 
-    @_once
+    @cached_property
     def equals_whole_group(self) -> bool:
         """One minimal class, and its member has the order of G."""
         return (self.class_count == 1
                 and self.members[0].factors == order_factorization(self.group))
 
-    @_once
+    @cached_property
     def group_label(self) -> str:
         return format_group(self.group)
 
-    @_once
+    @cached_property
     def order_factored(self) -> str:
-        """|G| as a string like 2^7*3^2.  Each distinct factorization of
-        the answer is formatted once: a member whose factors are the tuple
-        of |G| (the member G, when ell | m) or of an earlier member (the
-        twists of one type) gets that text as its order_factored."""
-        factors = order_factorization(self.group)
-        texts = {id(factors): format_factorization(factors)}
-        for m in self.members:
-            text = texts.get(id(m.factors))
-            if text is None:
-                texts[id(m.factors)] = m.order_factored
-            else:
-                m.__dict__.setdefault("order_factored", text)
-        return texts[id(factors)]
+        """|G| as a string like 2^7*3^2."""
+        return format_factorization(order_factorization(self.group))
 
     @property
     def member_order(self) -> int:

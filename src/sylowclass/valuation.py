@@ -57,30 +57,37 @@ def _check_prime(ell: int) -> None:
         raise ValueError(f"ell must be prime, got {ell}")
 
 
-# factorization trial-divides up to this bound; a cofactor left above its
+# factorization trial-divides up to TRIAL_BOUND; a cofactor left above its
 # square has no prime factor up to it and goes to is_prime and, when
-# composite, to Pollard-Brent rho.
+# composite, to Pollard-Brent rho.  is_prime decides nothing at or above
+# MR_EXACT_BOUND, so a number there is trial-divided on up to
+# WIDE_TRIAL_BOUND, and a cofactor still there is split by rho with a
+# budget of RHO_STEPS squarings for 128 bits, falling with the square of
+# its length (each squaring costs about that square), before it is given up.
 TRIAL_BOUND = 1 << 12
+WIDE_TRIAL_BOUND = 1 << 16
+RHO_STEPS = 1 << 18
 
 
 class FactorizationError(ValueError):
-    """A cofactor without prime factors up to TRIAL_BOUND is at or above
-    MR_EXACT_BOUND, where is_prime decides nothing."""
+    """A cofactor at or above MR_EXACT_BOUND, where is_prime decides
+    nothing, that Pollard-Brent rho did not split within its budget."""
 
 
 @lru_cache(maxsize=1024)
 def factorization(n: int) -> tuple[tuple[int, int], ...]:
     """Ascending (prime, exponent) pairs of n >= 1: trial division up to
-    TRIAL_BOUND, then is_prime on the cofactor and Pollard-Brent rho to
-    split a composite one.  FactorizationError when a cofactor's primality
-    cannot be decided."""
+    TRIAL_BOUND (WIDE_TRIAL_BOUND while n >= MR_EXACT_BOUND), then is_prime
+    on the cofactor and Pollard-Brent rho to split a composite one.
+    FactorizationError when a cofactor at or above MR_EXACT_BOUND is not
+    split within rho's budget."""
     if n < 1:
         raise ValueError("n must be positive")
     out = []
     d = 2
     while d * d <= n:
-        if d > TRIAL_BOUND:
-            return tuple(out) + _factor_cofactor(n)
+        if d > TRIAL_BOUND and (n < MR_EXACT_BOUND or d > WIDE_TRIAL_BOUND):
+            return tuple(out) + _factor_cofactor(n, d)
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -93,36 +100,48 @@ def factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _factor_cofactor(n: int) -> tuple[tuple[int, int], ...]:
-    """Ascending (prime, exponent) pairs of an n whose prime factors all
-    exceed TRIAL_BOUND."""
+def _factor_cofactor(n: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of an n without prime factors
+    below bound.  A part below MR_EXACT_BOUND is tested by is_prime and
+    split by rho when composite; a part at or above it is split by rho
+    within its budget, or FactorizationError."""
     primes = []
     parts = [n]
     while parts:
         x = parts.pop()
-        try:
-            prime = is_prime(x)
-        except ValueError:
-            raise FactorizationError(
-                f"cannot factor a {x.bit_length()}-bit cofactor without prime "
-                f"factors up to {TRIAL_BOUND}: primality is decided only below "
-                f"{MR_EXACT_BOUND}") from None
-        if prime:
-            primes.append(x)
-        else:
+        if x < MR_EXACT_BOUND:
+            if is_prime(x):
+                primes.append(x)
+                continue
             divisor = _pollard_brent(x)
-            parts += [divisor, x // divisor]
+        else:
+            words = -(-x.bit_length() // 128)
+            steps = RHO_STEPS // (words * words)
+            divisor = _pollard_brent(x, steps)
+            if divisor is None:
+                raise FactorizationError(
+                    f"cannot factor a {x.bit_length()}-bit cofactor: it has no "
+                    f"prime factor below {bound}, Pollard-Brent rho found none "
+                    f"in {steps} steps, and primality is decided only below "
+                    f"{MR_EXACT_BOUND}")
+        parts += [divisor, x // divisor]
     return tuple(sorted(Counter(primes).items()))
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, steps: int | None = None) -> int | None:
     """A proper divisor of an odd composite n: Pollard's rho on x^2 + c in
     Brent's form, which takes one gcd per batch of differences and, when a
-    batch overshoots to n, steps through it again one difference at a time."""
+    batch overshoots to n, steps through it again one difference at a time.
+    With steps given, None once about that many squarings found no divisor
+    (n may then be prime)."""
     batch = 128
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps is not None:
+                if steps <= 0:
+                    return None
+                steps -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

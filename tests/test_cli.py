@@ -193,7 +193,7 @@ class TestExitCodes:
         code, out, err = run(capsys, "classify", "--group", f"G({smooth + 1},1,1)",
                              "--ell", "2")
         assert (code, out) == (3, "")
-        assert err.startswith("error: cannot factor a 13266-bit cofactor")
+        assert err.startswith("error: cannot factor a 13251-bit cofactor")
 
     def test_product_with_too_many_classes(self, capsys):
         # 3 minimal reflection classes per factor at ell = 2: 3^11 in all

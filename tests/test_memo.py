@@ -166,7 +166,7 @@ def test_rendering_keeps_answers_frozen_equal_and_hashable(spec, ell, cleared):
             answer.members[0].display_label = "changed"
 
 
-def test_each_distinct_factorization_is_formatted_once(cleared, monkeypatch):
+def test_each_order_is_formatted_once_per_answer(cleared, monkeypatch):
     formatted = []
     original = classify.format_factorization
 
@@ -176,12 +176,17 @@ def test_each_distinct_factorization_is_formatted_once(cleared, monkeypatch):
 
     monkeypatch.setattr(classify, "format_factorization", recording)
     # ell | m: the member is G itself; ell | p: three twists of G(4,2,3)
-    for kind, ell in (("parabolic", 2), ("reflection", 2)):
+    g = Imprimitive(12, 6, 3)
+    for kind, ell, orders in (("parabolic", 2, ["2^6*3^3"] * 2),
+                              ("reflection", 2, ["2^6*3^3"] + ["2^6*3"] * 3)):
         formatted.clear()
-        report = cli.classification_report(Imprimitive(12, 6, 3), ell, kind)
-        assert len(formatted) == len(set(formatted)) == 1 + (kind == "reflection")
-        assert report["classes"][0]["order_factored"] == (
-            "2^6*3^3" if kind == "parabolic" else "2^6*3")
+        report = cli.classification_report(g, ell, kind)
+        # |G| once by the answer, each member's order once by the member
+        assert list(map(original, formatted)) == orders
+        assert [c["order_factored"] for c in report["classes"]] == orders[1:]
+        formatted.clear()
+        assert cli.classification_report(g, ell, kind) == report
+        assert formatted == []
 
 
 def test_factor_answers_inside_a_product_are_not_rendered(cleared):

@@ -244,6 +244,24 @@ class TestFactorization:
             assert all(is_prime(q) and e >= 1 for q, e in pairs)
             assert [q for q, _ in pairs] == sorted({q for q, _ in pairs})
 
+    def test_cofactors_past_the_exact_bound_with_moderate_factors(self):
+        # past MR_EXACT_BOUND is_prime decides nothing: trial division goes
+        # on to WIDE_TRIAL_BOUND, and rho splits what is left
+        assert 4099**7 >= MR_EXACT_BOUND
+        assert factorization(4099**7) == ((4099, 7),)
+        above = [q for q in range(4097, 6000) if is_prime(q)]
+        for primes in (above[:7], above[-7:], above[::30][:7]):
+            n = math.prod(primes)
+            assert n >= MR_EXACT_BOUND
+            assert factorization(n) == tuple((q, 1) for q in primes)
+        assert factorization(4099**1000) == ((4099, 1000),)
+        assert factorization(2 * 65521**3 * 4099**5) == (
+            (2, 1), (4099, 5), (65521, 3))
+        # 92 bits, two primes past WIDE_TRIAL_BOUND: rho splits them
+        p, q = 2**31 - 1, 2**61 - 1
+        assert factorization(p * q) == ((p, 1), (q, 1))
+        assert factorization(p * p * q) == ((p, 2), (q, 1))
+
     def test_4000_digit_numbers(self):
         assert factorization(10**3999) == ((2, 3999), (5, 3999))
         # 10^3999 + 1 keeps a cofactor of about 13000 bits after trial
@@ -251,9 +269,13 @@ class TestFactorization:
         with pytest.raises(valuation.FactorizationError,
                            match="decided only below"):
             factorization(10**3999 + 1)
-        # 92 bits, two primes past the bound: no certain answer either
-        with pytest.raises(valuation.FactorizationError):
-            factorization((2**61 - 1) * (2**31 - 1))
+
+    def test_undecidable_primes_past_the_exact_bound(self):
+        # 2^89 - 1 is prime and past MR_EXACT_BOUND: rho finds no divisor
+        big = 2**89 - 1
+        for n in (big, 1_000_000_007 * big, big * big):
+            with pytest.raises(valuation.FactorizationError):
+                factorization(n)
 
     def test_factorial_below_400(self):
         for n in range(0, 400):
