@@ -99,9 +99,6 @@ class ClassMember:
         """The member order as a string like 2^7*3^2."""
         return format_factorization(self.factors)
 
-    def display(self) -> str:
-        return self.display_label
-
 
 @dataclass(frozen=True)
 class SubgroupClassResult:
@@ -118,7 +115,6 @@ class SubgroupClassResult:
     ell: int
     kind: str
     members: tuple[ClassMember, ...]
-    twist_modulus: int | None = None
 
     @property
     def class_count(self) -> int:
@@ -149,17 +145,6 @@ class SubgroupClassResult:
 
     def member_groups(self) -> tuple[GroupType, ...]:
         return tuple(m.group for m in self.members)
-
-    def twist_descriptors(self) -> list[dict]:
-        """Twist coset data for imprimitive multi-class answers: member t
-        is conjugation by the diagonal phase alpha = zeta_m^t."""
-        if self.twist_modulus is None:
-            return []
-        return [
-            {"alpha_exponent": m.twist_exponent, "modulus": self.twist_modulus}
-            for m in self.members
-            if m.twist_exponent is not None
-        ]
 
 
 def require_divides(g: GroupType, ell: int) -> groups.Factorization:
@@ -214,8 +199,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     if isinstance(g, Exceptional):
         from . import tables
 
-        table_id = "t3" if g.st >= 23 else "t3b"
-        row = tables.lookup(table_id, g, ell)
+        row = tables.lookup(tables.reflection_table_id(g.st), g, ell)
         members = []
         seen: dict[str, int] = {}
         for member in row.members:
@@ -229,13 +213,11 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     m, p, n = g.m, g.p, g.n
     if p % ell == 0:
         member_type = Imprimitive(ell_part(ell, m), ell_part(ell, p), n)
-        count = gcd(p // ell_part(ell, p), n)
-        modulus = m // count
         members = tuple(
             _member_of(member_type, distinguisher=t, twist_exponent=t)
-            for t in range(count)
+            for t in range(gcd(p // ell_part(ell, p), n))
         )
-        return SubgroupClassResult(g, ell, REFLECTION, members, twist_modulus=modulus)
+        return SubgroupClassResult(g, ell, REFLECTION, members)
 
     a = ell_part(ell, m)
     member = _member_of(product_of(

@@ -22,7 +22,9 @@ imprimitive group or a product of them loads neither the embedded tables
 (`structure`, imported inside cmd_sylow); `tables` loads the tables and
 not `structure`.  Only `verify` runs the oracle, and only it imports numpy
 (through the `verify` module, imported inside cmd_verify).  `verify
---observation` checks closed forms only and imports neither.
+--observation` checks closed forms only and imports neither; it reads
+--max-m and --max-n, and any of --group, --ell, --max-order, --jobs,
+--progress or --format json with it is a usage error.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the shell's code for a closed pipe
-
-TABLE_ALIASES = {
-    "parabolic": ("t1",),
-    "cuspidal": ("t2",),
-    "reflection": ("t3", "t3b"),
-    "supercuspidal": ("t4",),
-    "nonunique": ("t5",),
-}
-
 
 class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""
@@ -220,7 +213,7 @@ def _cross_check_row(row) -> None:
             result = cls.classify_parabolic(row.group, ell)
         else:
             result = cls.classify_reflection(row.group, ell)
-        got = [(m.display(), m.order) for m in result.members]
+        got = [(m.display_label, m.order) for m in result.members]
         want = [(m.display(), m.order) for m in row.members]
         if got != want:
             raise RuntimeError(f"table drift for G{st} ell={ell}: {got} != {want}")
@@ -333,6 +326,7 @@ _TABLE_COLUMNS = {
     "supercuspidal": ["group", "ell", "group_order"],
     "nonunique": ["group", "ell", "members", "member_order", "count"],
 }
+TABLE_NAMES = tuple(_TABLE_COLUMNS)
 
 
 def render_table(table_key: str, fmt: str) -> str:
@@ -375,9 +369,14 @@ def _print_progress(report, seconds: float) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs is not None:
-        _positive_int(args.jobs, "--jobs")
     if args.observation:  # closed forms only, over the --max-m/--max-n catalog
+        unused = [option for option, value in (
+            ("--group", args.group), ("--ell", args.ell), ("--max-order", args.max_order),
+            ("--jobs", args.jobs), ("--progress", args.progress or None)) if value is not None]
+        if args.format == "json":
+            unused.append("--format json")
+        if unused:
+            raise UsageError(f"--observation does not take {', '.join(unused)}")
         catalog = list(cls.catalog_irreducibles(_positive_int(args.max_m, "--max-m"),
                                                 _positive_int(args.max_n, "--max-n")))
         violations = cls.verify_observation(catalog)
@@ -389,18 +388,21 @@ def cmd_verify(args) -> int:
                   f"P = {format_group(v.parabolic)}")
         return EXIT_OK if not violations else EXIT_VERIFY
 
+    if args.jobs is not None:
+        _positive_int(args.jobs, "--jobs")
     from . import verify  # imports the oracle, and with it numpy
 
     cap = (_positive_int(args.max_order, "--max-order") if args.max_order is not None
            else default_order_cap())
-    ells = None if args.ell == "all" else [int(args.ell)]
+    ell = args.ell or "all"
+    ells = None if ell == "all" else [int(ell)]
     if args.group:
         g = groups.normalize(parse_group(args.group))
         if not isinstance(g, groups.Imprimitive):
             raise UnsupportedGroupError(
                 "the oracle only enumerates imprimitive groups G(m,p,n)")
         points = [(g.m, g.p, g.n)]
-        ells = _resolve_ells(g, args.ell)
+        ells = _resolve_ells(g, ell)
     else:
         points = verify.grid_points(_positive_int(args.max_m, "--max-m"),
                                     _positive_int(args.max_n, "--max-n"), cap)
@@ -465,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sylow)
 
     p = sub.add_parser("tables", help="regenerate an embedded table")
-    p.add_argument("--id", required=True, choices=sorted(TABLE_ALIASES),
+    p.add_argument("--id", required=True, choices=sorted(TABLE_NAMES),
                    help="which table")
     p.add_argument("--format", choices=["markdown", "json"], default="markdown")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("verify", help="oracle-vs-theorem campaign")
     p.add_argument("--group", help="verify a single G(m,p,n)")
-    p.add_argument("--ell", type=_ell_arg, default="all")
+    p.add_argument("--ell", type=_ell_arg)  # absent: every prime
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-order", type=int, default=None,
                    help="enumeration cap (default SYLOW_ORACLE_CAP or "

@@ -10,6 +10,7 @@ Group spec grammar (CLI and table data):
     G(m,p,n) | G<k> for k in 4..37 | classical aliases (A4, B3, B3(3),
     D4(3), H3, ..., L2..L4, M3, J3(4), K5, N4, O4, C<m>) | products
     separated by "x" or the unicode times sign, with optional "^k" powers.
+    A spec holds at most MAX_FACTORS irreducible factors, powers counted.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "order_factorization",
     "order_factored",
     "is_feasible",
-    "triple_compare",
     "conjugacy_modulus",
     "alpha_class_count",
     "degrees_imprimitive",
@@ -258,13 +258,6 @@ class FeasibleTriple:
         return f"({self.m},{self.p},{self.n})"
 
 
-def triple_compare(a: FeasibleTriple, b: FeasibleTriple) -> int:
-    """Total order on feasible triples: by n, then m, then p.  Returns
-    -1, 0 or 1."""
-    ka, kb = a.sort_key(), b.sort_key()
-    return (ka > kb) - (ka < kb)
-
-
 def is_feasible(t, ambient: tuple[int, int, int]) -> bool:
     """Whether (m',p',n') labels a reflection subgroup of G(m,p,n).
 
@@ -366,16 +359,11 @@ _CLASSICAL = {
 # Reverse preference for display of exceptional groups.
 _CLASSICAL_NAMES = {v: k for k, v in _CLASSICAL.items()}
 
-_G_MPN = re.compile(r"^G\((\d+),(\d+),(\d+)\)$")
-_G_ST = re.compile(r"^G(\d+)$")
-_POWER = re.compile(r"^(.*?)\^(\d+)$")
-_A_N = re.compile(r"^A(\d+)$")
-_B_N = re.compile(r"^B(\d+)$")
-_B_NK = re.compile(r"^B(\d+)\((\d+)\)$")
-_D_N = re.compile(r"^D(\d+)$")
-_D_NK = re.compile(r"^D(\d+)\((\d+)\)$")
-_C_M = re.compile(r"^C(\d+)$")
-_L_N = re.compile(r"^L(\d+)$")
+_G_MPN = re.compile(r"G\((\d+),(\d+),(\d+)\)$")
+# Every other atom: a letter, a rank or index n, an optional decoration (k).
+_SERIES = re.compile(r"([A-Z])(\d+)(?:\((\d+)\))?$")
+# The irreducible factors one spec may hold, counted before any is built.
+MAX_FACTORS = 10000
 
 
 class GroupParseError(ValueError):
@@ -393,42 +381,35 @@ class TableLookupError(KeyError):
 def _parse_atom(token: str) -> GroupType:
     if m := _G_MPN.match(token):
         return normalize(Imprimitive(*map(int, m.groups())))
-    if m := _G_ST.match(token):
-        k = int(m.group(1))
-        if k in (1, 2, 3):
-            raise GroupParseError(
-                f"G{k} is a family; use G(m,p,n) with explicit parameters"
-            )
-        return Exceptional(k)
     if token in _CLASSICAL:
         return Exceptional(_CLASSICAL[token])
-    if m := _A_N.match(token):
-        return Sym(int(m.group(1)) + 1)
-    if m := _B_NK.match(token):
-        n, k = map(int, m.groups())
-        if k == 3:
-            return normalize(Imprimitive(3, 1, n))
-        if k % 2 == 0:
-            # B_n^(2j) = G(2j, j, n); only the (3) and (4) decorations occur
-            # in the embedded tables.
-            return normalize(Imprimitive(k, k // 2, n))
-        raise GroupParseError(f"unknown decoration in {token}")
-    if m := _B_N.match(token):
-        return normalize(Imprimitive(2, 1, int(m.group(1))))
-    if m := _D_NK.match(token):
-        n, k = map(int, m.groups())
-        return normalize(Imprimitive(k, k, n))
-    if m := _D_N.match(token):
-        return normalize(Imprimitive(2, 2, int(m.group(1))))
-    if m := _L_N.match(token):
-        n = int(m.group(1))
-        if n == 1:
-            return Cyclic(3)
-        if n in (2, 3, 4):
-            return Exceptional({2: 4, 3: 25, 4: 32}[n])
-        raise GroupParseError(f"unknown line group {token}")
-    if m := _C_M.match(token):
-        return Cyclic(int(m.group(1)))
+    if m := _SERIES.match(token):
+        letter, n, k = m[1], int(m[2]), m[3]
+        if k is None:
+            if letter == "G":
+                if n in (1, 2, 3):
+                    raise GroupParseError(
+                        f"G{n} is a family; use G(m,p,n) with explicit parameters")
+                return Exceptional(n)
+            if letter == "A":
+                return Sym(n + 1)
+            if letter in "BD":
+                return normalize(Imprimitive(2, 2 if letter == "D" else 1, n))
+            if letter == "C":
+                return Cyclic(n)
+            if letter == "L" and n == 1:
+                return Cyclic(3)
+        elif letter == "B":
+            k = int(k)
+            if k == 3:
+                return normalize(Imprimitive(3, 1, n))
+            if k % 2 == 0:
+                # B_n^(2j) = G(2j, j, n); only the (3) and (4) decorations occur
+                # in the embedded tables.
+                return normalize(Imprimitive(k, k // 2, n))
+            raise GroupParseError(f"unknown decoration in {token}")
+        elif letter == "D":
+            return normalize(Imprimitive(int(k), int(k), n))
     raise GroupParseError(f"cannot parse group spec {token!r}")
 
 
@@ -439,14 +420,24 @@ def parse_group(spec: str) -> GroupType:
         raise GroupParseError("empty group spec")
     # Splitting on "x" must not break atoms; no atom contains a bare "x".
     factors = []
+    count = 0
     for token in text.split("x"):
         if not token:
             raise GroupParseError(f"empty factor in {spec!r}")
         power = 1
-        if m := _POWER.match(token):
-            token, power = m.group(1), int(m.group(2))
+        base, caret, exponent = token.rpartition("^")
+        if caret and exponent.isdecimal():
+            token = base
+            try:
+                power = int(exponent)
+            except ValueError:  # past int()'s digit limit, so past the cap
+                power = MAX_FACTORS + 1
             if power < 1:
                 raise GroupParseError(f"bad power in {spec!r}")
+        count += power
+        if count > MAX_FACTORS:
+            raise GroupParseError(
+                f"a group spec holds at most {MAX_FACTORS} irreducible factors")
         if token.startswith("[") and token.endswith("]"):
             token = token[1:-1]
         try:

@@ -228,39 +228,17 @@ def load_tables() -> Tables:
 
 
 def lookup(table_id: str, group: GroupType, ell: int | None = None) -> TableRow:
-    """Exact row for a concrete exceptional group, or the matching family
-    pattern row for an imprimitive one."""
-    tabs = load_tables()
+    """Row for a concrete exceptional group; the imprimitive family has
+    closed forms (classify) and no row here."""
     group = groups.normalize(group)
     if isinstance(group, Exceptional):
-        return tabs.row(table_id, group.st, ell)
-    if isinstance(group, Imprimitive) and ell is not None:
-        label = _family_label(group, ell, table_id)
-        if label is not None:
-            for r in tabs.family(table_id):
-                if r.group_label == label and _family_ell_matches(r, group, ell):
-                    return r
+        return load_tables().row(table_id, group.st, ell)
     raise TableLookupError(f"no {table_id} row for {group}, ell={ell}")
 
 
-def _family_label(g: Imprimitive, ell: int, table_id: str) -> str | None:
-    if table_id in ("t1", "t3"):
-        if g.m == 1:
-            return "G(1,1,n)"
-        if g.n == 1:
-            return "G(m,1,1)"
-        return "G(m,p,n)"
-    if table_id == "t2":
-        if g.m == 1:
-            return "G(1,1,l^i)"
-        if g.n == 1:
-            return "G(m,1,1)"
-        return "G(m,p,n)"
-    if table_id == "t4":
-        return _supercuspidal_family_label(g, ell)
-    if table_id == "t5":
-        return "G(m,p,n)" if g.p % ell == 0 and g.n > 1 else None
-    return None
+def reflection_table_id(st: int) -> str:
+    """The reflection table holding G<st>: t3 from G23 on, t3b below."""
+    return "t3" if st >= 23 else "t3b"
 
 
 def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
@@ -277,21 +255,6 @@ def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
     if g.p == 1 and ell_part(ell, g.n) == g.n:
         return "G(l^i,1,l^j)"
     return None
-
-
-def _family_ell_matches(row: TableRow, g: Imprimitive, ell: int) -> bool:
-    cond = row.ell_condition
-    if cond in (None, "l"):
-        return True
-    if cond == "l_div_m":
-        return g.m % ell == 0
-    if cond == "l_not_div_m":
-        return g.m % ell != 0
-    if cond == "l_div_p":
-        return g.p % ell == 0
-    if cond == "l_div_m_not_p":
-        return g.m % ell == 0 and g.p % ell != 0
-    raise ValueError(f"unknown ell condition {cond!r}")
 
 
 @dataclass
@@ -413,8 +376,7 @@ def check_consistency() -> ConsistencyReport:
     # t5 class counts agree with the reflection tables, per labeled type.
     for row in tabs.concrete("t5"):
         st = row.group.st
-        table_id = "t3" if st >= 23 else "t3b"
-        refl = tabs.row(table_id, st, row.ell)
+        refl = tabs.row(reflection_table_id(st), st, row.ell)
         label = row.members[0].label
         matching = [m for m in refl.members if m.label == label]
         if len(matching) != row.count:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import classify, groups, oracle, structure
-from .groups import Exceptional, GroupType, Imprimitive, normalize
+from .groups import Imprimitive, normalize
 from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 # perfbench/tracing.py wraps verify.prime_factors, so the name stays here.
 from .valuation import nu, prime_factors  # noqa: F401
@@ -34,18 +35,6 @@ def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
                 if 2 <= size <= order_cap:
                     points.append((m, p, n))
     return points
-
-
-def _sort_key(g: GroupType):
-    if isinstance(g, Imprimitive):
-        return (0, g.m, g.p, g.n)
-    if isinstance(g, Exceptional):
-        return (1, g.st)
-    return (2, tuple(_sort_key(f) for f in g.factors))
-
-
-def _label_multiset(gs) -> list:
-    return sorted(_sort_key(normalize(g)) for g in gs)
 
 
 @dataclass
@@ -171,9 +160,8 @@ def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
     detail = f"{len(minimal)} minimal parabolic classes"
     if ok:
         cls = minimal[0]
-        want = _label_multiset(theorem.member_groups())
-        got = _label_multiset(
-            [identify(cls.representative).group()])
+        want = Counter(map(normalize, theorem.member_groups()))
+        got = Counter([normalize(identify(cls.representative).group())])
         ok = cls.order == theorem.member_order and want == got
         detail = (f"oracle order {cls.order} vs {theorem.member_order}")
     checks.append(Check("parabolic", ell, ok, detail))
@@ -185,10 +173,9 @@ def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
     if ok:
         got_orders = sorted(c.order for c in minimal)
         want_orders = sorted(theorem.orders)
-        got_labels = _label_multiset(
-            identify(c.representative).group()
-            for c in minimal)
-        want_labels = _label_multiset(theorem.member_groups())
+        got_labels = Counter(
+            normalize(identify(c.representative).group()) for c in minimal)
+        want_labels = Counter(map(normalize, theorem.member_groups()))
         ok = got_orders == want_orders and got_labels == want_labels
         detail = f"orders {got_orders} vs {want_orders}"
         if ok and theorem.class_count > 1:

@@ -109,12 +109,6 @@ class TestReflection:
         assert all(m.group == Imprimitive(4, 2, 3) for m in r.members)
         assert r.orders == (192, 192, 192)
         assert [m.twist_exponent for m in r.members] == [0, 1, 2]
-        assert r.twist_modulus == 4
-        assert r.twist_descriptors() == [
-            {"alpha_exponent": 0, "modulus": 4},
-            {"alpha_exponent": 1, "modulus": 4},
-            {"alpha_exponent": 2, "modulus": 4},
-        ]
 
     def test_ell_divides_m_not_p(self):
         r = classify_reflection(Imprimitive(6, 1, 6), 3)
@@ -159,12 +153,12 @@ class TestReflection:
     def test_exceptional_tilde_classes(self):
         r = classify_reflection(Exceptional(28), 2)
         assert r.class_count == 2
-        assert [m.display() for m in r.members] == ["B4", "~B4"]
+        assert [m.display_label for m in r.members] == ["B4", "~B4"]
         assert r.orders == (384, 384)
 
     def test_three_classes_mixed(self):
         r = classify_reflection(Exceptional(9), 3)
-        assert [(m.display(), m.order) for m in r.members] == [
+        assert [(m.display_label, m.order) for m in r.members] == [
             ("A2", 6), ("~A2", 6), ("G8", 96)]
 
     def test_cyclic(self):

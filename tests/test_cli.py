@@ -195,6 +195,18 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot factor a 13251-bit cofactor")
 
+    def test_power_past_the_factor_cap(self, capsys):
+        # rejected while the spec is read, before any factor is built: a
+        # 5000-digit exponent, past int()'s digit limit, and 10^8 factors
+        for spec in ["A1^" + "3" * 5000, "A1^100000000",
+                     f"A1^{groups.MAX_FACTORS + 1}", "A1^6000 x A1^6000"]:
+            code, out, err = run(capsys, "classify", "--group", spec, "--ell", "2")
+            assert (code, out) == (2, ""), spec[:20]
+            assert err.count("\n") == 1 and f"at most {groups.MAX_FACTORS}" in err
+        code, out, _ = run(capsys, "classify", "--group", f"A1^{groups.MAX_FACTORS}",
+                           "--ell", "2")
+        assert code == 0 and out.startswith("G(1,1,2)^10000 (order 2^10000)")
+
     def test_product_with_too_many_classes(self, capsys):
         # 3 minimal reflection classes per factor at ell = 2: 3^11 in all
         code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^11", "--ell", "2",
@@ -368,7 +380,7 @@ _CLOSED_FORM_ARGV = (
        for spec in ["G(12,6,3)", "G28", "G4 x G(6,1,5)"]
        for fmt in ["text", "json", "markdown"]]
     + [["tables", "--id", table_id, "--format", fmt]
-       for table_id in sorted(cli.TABLE_ALIASES)
+       for table_id in sorted(cli.TABLE_NAMES)
        for fmt in ["markdown", "json"]]
     + [["verify", "--observation"]]
 )
@@ -448,7 +460,7 @@ class TestLazyImports:
 
     def test_tables_command_loads_tables_only(self, capsys):
         argvs = [["tables", "--id", table_id, "--format", fmt]
-                 for table_id in sorted(cli.TABLE_ALIASES)
+                 for table_id in sorted(cli.TABLE_NAMES)
                  for fmt in ["markdown", "json"]]
         assert _run_each(capsys, argvs) == ["sylowclass.tables"]
 
@@ -546,7 +558,7 @@ class TestOrdersFactoredFromParameters:
 
 
 class TestTablesCommand:
-    @pytest.mark.parametrize("table_id", sorted(cli.TABLE_ALIASES))
+    @pytest.mark.parametrize("table_id", sorted(cli.TABLE_NAMES))
     def test_renders_and_is_stable(self, table_id, capsys):
         code, first, _ = run(capsys, "tables", "--id", table_id)
         assert code == 0
@@ -575,7 +587,7 @@ class TestTablesCommand:
         tabs = load_tables()
         key_of = {"t1": "parabolic", "t2": "cuspidal", "t3": "reflection",
                   "t3b": "reflection", "t4": "supercuspidal", "t5": "nonunique"}
-        generated = {k: cli.generate_table(k) for k in cli.TABLE_ALIASES}
+        generated = {k: cli.generate_table(k) for k in cli.TABLE_NAMES}
         for table_id, key in key_of.items():
             for row in tabs.concrete(table_id):
                 found = [
@@ -619,6 +631,36 @@ class TestObservationFlag:
         code, out, err = run(capsys, "verify", "--observation", flag, "0")
         assert code == 2 and out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("options, named", [
+        (["--format", "json"], "--format json"),
+        (["--group", "G(2,1,2)"], "--group"),
+        (["--ell", "2"], "--ell"),
+        (["--ell", "all"], "--ell"),
+        (["--max-order", "100"], "--max-order"),
+        (["--max-order", "0"], "--max-order"),
+        (["--jobs", "1"], "--jobs"),
+        (["--jobs", "0"], "--jobs"),
+        (["--progress"], "--progress"),
+    ])
+    def test_unused_option_is_a_usage_error(self, capsys, options, named):
+        # the check reads only --max-m and --max-n; any other option would
+        # be dropped without a word, and JSON readers would get text
+        code, out, err = run(capsys, "verify", "--observation", *options)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and named in err
+
+    def test_every_unused_option_is_named(self, capsys):
+        code, out, err = run(capsys, "verify", "--observation", "--progress",
+                             "--format", "json", "--max-m", "3", "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert "--progress" in err and "--format json" in err and "--jobs" in err
+        assert "--max-m" not in err
+
+    def test_text_format_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--observation", "--format", "text",
+                           "--max-m", "2", "--max-n", "2")
+        assert code == 0 and "0 violations" in out
 
 
 # Group specs from the grammar of groups.parse_group, valid or not.

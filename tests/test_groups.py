@@ -10,6 +10,7 @@ from sylowclass.classify import (catalog_irreducibles, classify_parabolic,
 from sylowclass.groups import (
     Cyclic,
     Exceptional,
+    MAX_FACTORS,
     GroupParseError,
     Imprimitive,
     Product,
@@ -28,7 +29,6 @@ from sylowclass.groups import (
     order_factorization,
     parse_group,
     product_of,
-    triple_compare,
     FeasibleTriple,
 )
 from sylowclass.valuation import factorization, nu
@@ -167,10 +167,16 @@ class TestFeasibleTriples:
         assert not is_feasible((4, 1, 2), (12, 6, 3))
 
     def test_total_order(self):
-        assert triple_compare(FeasibleTriple(4, 2, 2), FeasibleTriple(2, 2, 2)) == 1
-        assert triple_compare(FeasibleTriple(1, 1, 3), FeasibleTriple(12, 12, 2)) == 1
-        assert triple_compare(FeasibleTriple(4, 2, 2), FeasibleTriple(4, 2, 2)) == 0
-        assert triple_compare(FeasibleTriple(2, 1, 2), FeasibleTriple(2, 2, 2)) == -1
+        # by n, then m, then p
+        assert FeasibleTriple(2, 2, 2) < FeasibleTriple(4, 2, 2)
+        assert FeasibleTriple(12, 12, 2) < FeasibleTriple(1, 1, 3)
+        assert FeasibleTriple(4, 2, 2) == FeasibleTriple(4, 2, 2)
+        assert not FeasibleTriple(4, 2, 2) < FeasibleTriple(4, 2, 2)
+        assert FeasibleTriple(2, 1, 2) < FeasibleTriple(2, 2, 2)
+        assert sorted([FeasibleTriple(1, 1, 3), FeasibleTriple(2, 2, 2),
+                       FeasibleTriple(2, 1, 2), FeasibleTriple(12, 12, 2)]) == [
+            FeasibleTriple(2, 1, 2), FeasibleTriple(2, 2, 2),
+            FeasibleTriple(12, 12, 2), FeasibleTriple(1, 1, 3)]
 
 
 class TestConjugacyModulus:
@@ -315,6 +321,36 @@ class TestGrammar:
         for bad in ["", "G1", "G2", "G3", "Gx", "Q(1,2,3)", "G(6,4,2)", "A2^0"]:
             with pytest.raises((GroupParseError, ValueError)):
                 parse_group(bad)
+
+    def test_series_edge_cases(self):
+        # L1 is the only line group outside the classical aliases; a B
+        # decoration is 3 or even; J3 takes (4) or (5) only; C0 and a
+        # zero decoration are no group
+        assert parse_group("L1") == Cyclic(3)
+        assert parse_group("D4(3)") == Imprimitive(3, 3, 4)
+        assert parse_group("D2(2)") == Imprimitive(2, 2, 2)
+        assert parse_group("B1(4)") == Cyclic(2)
+        for bad in ["L5", "L0", "L1(3)", "B3(5)", "J3(6)", "J3", "C0", "C2(3)",
+                    "A2(3)", "G4(3)", "D4(0)", "B3(0)", "H5", "Z3", "g4"]:
+            with pytest.raises(GroupParseError):
+                parse_group(bad)
+
+    def test_factor_cap(self):
+        assert len(parse_group(f"A1^{MAX_FACTORS}").factors) == MAX_FACTORS
+        assert len(parse_group("G(6,6,3)^20").factors) == 20
+        half = MAX_FACTORS // 2
+        assert len(parse_group(f"A1^{half} x B2^{half}").factors) == MAX_FACTORS
+        # the powers of every factor count together
+        for spec in [f"A1^{MAX_FACTORS + 1}", f"A1^{half + 1} x A1^{half}",
+                     "A1^6000 x A1^6000", f"G4 x A1^{MAX_FACTORS}",
+                     "A1^100000000"]:
+            with pytest.raises(GroupParseError, match="at most"):
+                parse_group(spec)
+
+    def test_exponent_past_the_digit_limit(self):
+        # more digits than int() converts by default (4300)
+        with pytest.raises(GroupParseError, match="at most"):
+            parse_group("A1^" + "7" * 5000)
 
     def test_classical_display(self):
         assert format_group(Exceptional(30), classical=True) == "H4"

@@ -10,9 +10,11 @@ from sylowclass.tables import (
     TABLES_SHA256,
     TableLookupError,
     _data_text,
+    _supercuspidal_family_label,
     check_consistency,
     load_tables,
     lookup,
+    reflection_table_id,
 )
 from sylowclass.valuation import is_prime, nu, prime_factors
 
@@ -100,28 +102,38 @@ class TestLookup:
         assert row.count == 2
 
     def test_supercuspidal_family_patterns(self):
-        assert lookup("t4", Imprimitive(4, 1, 2), 2).group_label == "G(l^i,1,l^j)"
-        assert lookup("t4", Imprimitive(8, 4, 3), 2).group_label == "G(l^i,l^j,n)"
-        assert lookup("t4", Imprimitive(1, 1, 9), 3).group_label == "G(1,1,l^i)"
-        assert lookup("t4", Imprimitive(25, 1, 1), 5).group_label == "G(l^i,1,1)"
+        # the family rows of t4 are matched by _supercuspidal_family_label,
+        # which the consistency check runs; lookup has no family rows
+        label = _supercuspidal_family_label
+        assert label(Imprimitive(4, 1, 2), 2) == "G(l^i,1,l^j)"
+        assert label(Imprimitive(8, 4, 3), 2) == "G(l^i,l^j,n)"
+        assert label(Imprimitive(1, 1, 9), 3) == "G(1,1,l^i)"
+        assert label(Imprimitive(25, 1, 1), 5) == "G(l^i,1,1)"
+        assert label(Imprimitive(25, 5, 1), 5) == "G(l^i,1,1)"  # the cyclic group C5
+        assert {r.group_label for r in load_tables().family("t4")} == {
+            "G(l^i,1,l^j)", "G(l^i,l^j,n)", "G(1,1,l^i)", "G(l^i,1,1)"}
 
     def test_supercuspidal_rejects_non_matching(self):
-        with pytest.raises(TableLookupError):
-            lookup("t4", Imprimitive(6, 1, 2), 2)
+        for g, ell in [(Imprimitive(6, 1, 2), 2), (Imprimitive(4, 1, 3), 2),
+                       (Imprimitive(1, 1, 6), 2)]:
+            assert _supercuspidal_family_label(g, ell) is None, g
         with pytest.raises(TableLookupError):
             lookup("t4", Exceptional(28), 2)
 
-    def test_family_rows_match_by_condition(self):
-        row = lookup("t3", Imprimitive(12, 6, 3), 2)
-        assert row.ell_condition == "l_div_p"
-        row = lookup("t3", Imprimitive(6, 1, 6), 3)
-        assert row.ell_condition == "l_div_m_not_p"
-        row = lookup("t1", Imprimitive(6, 1, 5), 5)
-        assert row.ell_condition == "l_not_div_m"
-        row = lookup("t2", Imprimitive(6, 3, 4), 2)
-        assert row.group_label == "G(m,p,n)"
-        row = lookup("t5", Imprimitive(12, 6, 3), 2)
-        assert row.count_text == "gcd(p/l^v(p),n)"
+    def test_imprimitive_groups_have_no_row(self):
+        # the family's answers are closed forms in classify, not table rows
+        for g in (Imprimitive(12, 6, 3), Imprimitive(4, 1, 2), Imprimitive(25, 5, 1)):
+            for table_id in ("t1", "t2", "t3", "t4", "t5"):
+                with pytest.raises(TableLookupError):
+                    lookup(table_id, g, 2)
+
+    def test_reflection_table_id(self):
+        # G23..G37 are in t3, G4..G22 in t3b, and each row sits in its table
+        assert [reflection_table_id(st) for st in (4, 22, 23, 37)] == [
+            "t3b", "t3b", "t3", "t3"]
+        for table_id in ("t3", "t3b"):
+            for row in load_tables().concrete(table_id):
+                assert reflection_table_id(row.group.st) == table_id
 
     def test_missing_row(self):
         with pytest.raises(TableLookupError):
