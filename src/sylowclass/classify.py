@@ -231,14 +231,17 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
     combinations of the factors' classes, so their count is the product of
     the factors' counts; above MAX_PRODUCT_CLASSES none are built."""
     classify = classify_parabolic if kind == PARABOLIC else classify_reflection
-    factor_results = [
-        classify(f, ell) for f in g.factors if ell in groups.group_primes(f)
-    ]
-    count = prod(len(r.members) for r in factor_results)
-    if count > MAX_PRODUCT_CLASSES:
-        raise TooManyClassesError(
-            f"{format_group(g)} has {count} minimal {kind} classes at ell = {ell}; "
-            f"at most {MAX_PRODUCT_CLASSES} are listed")
+    factor_results = []
+    count = 1
+    for f in g.factors:
+        if ell not in groups.group_primes(f):
+            continue
+        factor_results.append(classify(f, ell))
+        count *= len(factor_results[-1].members)
+        if count > MAX_PRODUCT_CLASSES:  # stop before the count grows unbounded
+            raise TooManyClassesError(
+                f"{format_group(g)} has more than {MAX_PRODUCT_CLASSES} minimal "
+                f"{kind} classes at ell = {ell}; at most that many are listed")
     members = []
     for combo in itertools.product(*(r.members for r in factor_results)):
         combined = product_of(c.group for c in combo)

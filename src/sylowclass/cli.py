@@ -16,6 +16,10 @@ SYLOW_ORACLE_CAP overrides the default enumeration cap,
 limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
 
+Each rendered table is kept on the loaded tables (tables.Tables.renders)
+and printed from there by later renders in the process;
+tables.load_tables.cache_clear() drops it.
+
 Each subcommand imports only the modules it runs.  `classify` on an
 imprimitive group or a product of them loads neither the embedded tables
 (`tables`, imported by an exceptional query) nor the Sylow terms
@@ -24,7 +28,8 @@ not `structure`.  Only `verify` runs the oracle, and only it imports numpy
 (through the `verify` module, imported inside cmd_verify).  `verify
 --observation` checks closed forms only and imports neither; it reads
 --max-m and --max-n, and any of --group, --ell, --max-order, --jobs,
---progress or --format json with it is a usage error.
+--progress or --format json with it is a usage error.  `verify --group`
+checks one group, and --max-m or --max-n with it is a usage error.
 """
 
 from __future__ import annotations
@@ -330,6 +335,23 @@ TABLE_NAMES = tuple(_TABLE_COLUMNS)
 
 
 def render_table(table_key: str, fmt: str) -> str:
+    """One table as JSON (fmt "json") or markdown (any other fmt).
+
+    The first render of a (table, format) pair runs the regeneration guard
+    (and, for cuspidal JSON, check_consistency) and keeps the text on the
+    loaded tables; later renders return it.  A failed render keeps
+    nothing."""
+    from . import tables
+
+    renders = tables.load_tables().renders
+    key = (table_key, "json" if fmt == "json" else "markdown")
+    text = renders.get(key)
+    if text is None:
+        text = renders[key] = _render_table(*key)
+    return text
+
+
+def _render_table(table_key: str, fmt: str) -> str:
     rows = generate_table(table_key)
     if fmt == "json":
         payload: dict = {"table": table_key, "rows": rows}
@@ -368,6 +390,12 @@ def _print_progress(report, seconds: float) -> None:
           file=sys.stderr, flush=True)
 
 
+def _grid_bounds(args) -> tuple[int, int]:
+    """--max-m and --max-n, each defaulted when absent."""
+    return (_positive_int(DEFAULT_MAX_M if args.max_m is None else args.max_m, "--max-m"),
+            _positive_int(DEFAULT_MAX_N if args.max_n is None else args.max_n, "--max-n"))
+
+
 def cmd_verify(args) -> int:
     if args.observation:  # closed forms only, over the --max-m/--max-n catalog
         unused = [option for option, value in (
@@ -377,8 +405,7 @@ def cmd_verify(args) -> int:
             unused.append("--format json")
         if unused:
             raise UsageError(f"--observation does not take {', '.join(unused)}")
-        catalog = list(cls.catalog_irreducibles(_positive_int(args.max_m, "--max-m"),
-                                                _positive_int(args.max_n, "--max-n")))
+        catalog = list(cls.catalog_irreducibles(*_grid_bounds(args)))
         violations = cls.verify_observation(catalog)
         pairs = sum(len(groups.group_primes(g)) for g in catalog)
         print(f"observation check: {len(catalog)} groups, {pairs} (group, ell) "
@@ -388,6 +415,11 @@ def cmd_verify(args) -> int:
                   f"P = {format_group(v.parabolic)}")
         return EXIT_OK if not violations else EXIT_VERIFY
 
+    if args.group:  # one group: the grid bounds would be dropped without a word
+        unused = [option for option, value in (
+            ("--max-m", args.max_m), ("--max-n", args.max_n)) if value is not None]
+        if unused:
+            raise UsageError(f"--group does not take {', '.join(unused)}")
     if args.jobs is not None:
         _positive_int(args.jobs, "--jobs")
     from . import verify  # imports the oracle, and with it numpy
@@ -404,8 +436,7 @@ def cmd_verify(args) -> int:
         points = [(g.m, g.p, g.n)]
         ells = _resolve_ells(g, ell)
     else:
-        points = verify.grid_points(_positive_int(args.max_m, "--max-m"),
-                                    _positive_int(args.max_n, "--max-n"), cap)
+        points = verify.grid_points(*_grid_bounds(args), cap)
     report = verify.run_campaign(points, ells, cap, jobs=args.jobs,
                                  progress=_print_progress if args.progress else None)
     if args.format == "json":
@@ -479,8 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=None,
                    help="enumeration cap (default SYLOW_ORACLE_CAP or "
                         f"{DEFAULT_ORDER_CAP})")
-    p.add_argument("--max-m", type=int, default=DEFAULT_MAX_M)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    p.add_argument("--max-m", type=int, default=None,
+                   help=f"grid bound on m (default {DEFAULT_MAX_M}; not with --group)")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"grid bound on n (default {DEFAULT_MAX_N}; not with --group)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes, at least 1 (default: cpu count)")
     p.add_argument("--progress", action="store_true",

@@ -11,6 +11,12 @@ Group spec grammar (CLI and table data):
     D4(3), H3, ..., L2..L4, M3, J3(4), K5, N4, O4, C<m>) | products
     separated by "x" or the unicode times sign, with optional "^k" powers.
     A spec holds at most MAX_FACTORS irreducible factors, powers counted.
+
+Imprimitive, Exceptional and Product values compute their hash once, on
+first use, and keep it on the value (the per-process memos hash their
+keys on every lookup).  Equality stays structural and equal values hash
+equal; the kept hash is not pickled and dies with the value, so there is
+nothing to clear.
 """
 
 from __future__ import annotations
@@ -48,6 +54,23 @@ __all__ = [
 ]
 
 
+def _hash_once(self) -> int:
+    """Hash of the dataclass fields, kept on the value after first use."""
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        object.__setattr__(self, "_hash", value)  # the fields stay frozen
+        return value
+
+
+def _state_without_hash(self) -> dict:
+    """Pickle and copy state: the fields, not the kept hash."""
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class Imprimitive:
     """G(m,p,n): monomial n x n matrices with m-th root of unity phases whose
@@ -63,6 +86,9 @@ class Imprimitive:
         if self.m % self.p:
             raise ValueError(f"p must divide m in G({self.m},{self.p},{self.n})")
 
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
     def __repr__(self):
         return f"G({self.m},{self.p},{self.n})"
 
@@ -76,6 +102,9 @@ class Exceptional:
     def __post_init__(self):
         if not 4 <= self.st <= 37:
             raise ValueError(f"Shephard-Todd index out of range: {self.st}")
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __repr__(self):
         return f"G{self.st}"
@@ -92,6 +121,9 @@ class Product:
             raise ValueError("Product needs at least two factors")
         if any(isinstance(f, Product) for f in self.factors):
             raise ValueError("Product factors must be irreducible")
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __repr__(self):
         return " x ".join(map(repr, self.factors))

@@ -21,13 +21,18 @@ A fourth is documented but not yet registered as an anomaly: the t3 row of
 G27 at l = 3 prints |D3(3)| as 2^3*3^3 = 216, while |G(3,3,3)| = 54.
 check_consistency() misses it, as 216 divides |G27| with its full 3-adic
 valuation.  It is not patched either: classify keeps the printed order.
+
+load_tables() parses the data once per process.  The Tables it returns
+also holds what is computed from it once: each member's parsed group
+(Member.group) and each rendered table (Tables.renders, filled by
+cli.render_table).  load_tables.cache_clear() drops all of it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from math import prod
 
@@ -51,14 +56,15 @@ _CONCRETE_ORDER = re.compile(r"^[0-9^*x]+$")
 @dataclass(frozen=True)
 class Member:
     """One class entry of a table row: a label, whether it is a second
-    (tilde-marked) class of the same type, and the printed order."""
+    (tilde-marked) class of the same type, and the printed order.  The
+    label is parsed on first use of group and kept on the member."""
 
     label: str
     tilde: bool
     order_text: str
     order: int | None
 
-    @property
+    @cached_property
     def group(self) -> GroupType:
         return parse_group(self.label)
 
@@ -152,11 +158,15 @@ def _parse_row(line: str) -> tuple[TableRow, bool]:
 @dataclass
 class Tables:
     """The parsed rows, indexed once by table and by (table, group): each
-    accessor returns rows in file order, and row() the first match."""
+    accessor returns rows in file order, and row() the first match.
+    renders maps (table name, format) to the text cli.render_table made
+    from these rows."""
 
     rows: tuple[TableRow, ...]
     orders: dict[int, int]  # Shephard-Todd index -> canonical |G|
     typo_rows: tuple[TableRow, ...]
+    renders: dict[tuple[str, str], str] = field(
+        default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         tables: dict[str, list[TableRow]] = {}
@@ -250,7 +260,7 @@ def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
         return "G(l^i,1,1)" if ell_part(ell, g.m) == g.m else None
     if ell_part(ell, g.m) != g.m:
         return None
-    if g.p > 1 and ell_part(ell, g.p) == g.p:
+    if g.p > 1:  # p | m, and m is a power of ell
         return "G(l^i,l^j,n)"
     if g.p == 1 and ell_part(ell, g.n) == g.n:
         return "G(l^i,1,l^j)"

@@ -208,14 +208,16 @@ class TestExitCodes:
         assert code == 0 and out.startswith("G(1,1,2)^10000 (order 2^10000)")
 
     def test_product_with_too_many_classes(self, capsys):
-        # 3 minimal reflection classes per factor at ell = 2: 3^11 in all
+        # 3 minimal reflection classes per factor at ell = 2: 3^11 in all,
+        # and the message gives the bound, not the count
         code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^11", "--ell", "2",
                              "--kind", "reflection")
         assert (code, out) == (3, "")
-        assert "177147 minimal reflection classes" in err
+        assert "more than 10000 minimal reflection classes" in err
+        assert "177147" not in err
         code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^20", "--ell", "2",
                              "--kind", "reflection", "--format", "json")
-        assert (code, out) == (3, "") and "3486784401" in err
+        assert (code, out) == (3, "") and "more than 10000" in err
         # the parabolic report needs only whether the class is unique
         code, out, _ = run(capsys, "classify", "--group", "G(6,6,3)^20", "--ell", "2",
                            "--format", "json")
@@ -703,3 +705,34 @@ class TestExitCodeContract:
         assert code in (0, 2, 3), argv
         if code:
             assert out.getvalue() == "", argv
+
+    @pytest.mark.parametrize("argv, code, named", [
+        # 3^9012 has 4300 digits, the most int -> str allows; 3^10000 has more
+        (["classify", "--group", "G(6,6,3)^9012", "--ell", "2", "--kind", "reflection"],
+         3, "more than 10000 minimal reflection classes"),
+        (["classify", "--group", "G(6,6,3)^9012", "--ell", "all", "--kind", "reflection"],
+         3, "more than 10000 minimal reflection classes"),
+        (["classify", "--group", "G(6,6,3)^9013", "--ell", "2", "--kind", "reflection"],
+         3, "more than 10000 minimal reflection classes"),
+        (["classify", "--group", "G(6,6,3)^10000", "--ell", "2", "--kind", "reflection"],
+         3, "more than 10000 minimal reflection classes"),
+        (["classify", "--group", "G(6,6,3)^10000", "--ell", "all", "--kind", "reflection",
+          "--format", "json"], 3, "more than 10000 minimal reflection classes"),
+        (["verify", "--group", "G(2,1,2)", "--max-m", "0", "--max-n", "-5"],
+         2, "--max-m, --max-n"),
+        (["verify", "--group", "G(2,1,2)", "--max-n", "3"], 2, "--max-n"),
+    ])
+    def test_boundary_cases(self, capsys, argv, code, named):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, ""), argv
+        assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+    def test_parabolic_answer_of_a_huge_product(self, capsys):
+        # one parabolic class per prime; its reflection classes are too many
+        # to list, which makes it not supercuspidal rather than an error
+        code, out, err = run(capsys, "classify", "--group", "G(6,6,3)^10000",
+                             "--ell", "all", "--format", "json")
+        reports = json.loads(out)
+        assert (code, err) == (0, "") and [r["ell"] for r in reports] == [2, 3]
+        assert all(len(r["classes"]) == 1 and r["cuspidal"] and not r["supercuspidal"]
+                   for r in reports)

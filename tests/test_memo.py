@@ -5,23 +5,27 @@ lru_cache(maxsize=1024) functions of (g, ell); these tests pin that a
 memoized answer is the one the function computes, that it is shared and
 immutable, that errors are not memoized and that the memo stays bounded.
 The classification answers render their text once and keep it; the tests
-below the rule pin that reports read from it equal freshly computed ones,
-that rendering leaves the answers frozen, equal and hashable, and that
-answers nobody prints stay unrendered.
+below the first rule pin that reports read from it equal freshly computed
+ones, that rendering leaves the answers frozen, equal and hashable, and
+that answers nobody prints stay unrendered.  Below the second rule: each
+rendered table is kept on the loaded tables, and each group value keeps
+its hash.
 """
 
 import copy
 import dataclasses
+import pickle
 
 import pytest
 
-from sylowclass import classify, cli, structure
+from sylowclass import classify, cli, structure, tables
 from sylowclass.classify import NotADivisorError, catalog_irreducibles
 from sylowclass.groups import (
     Cyclic,
     Exceptional,
     Imprimitive,
     Sym,
+    TableLookupError,
     group_primes,
     parse_group,
     product_of,
@@ -200,3 +204,116 @@ def test_factor_answers_inside_a_product_are_not_rendered(cleared):
                 answer = fn(f, ell)  # the memoized factor answer
                 assert not _rendered(answer), (fn.__name__, f, ell)
                 assert not any(_rendered(m) for m in answer.members)
+
+
+# ---------------------------------------------------------------------------
+# cli.render_table keeps each (table, format) text on the loaded tables, and
+# tables.load_tables.cache_clear() drops it; group values keep their hash.
+
+FORMATS = ("json", "markdown")
+VALID_PAIRS = {(k, fmt) for k in cli.TABLE_NAMES for fmt in FORMATS}
+
+
+@pytest.fixture
+def fresh_tables():
+    tables.load_tables.cache_clear()
+    yield tables.load_tables()
+    tables.load_tables.cache_clear()
+
+
+def test_kept_renders_equal_fresh_ones(fresh_tables):
+    kept = {key: cli.render_table(*key) for key in sorted(VALID_PAIRS)}
+    assert fresh_tables.renders == kept
+    for key, text in kept.items():
+        assert cli.render_table(*key) is text  # read back, not rendered again
+    for key, text in kept.items():
+        tables.load_tables.cache_clear()
+        assert not tables.load_tables().renders
+        assert cli.render_table(*key) == text
+
+
+def test_first_render_runs_the_guards(fresh_tables, monkeypatch):
+    checked = []
+    original = tables.check_consistency
+    monkeypatch.setattr(tables, "check_consistency",
+                        lambda: checked.append(1) or original())
+    for _ in range(3):
+        cli.render_table("cuspidal", "json")
+    assert checked == [1]
+
+    def drift(row):
+        raise RuntimeError("table drift")
+
+    monkeypatch.setattr(cli, "_cross_check_row", drift)
+    for _ in range(2):  # a failed render is not kept, so the guard runs again
+        with pytest.raises(RuntimeError, match="table drift"):
+            cli.render_table("parabolic", "markdown")
+    assert set(fresh_tables.renders) == {("cuspidal", "json")}
+
+
+def test_unknown_table_raises_every_time_and_keeps_nothing(fresh_tables):
+    for _ in range(3):
+        with pytest.raises(TableLookupError):
+            cli.render_table("t1", "json")
+    assert fresh_tables.renders == {}
+
+
+def test_kept_renders_stay_within_the_valid_pairs(fresh_tables):
+    for _ in range(2):
+        for k in cli.TABLE_NAMES:
+            for fmt in FORMATS + ("text",):  # any other format renders markdown
+                cli.render_table(k, fmt)
+                assert set(fresh_tables.renders) <= VALID_PAIRS
+    assert set(fresh_tables.renders) == VALID_PAIRS
+
+
+def test_member_parses_its_label_once(fresh_tables, monkeypatch):
+    member = fresh_tables.row("t1", 28, 3).members[0]
+    calls = []
+    monkeypatch.setattr(tables, "parse_group",
+                        lambda label: calls.append(label) or parse_group(label))
+    assert member.group == member.group == parse_group(member.label)
+    assert calls == [member.label]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        member.label = "changed"
+
+
+GROUP_SPECS = ["G(12,6,3)", "G28", "C5", "G(12,6,3) x G28 x G(6,1,5)",
+               "A1^3 x E8", "G(6,6,3)^40"]
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_group_hash_is_kept_and_structural(spec):
+    g, twin = parse_group(spec), parse_group(spec)
+    assert g is not twin and g == twin
+    first = hash(g)
+    assert hash(g) == first == hash(twin)
+    for f in getattr(g, "factors", ()):
+        assert hash(f) == hash(dataclasses.replace(f))
+    for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g),
+                  dataclasses.replace(g)):
+        assert other == g and hash(other) == first, other
+    name = dataclasses.fields(g)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(g, name, None)
+    assert g == twin and hash(g) == first
+
+
+def test_group_hash_follows_the_fields():
+    g = Imprimitive(12, 6, 3)
+    hash(g)
+    changed = dataclasses.replace(g, n=4)
+    assert changed != g and changed == Imprimitive(12, 6, 4)
+    assert hash(changed) == hash(Imprimitive(12, 6, 4))
+    product = product_of([g, Exceptional(28)])
+    hash(product)
+    swapped = dataclasses.replace(product, factors=product.factors[::-1])
+    assert swapped != product and hash(swapped) == hash(product_of([Exceptional(28), g]))
+
+
+def test_equal_products_built_apart_share_a_memo_entry(cleared):
+    first = classify.classify_reflection(parse_group("G(12,6,3) x G28"), 2)
+    again = classify.classify_reflection(
+        product_of([Imprimitive(12, 6, 3), Exceptional(28)]), 2)
+    assert again is first
+    assert classify.classify_reflection.cache_info().hits == 1
