@@ -56,12 +56,11 @@ __all__ = [
 
 def _hash_once(self) -> int:
     """Hash of the dataclass fields, kept on the value after first use."""
-    try:
-        return self._hash
-    except AttributeError:
-        value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+    value = self._hash  # the class default None until then
+    if value is None:
+        value = hash(tuple(map(self.__getattribute__, self.__match_args__)))
         object.__setattr__(self, "_hash", value)  # the fields stay frozen
-        return value
+    return value
 
 
 def _state_without_hash(self) -> dict:
@@ -86,6 +85,7 @@ class Imprimitive:
         if self.m % self.p:
             raise ValueError(f"p must divide m in G({self.m},{self.p},{self.n})")
 
+    _hash = None
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
 
@@ -103,6 +103,7 @@ class Exceptional:
         if not 4 <= self.st <= 37:
             raise ValueError(f"Shephard-Todd index out of range: {self.st}")
 
+    _hash = None
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
 
@@ -122,6 +123,7 @@ class Product:
         if any(isinstance(f, Product) for f in self.factors):
             raise ValueError("Product factors must be irreducible")
 
+    _hash = None
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
 

@@ -262,7 +262,7 @@ def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
         return None
     if g.p > 1:  # p | m, and m is a power of ell
         return "G(l^i,l^j,n)"
-    if g.p == 1 and ell_part(ell, g.n) == g.n:
+    if ell_part(ell, g.n) == g.n:
         return "G(l^i,1,l^j)"
     return None
 
