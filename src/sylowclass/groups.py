@@ -12,11 +12,13 @@ Group spec grammar (CLI and table data):
     separated by "x" or the unicode times sign, with optional "^k" powers.
     A spec holds at most MAX_FACTORS irreducible factors, powers counted.
 
-Imprimitive, Exceptional and Product values compute their hash once, on
-first use, and keep it on the value (the per-process memos hash their
-keys on every lookup).  Equality stays structural and equal values hash
-equal; the kept hash is not pickled and dies with the value, so there is
-nothing to clear.
+A Product computes its hash once, on first use, and keeps it on the
+value: the per-process memos hash their keys on every lookup, and a
+Product's hash would otherwise walk its factors each time.  Equality
+stays structural and equal values hash equal; the kept hash is not
+pickled and dies with the value, so there is nothing to clear.  An
+Imprimitive or Exceptional hashes its few int fields each time, which
+costs less than keeping a hash for a value that is hashed once.
 """
 
 from __future__ import annotations
@@ -54,22 +56,6 @@ __all__ = [
 ]
 
 
-def _hash_once(self) -> int:
-    """Hash of the dataclass fields, kept on the value after first use."""
-    value = self._hash  # the class default None until then
-    if value is None:
-        value = hash(tuple(map(self.__getattribute__, self.__match_args__)))
-        object.__setattr__(self, "_hash", value)  # the fields stay frozen
-    return value
-
-
-def _state_without_hash(self) -> dict:
-    """Pickle and copy state: the fields, not the kept hash."""
-    state = dict(self.__dict__)
-    state.pop("_hash", None)
-    return state
-
-
 @dataclass(frozen=True)
 class Imprimitive:
     """G(m,p,n): monomial n x n matrices with m-th root of unity phases whose
@@ -85,10 +71,6 @@ class Imprimitive:
         if self.m % self.p:
             raise ValueError(f"p must divide m in G({self.m},{self.p},{self.n})")
 
-    _hash = None
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
-
     def __repr__(self):
         return f"G({self.m},{self.p},{self.n})"
 
@@ -102,10 +84,6 @@ class Exceptional:
     def __post_init__(self):
         if not 4 <= self.st <= 37:
             raise ValueError(f"Shephard-Todd index out of range: {self.st}")
-
-    _hash = None
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
 
     def __repr__(self):
         return f"G{self.st}"
@@ -123,9 +101,18 @@ class Product:
         if any(isinstance(f, Product) for f in self.factors):
             raise ValueError("Product factors must be irreducible")
 
-    _hash = None
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
+    _hash = None  # set by __hash__ on first use
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(self.factors)
+            object.__setattr__(self, "_hash", value)  # the fields stay frozen
+        return value
+
+    def __getstate__(self):
+        """Pickles and copies carry the factors, not the kept hash."""
+        return {"factors": self.factors}
 
     def __repr__(self):
         return " x ".join(map(repr, self.factors))

@@ -8,8 +8,8 @@ The classification answers render their text once and keep it; the tests
 below the first rule pin that reports read from it equal freshly computed
 ones, that rendering leaves the answers frozen, equal and hashable, and
 that answers nobody prints stay unrendered.  Below the second rule: each
-rendered table is kept on the loaded tables, and each group value keeps
-its hash.
+rendered table is kept on the loaded tables, a product keeps its hash,
+and every group value hashes by its fields.
 """
 
 import copy
@@ -208,7 +208,7 @@ def test_factor_answers_inside_a_product_are_not_rendered(cleared):
 
 # ---------------------------------------------------------------------------
 # cli.render_table keeps each (table, format) text on the loaded tables, and
-# tables.load_tables.cache_clear() drops it; group values keep their hash.
+# tables.load_tables.cache_clear() drops it; a Product keeps its hash.
 
 FORMATS = ("json", "markdown")
 VALID_PAIRS = {(k, fmt) for k in cli.TABLE_NAMES for fmt in FORMATS}
@@ -297,6 +297,22 @@ def test_group_hash_is_kept_and_structural(spec):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(g, name, None)
     assert g == twin and hash(g) == first
+
+
+def test_product_hashes_its_factors_once(monkeypatch):
+    calls = []
+    original = Imprimitive.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Imprimitive, "__hash__", counting)
+    g = parse_group("G(12,6,3) x G28 x G(6,1,5)")
+    first = hash(g)
+    assert len(calls) == 2
+    assert hash(g) == hash(g) == first and len(calls) == 2
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(g)))
 
 
 def test_group_hash_follows_the_fields():
