@@ -8,13 +8,18 @@ Subcommands:
     verify     oracle-vs-theorem campaign over the imprimitive grid
 
 Exit codes: 0 success, 2 usage error, 3 domain error (prime does not
-divide the order, unknown table row, a JSON order too long to print, a
+divide the order, unknown table row, a JSON answer too long to print, a
 parameter that cannot be factored exactly, a product with more minimal
 classes than are listed), 4 verification failure.  Results go to stdout,
-diagnostics to stderr.
-SYLOW_ORACLE_CAP overrides the default enumeration cap,
-limits.DEFAULT_ORDER_CAP.  A reader that closes stdout early (`| head`)
+diagnostics to stderr.  A reader that closes stdout early (`| head`)
 ends the command with exit code 141, as SIGPIPE would, and no traceback.
+
+Every command writes JSON through _json and markdown through _markdown;
+classify and sylow pick their format in _print_reports.  A JSON answer
+that holds an integer past Python's 4300-digit int-to-str limit (the
+order of a Sylow subgroup or of a skipped group) prints nothing on
+stdout: the command exits 3 with one stderr line that names --format
+text, whose output prints such numbers factored or not at all.
 
 Each rendered table is kept on the loaded tables (tables.Tables.renders)
 and printed from there by later renders in the process;
@@ -69,12 +74,41 @@ def _positive_int(value, source: str) -> int:
     return number
 
 
-def default_order_cap() -> int:
-    """SYLOW_ORACLE_CAP when set, else the oracle's default cap."""
-    value = os.environ.get("SYLOW_ORACLE_CAP", "")
-    if not value:
-        return DEFAULT_ORDER_CAP
-    return _positive_int(value, "SYLOW_ORACLE_CAP")
+# ---------------------------------------------------------------------------
+# output
+
+
+class DigitLimitError(ValueError):
+    """A JSON answer holds an integer past Python's int-to-str digit limit."""
+
+
+def _json(payload) -> str:
+    try:
+        return json.dumps(payload, indent=2)
+    except ValueError:  # an int past the limit; text output prints it factored
+        raise DigitLimitError("a number has too many decimal digits for JSON; "
+                              "use --format text") from None
+
+
+def _markdown(columns, rows) -> str:
+    """A pipe table: the header, a --- rule, then one line of cells per row."""
+    lines = ["| " + " | ".join(columns) + " |",
+             "| " + " | ".join("---" for _ in columns) + " |"]
+    lines += ["| " + " | ".join(map(str, cells)) + " |" for cells in rows]
+    return "\n".join(lines)
+
+
+def _print_reports(args, reports, columns, cells, text_lines) -> None:
+    """classify and sylow output in args.format.  In JSON, one numbered
+    prime prints its report as an object and --ell all prints a list."""
+    if args.format == "json":
+        lines = [_json(reports if args.ell == "all" else reports[0])]
+    elif args.format == "markdown":
+        lines = [_markdown(columns, map(cells, reports))]
+    else:
+        lines = [line for r in reports for line in text_lines(r)]
+    if lines:  # text on a group of order 1 has none
+        print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +158,19 @@ def _classify_text(report: dict) -> list[str]:
     return lines
 
 
-def _classify_markdown(reports: list[dict]) -> list[str]:
-    lines = ["| group | ell | kind | classes | orders | cuspidal | supercuspidal |",
-             "| --- | --- | --- | --- | --- | --- | --- |"]
-    for r in reports:
-        labels = ", ".join(c["label"] for c in r["classes"])
-        orders = ", ".join(c["order_factored"] for c in r["classes"])
-        lines.append(
-            f"| {r['group']} | {r['ell']} | {r['kind']} | {labels} | {orders} "
-            f"| {r['cuspidal']} | {r['supercuspidal']} |")
-    return lines
+def _classify_cells(r: dict) -> list:
+    return [r["group"], r["ell"], r["kind"], ", ".join(c["label"] for c in r["classes"]),
+            ", ".join(c["order_factored"] for c in r["classes"]),
+            r["cuspidal"], r["supercuspidal"]]
 
 
 def cmd_classify(args) -> int:
     g = parse_group(args.group)
-    ells = _resolve_ells(g, args.ell)
-    reports = [classification_report(g, ell, args.kind) for ell in ells]
-    if args.format == "json":
-        payload = reports[0] if len(reports) == 1 and args.ell != "all" else reports
-        print(json.dumps(payload, indent=2))
-    elif args.format == "markdown":
-        print("\n".join(_classify_markdown(reports)))
-    else:
-        for r in reports:
-            print("\n".join(_classify_text(r)))
+    reports = [classification_report(g, ell, args.kind)
+               for ell in _resolve_ells(g, args.ell)]
+    _print_reports(args, reports, ["group", "ell", "kind", "classes", "orders",
+                                   "cuspidal", "supercuspidal"],
+                   _classify_cells, _classify_text)
     return EXIT_OK
 
 
@@ -178,25 +201,11 @@ def cmd_sylow(args) -> int:
             "order": structure.structure_order(term),
             "order_factored": format_factorization(((ell, exponents[ell]),)),
         })
-    if args.format == "json":
-        payload = reports[0] if len(reports) == 1 and args.ell != "all" else reports
-        try:
-            text = json.dumps(payload, indent=2)
-        except ValueError:  # an order past Python's int-to-str digit limit
-            print("error: a Sylow order has too many decimal digits for JSON; "
-                  "use --format text, which prints it factored", file=sys.stderr)
-            return EXIT_DOMAIN
-        print(text)
-    elif args.format == "markdown":
-        print("| group | ell | sylow structure | order |")
-        print("| --- | --- | --- | --- |")
-        for r in reports:
-            print(f"| {r['group']} | {r['ell']} | {r['structure']} "
-                  f"| {r['order_factored']} |")
-    else:
-        for r in reports:
-            print(f"Syl_{r['ell']}({r['group']}) = {r['structure']}, "
-                  f"order {r['order_factored']}")
+    _print_reports(
+        args, reports, ["group", "ell", "sylow structure", "order"],
+        lambda r: [r["group"], r["ell"], r["structure"], r["order_factored"]],
+        lambda r: [f"Syl_{r['ell']}({r['group']}) = {r['structure']}, "
+                   f"order {r['order_factored']}"])
     return EXIT_OK
 
 
@@ -249,14 +258,14 @@ def generate_table(table_key: str) -> list[dict]:
                 "member_order": row.members[0].order_text,
                 "cuspidal": cusp,
             })
-    elif table_key == "cuspidal":
-        for row in tabs.family("t2"):
-            out.append({"group": row.group_label,
-                        "ell": row.ell_condition, "group_order": row.orders_text})
-        for row in tabs.concrete("t2"):
+    elif table_key in ("cuspidal", "supercuspidal"):
+        # same row shape; each table lists its family rows first
+        for row in tabs.table("t2" if table_key == "cuspidal" else "t4"):
             out.append({
-                "group": _exceptional_label(row.group.st),
-                "ell": ",".join(map(str, row.ell_list)),
+                "group": (row.group_label if row.is_family
+                          else _exceptional_label(row.group.st)),
+                "ell": (row.ell_condition if row.is_family
+                        else ",".join(map(str, row.ell_list))),
                 "group_order": row.orders_text,
             })
     elif table_key == "reflection":
@@ -266,32 +275,17 @@ def generate_table(table_key: str) -> list[dict]:
                 "members": row.members[0].label, "member_order": row.orders_text,
                 "group_order": "", "count": row.count_text,
             })
-        concrete = []
-        for table_id in ("t3b", "t3"):
-            for row in tabs.concrete(table_id):
-                _cross_check_row(row)
-                concrete.append({
-                    "group": _exceptional_label(row.group.st),
-                    "group_order": order_factored(row.group),
-                    "ell": row.ell,
-                    "members": " and ".join(m.display() for m in row.members),
-                    "member_order": " and ".join(
-                        m.order_text.replace("x", "*") for m in row.members),
-                    "count": len(row.members),
-                    "_st": row.group.st,
-                })
-        concrete.sort(key=lambda r: (r["_st"], r["ell"]))
-        for row in concrete:
-            del row["_st"]
-        out.extend(concrete)
-    elif table_key == "supercuspidal":
-        for row in tabs.table("t4"):
+        for row in sorted(tabs.concrete("t3b") + tabs.concrete("t3"),
+                          key=lambda row: (row.group.st, row.ell)):
+            _cross_check_row(row)
             out.append({
-                "group": (row.group_label if row.is_family
-                          else _exceptional_label(row.group.st)),
-                "ell": (row.ell_condition if row.is_family
-                        else ",".join(map(str, row.ell_list))),
-                "group_order": row.orders_text,
+                "group": _exceptional_label(row.group.st),
+                "group_order": order_factored(row.group),
+                "ell": row.ell,
+                "members": " and ".join(m.display() for m in row.members),
+                "member_order": " and ".join(
+                    m.order_text.replace("x", "*") for m in row.members),
+                "count": len(row.members),
             })
     elif table_key == "nonunique":
         for row in tabs.family("t5"):
@@ -335,7 +329,8 @@ TABLE_NAMES = tuple(_TABLE_COLUMNS)
 
 
 def render_table(table_key: str, fmt: str) -> str:
-    """One table as JSON (fmt "json") or markdown (any other fmt).
+    """One table as JSON (fmt "json") or markdown (fmt "markdown"); any
+    other fmt raises ValueError.
 
     The first render of a (table, format) pair runs the regeneration guard
     (and, for cuspidal JSON, check_consistency) and keeps the text on the
@@ -343,33 +338,30 @@ def render_table(table_key: str, fmt: str) -> str:
     nothing."""
     from . import tables
 
+    if fmt not in ("json", "markdown"):
+        raise ValueError(f"table format must be json or markdown, got {fmt!r}")
     renders = tables.load_tables().renders
-    key = (table_key, "json" if fmt == "json" else "markdown")
-    text = renders.get(key)
+    text = renders.get((table_key, fmt))
     if text is None:
-        text = renders[key] = _render_table(*key)
+        text = renders[table_key, fmt] = _render_table(table_key, fmt)
     return text
 
 
 def _render_table(table_key: str, fmt: str) -> str:
     rows = generate_table(table_key)
-    if fmt == "json":
-        payload: dict = {"table": table_key, "rows": rows}
-        if table_key == "cuspidal":
-            from . import tables
+    if fmt == "markdown":
+        cols = _TABLE_COLUMNS[table_key]
+        return _markdown(cols, ([row[c] for c in cols] for row in rows))
+    payload: dict = {"table": table_key, "rows": rows}
+    if table_key == "cuspidal":
+        from . import tables
 
-            report = tables.check_consistency()
-            payload["anomalies"] = [
-                {"id": a.anomaly_id, "detail": a.detail} for a in report.findings
-                if a.anomaly_id in tables.KNOWN_ANOMALY_IDS
-            ]
-        return json.dumps(payload, indent=2)
-    cols = _TABLE_COLUMNS[table_key]
-    lines = ["| " + " | ".join(cols) + " |",
-             "| " + " | ".join("---" for _ in cols) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(row.get(c, "")) for c in cols) + " |")
-    return "\n".join(lines)
+        report = tables.check_consistency()
+        payload["anomalies"] = [
+            {"id": a.anomaly_id, "detail": a.detail} for a in report.findings
+            if a.anomaly_id in tables.KNOWN_ANOMALY_IDS
+        ]
+    return _json(payload)
 
 
 def cmd_tables(args) -> int:
@@ -424,8 +416,8 @@ def cmd_verify(args) -> int:
         _positive_int(args.jobs, "--jobs")
     from . import verify  # imports the oracle, and with it numpy
 
-    cap = (_positive_int(args.max_order, "--max-order") if args.max_order is not None
-           else default_order_cap())
+    cap = _positive_int(DEFAULT_ORDER_CAP if args.max_order is None else args.max_order,
+                        "--max-order")
     ell = args.ell or "all"
     ells = None if ell == "all" else [int(ell)]
     if args.group:
@@ -440,13 +432,7 @@ def cmd_verify(args) -> int:
     report = verify.run_campaign(points, ells, cap, jobs=args.jobs,
                                  progress=_print_progress if args.progress else None)
     if args.format == "json":
-        try:
-            text = json.dumps(report.as_dict(), indent=2)
-        except ValueError:  # an order past Python's int-to-str digit limit
-            print("error: a group order has too many decimal digits for JSON; "
-                  "use --format text", file=sys.stderr)
-            return EXIT_DOMAIN
-        print(text)
+        print(_json(report.as_dict()))
     else:
         for r in report.reports:
             for line in r.lines():  # a trivial group has none
@@ -508,8 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_ell_arg)  # absent: every prime
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--max-order", type=int, default=None,
-                   help="enumeration cap (default SYLOW_ORACLE_CAP or "
-                        f"{DEFAULT_ORDER_CAP})")
+                   help=f"enumeration cap (default {DEFAULT_ORDER_CAP})")
     p.add_argument("--max-m", type=int, default=None,
                    help=f"grid bound on m (default {DEFAULT_MAX_M}; not with --group)")
     p.add_argument("--max-n", type=int, default=None,
@@ -536,7 +521,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotADivisorError, TableLookupError, UnsupportedGroupError,
-            FactorizationError) as exc:
+            FactorizationError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError:

@@ -86,6 +86,173 @@ class TestSylowCommand:
         assert report["order"] == 81
 
 
+# The bytes each format writes, recorded from the command line: one
+# numbered prime (an object in JSON) and --ell all (a list).  On these
+# groups the reflection answer is the parabolic one with its kind renamed.
+_PINNED_CLASSIFY = {
+    ("G(2,1,2)", "2", "text"): """\
+G(2,1,2) (order 2^3), ell = 2, kind = parabolic
+  classes: 1
+    G(2,1,2)  order 2^3
+  cuspidal: True  supercuspidal: True
+""",
+    ("G(2,1,2)", "2", "json"): """\
+{
+  "group": "G(2,1,2)",
+  "order_factored": "2^3",
+  "ell": 2,
+  "kind": "parabolic",
+  "classes": [
+    {
+      "label": "G(2,1,2)",
+      "order_factored": "2^3",
+      "twist_index": null
+    }
+  ],
+  "cuspidal": true,
+  "supercuspidal": true
+}
+""",
+    ("G(2,1,2)", "2", "markdown"): """\
+| group | ell | kind | classes | orders | cuspidal | supercuspidal |
+| --- | --- | --- | --- | --- | --- | --- |
+| G(2,1,2) | 2 | parabolic | G(2,1,2) | 2^3 | True | True |
+""",
+    ("G4 x G4", "all", "text"): """\
+G4^2 (order 2^6*3^2), ell = 2, kind = parabolic
+  classes: 1
+    G4^2  order 2^6*3^2
+  cuspidal: True  supercuspidal: True
+G4^2 (order 2^6*3^2), ell = 3, kind = parabolic
+  classes: 1
+    G(3,1,1)^2  order 3^2
+  cuspidal: False  supercuspidal: False
+""",
+    ("G4 x G4", "all", "json"): """\
+[
+  {
+    "group": "G4^2",
+    "order_factored": "2^6*3^2",
+    "ell": 2,
+    "kind": "parabolic",
+    "classes": [
+      {
+        "label": "G4^2",
+        "order_factored": "2^6*3^2",
+        "twist_index": null
+      }
+    ],
+    "cuspidal": true,
+    "supercuspidal": true
+  },
+  {
+    "group": "G4^2",
+    "order_factored": "2^6*3^2",
+    "ell": 3,
+    "kind": "parabolic",
+    "classes": [
+      {
+        "label": "G(3,1,1)^2",
+        "order_factored": "3^2",
+        "twist_index": null
+      }
+    ],
+    "cuspidal": false,
+    "supercuspidal": false
+  }
+]
+""",
+    ("G4 x G4", "all", "markdown"): """\
+| group | ell | kind | classes | orders | cuspidal | supercuspidal |
+| --- | --- | --- | --- | --- | --- | --- |
+| G4^2 | 2 | parabolic | G4^2 | 2^6*3^2 | True | True |
+| G4^2 | 3 | parabolic | G(3,1,1)^2 | 3^2 | False | False |
+""",
+}
+
+_PINNED_SYLOW = {
+    ("G(2,1,2)", "2", "text"): "Syl_2(G(2,1,2)) = A(2,1,2):sd:C2, order 2^3\n",
+    ("G(2,1,2)", "2", "json"): """\
+{
+  "group": "G(2,1,2)",
+  "ell": 2,
+  "structure": "A(2,1,2):sd:C2",
+  "order": 8,
+  "order_factored": "2^3"
+}
+""",
+    ("G(2,1,2)", "2", "markdown"): """\
+| group | ell | sylow structure | order |
+| --- | --- | --- | --- |
+| G(2,1,2) | 2 | A(2,1,2):sd:C2 | 2^3 |
+""",
+    ("G4 x G4", "all", "text"): """\
+Syl_2(G4^2) = Q8 x Q8, order 2^6
+Syl_3(G4^2) = C3 x C3, order 3^2
+""",
+    ("G4 x G4", "all", "json"): """\
+[
+  {
+    "group": "G4^2",
+    "ell": 2,
+    "structure": "Q8 x Q8",
+    "order": 64,
+    "order_factored": "2^6"
+  },
+  {
+    "group": "G4^2",
+    "ell": 3,
+    "structure": "C3 x C3",
+    "order": 9,
+    "order_factored": "3^2"
+  }
+]
+""",
+    ("G4 x G4", "all", "markdown"): """\
+| group | ell | sylow structure | order |
+| --- | --- | --- | --- |
+| G4^2 | 2 | Q8 x Q8 | 2^6 |
+| G4^2 | 3 | C3 x C3 | 3^2 |
+""",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("kind", ["parabolic", "reflection"])
+    @pytest.mark.parametrize("spec, ell, fmt", sorted(_PINNED_CLASSIFY))
+    def test_classify(self, capsys, spec, ell, fmt, kind):
+        code, out, err = run(capsys, "classify", "--group", spec, "--ell", ell,
+                             "--kind", kind, "--format", fmt)
+        want = _PINNED_CLASSIFY[spec, ell, fmt].replace("parabolic", kind)
+        assert (code, out, err) == (0, want, "")
+
+    @pytest.mark.parametrize("spec, ell, fmt", sorted(_PINNED_SYLOW))
+    def test_sylow(self, capsys, spec, ell, fmt):
+        code, out, err = run(capsys, "sylow", "--group", spec, "--ell", ell,
+                             "--format", fmt)
+        assert (code, out, err) == (0, _PINNED_SYLOW[spec, ell, fmt], "")
+
+    @pytest.mark.parametrize("command, header", [
+        ("classify", "| group | ell | kind | classes | orders | cuspidal | supercuspidal |\n"
+                     "| --- | --- | --- | --- | --- | --- | --- |\n"),
+        ("sylow", "| group | ell | sylow structure | order |\n| --- | --- | --- | --- |\n"),
+    ])
+    def test_group_of_order_one(self, capsys, command, header):
+        # no prime divides |G(1,1,1)|: text prints nothing, JSON an empty list
+        for fmt, want in [("text", ""), ("json", "[]\n"), ("markdown", header)]:
+            assert run(capsys, command, "--group", "G(1,1,1)", "--ell", "all",
+                       "--format", fmt) == (0, want, ""), fmt
+
+    def test_table_head(self, capsys):
+        code, out, _ = run(capsys, "tables", "--id", "nonunique", "--format", "markdown")
+        assert code == 0
+        assert out.splitlines()[:3] == [
+            "| group | ell | members | member_order | count |",
+            "| --- | --- | --- | --- | --- |",
+            "| G(m,p,n) | l_div_p | G(l^v(m),l^v(p),n) | l^(n*v(m)-v(p))*n! "
+            "| gcd(p/l^v(p),n) |"]
+
+
 class TestExitCodes:
     def test_usage_error_bad_group(self, capsys):
         # unparsable, and parsable with parameters no G(m,p,n) has
@@ -117,20 +284,6 @@ class TestExitCodes:
             assert code == 2, jobs
             assert out == ""
             assert err.count("\n") == 1 and "--jobs" in err
-
-    def test_usage_error_nonpositive_env_cap(self, capsys, monkeypatch):
-        for value in ["-5", "0", "many"]:
-            monkeypatch.setenv("SYLOW_ORACLE_CAP", value)
-            code, out, err = run(capsys, "verify", "--group", "G(3,3,2)")
-            assert code == 2, value
-            assert out == ""
-            assert "SYLOW_ORACLE_CAP" in err
-
-    def test_default_cap_is_the_oracle_default(self, monkeypatch):
-        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
-        assert cli.default_order_cap() == oracle.DEFAULT_ORDER_CAP
-        monkeypatch.setenv("SYLOW_ORACLE_CAP", "100")
-        assert cli.default_order_cap() == 100
 
     def test_usage_error_nonprime_ell(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,11 +408,9 @@ class TestExitCodes:
         assert payload["groups"][0]["group"] == "G(3,3,2)"
         assert json.loads(json.dumps(payload)) == payload
 
-    def test_verify_skips_a_group_whose_order_has_too_many_digits(
-            self, capsys, monkeypatch):
+    def test_verify_skips_a_group_whose_order_has_too_many_digits(self, capsys):
         # |G(2000,1,2000)| has over 4300 decimal digits, more than Python
         # converts to str; the skip reason names the cap, not the order
-        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
         code, out, err = run(capsys, "verify", "--group", "G(2000,1,2000)")
         assert code == 0, err
         assert out == (
@@ -316,8 +467,7 @@ def _run_python(code: str):
 class TestVerifyProgress:
     """verify --progress: one stderr line per finished group, stdout unchanged."""
 
-    def test_skipped_group_with_a_huge_order(self, capsys, monkeypatch):
-        monkeypatch.delenv("SYLOW_ORACLE_CAP", raising=False)
+    def test_skipped_group_with_a_huge_order(self, capsys):
         argv = ["verify", "--group", "G(2000,1,2000)"]
         code, plain, _ = run(capsys, *argv)
         code, out, err = run(capsys, *argv, "--progress")
@@ -686,6 +836,52 @@ _ELLS = st.one_of(
 )
 
 
+# Boundaries: exponents around groups.MAX_FACTORS and around 9012, the
+# largest k with 3^k of at most 4300 digits (Python's int -> str limit);
+# parameters and primes of 4000, 4300, 4301 and 5000 digits, on each side
+# of that limit, ending in 0, 1, 5 or 9 (smooth, or with a large cofactor).
+_EDGE_POWERS = st.sampled_from([groups.MAX_FACTORS - 1, groups.MAX_FACTORS,
+                                groups.MAX_FACTORS + 1, 9011, 9012, 9013])
+_HUGE = st.builds(lambda digits, last: "1" + "0" * (digits - 2) + last,
+                  st.sampled_from([4000, 4300, 4301, 5000]), st.sampled_from("0159"))
+_EDGE_SPECS = st.one_of(
+    st.builds("{}^{}".format, st.sampled_from(["A1", "G(3,1,1)", "G(6,6,3)", "G4"]),
+              _EDGE_POWERS),
+    st.builds("G({0},1,1)".format, _HUGE),
+    st.builds("G({0},{0},2)".format, _HUGE),
+    st.builds("G({0},1,2)".format, _HUGE),
+    st.builds("G(2,1,{})".format, _HUGE),
+)
+
+
+def _check_contract(argv) -> tuple[int, str]:
+    """Run argv through cli.main and check the exit-code contract: code 0,
+    2 or 3, or 4 for a failed check; nothing on stdout after an error, and
+    on stderr one error line and no traceback.  An option that argparse
+    rejects prints its usage lines first; --progress prints a line per
+    group.  Returns the code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected an argument
+            code, parsed = exc.code, False
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 2, 3, 4), argv
+    if code == 4:
+        assert "FAIL" in out.getvalue() or "VIOLATION" in out.getvalue(), argv
+    elif code:
+        assert out.getvalue() == "", argv
+        assert [line for line in lines if "error:" in line] == lines[-1:], argv
+        if parsed and "--progress" not in argv:
+            assert len(lines) == 1, argv
+    elif "--progress" not in argv:
+        assert lines == [], argv
+    return code, out.getvalue()
+
+
 class TestExitCodeContract:
     @settings(max_examples=300, deadline=None)
     @given(command=st.sampled_from(["classify", "sylow"]), spec=_SPECS,
@@ -726,6 +922,70 @@ class TestExitCodeContract:
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, ""), argv
         assert err.count("\n") == 1 and named in err and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["classify", "sylow"]), spec=_EDGE_SPECS,
+           ell=st.one_of(st.sampled_from(["2", "3", "5", "all"]), _HUGE),
+           kind=st.sampled_from(["parabolic", "reflection"]),
+           fmt=st.sampled_from(["text", "json", "markdown"]))
+    def test_codes_at_the_limits(self, command, spec, ell, kind, fmt):
+        argv = [command, "--group", spec, "--ell", ell, "--format", fmt]
+        _check_contract(argv + ["--kind", kind] if command == "classify" else argv)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flags=st.fixed_dictionaries({}, optional={
+        "--group": st.sampled_from(["G(2,1,2)", "G(3,3,2)", "G(3,1,1)", "G28",
+                                    "Gnope", "G(2000,1,2000)"]),
+        "--ell": st.sampled_from(["2", "3", "5", "all", "4"]),
+        "--format": st.sampled_from(["text", "json"]),
+        "--max-order": st.sampled_from(["0", "10", "100"]),
+        "--max-m": st.sampled_from(["-1", "0", "1", "2", "3"]),
+        "--max-n": st.sampled_from(["0", "1", "2", "3"]),
+        "--jobs": st.sampled_from(["0", "1"]),
+        "--progress": st.just(None),
+        "--observation": st.just(None),
+    }))
+    def test_verify_flag_combinations(self, flags):
+        argv = ["verify"]
+        for option, value in flags.items():
+            argv += [option] if value is None else [option, value]
+        if "--max-m" not in flags and "--group" not in flags and "--observation" not in flags:
+            argv += ["--max-m", "2"]  # the grid stays tiny
+        if "--jobs" not in flags and "--observation" not in flags:
+            argv += ["--jobs", "1"]
+        _check_contract(argv)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["classify", "--group", f"A1^{groups.MAX_FACTORS}", "--ell", "2"], 0),
+        (["classify", "--group", f"A1^{groups.MAX_FACTORS + 1}", "--ell", "2"], 2),
+        (["sylow", "--group", "A1^5000 x A1^5000", "--ell", "2", "--format", "json"], 0),
+        (["sylow", "--group", "A1^5000 x A1^5001", "--ell", "2", "--format", "json"], 2),
+        # a Sylow order of 3^9012, 4300 digits, and of 3^9013, one more
+        (["sylow", "--group", "G(3,1,1)^9012", "--ell", "3", "--format", "json"], 0),
+        (["sylow", "--group", "G(3,1,1)^9013", "--ell", "3", "--format", "json"], 3),
+        (["sylow", "--group", "G(3,1,1)^9013", "--ell", "3", "--format", "markdown"], 0),
+        # 4300 digits parse, 4301 do not; 5^4299 prints, 5^8598 does not
+        (["sylow", "--group", f"G(1{'0' * 4299},1,1)", "--ell", "5", "--format", "json"], 0),
+        (["sylow", "--group", f"G(1{'0' * 4299},1,2)", "--ell", "5", "--format", "json"], 3),
+        (["classify", "--group", f"G(1{'0' * 4300},1,1)", "--ell", "5"], 2),
+        # n! is factored up to valuation.MAX_FACTORIAL_N
+        (["classify", "--group", f"G(2,1,{valuation.MAX_FACTORIAL_N + 1})", "--ell", "2"], 3),
+        (["sylow", "--group", f"G(2,1,1{'0' * 4000})", "--ell", "all"], 3),
+        (["verify", "--group", f"G(2,1,1{'0' * 4000})", "--ell", "2"], 3),
+        (["classify", "--group", "G4", "--ell", "1" + "0" * 4999], 2),
+        # the JSON digit limit, in every command that prints JSON
+        (["sylow", "--group", "A20000", "--ell", "2", "--format", "json"], 3),
+        (["verify", "--group", "G(2000,1,2000)", "--format", "json"], 3),
+        (["verify", "--group", "G(2000,1,2000)", "--format", "json", "--progress"], 3),
+    ])
+    def test_limit_cases(self, argv, code):
+        assert _check_contract(argv)[0] == code, argv
+
+    @pytest.mark.parametrize("table_id", sorted(cli.TABLE_NAMES))
+    @pytest.mark.parametrize("fmt", ["markdown", "json"])
+    def test_every_table(self, table_id, fmt):
+        code, out = _check_contract(["tables", "--id", table_id, "--format", fmt])
+        assert code == 0 and out
 
     def test_parabolic_answer_of_a_huge_product(self, capsys):
         # one parabolic class per prime; its reflection classes are too many

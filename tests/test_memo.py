@@ -261,10 +261,22 @@ def test_unknown_table_raises_every_time_and_keeps_nothing(fresh_tables):
 def test_kept_renders_stay_within_the_valid_pairs(fresh_tables):
     for _ in range(2):
         for k in cli.TABLE_NAMES:
-            for fmt in FORMATS + ("text",):  # any other format renders markdown
-                cli.render_table(k, fmt)
+            for fmt in FORMATS + ("text",):
+                if fmt in FORMATS:
+                    cli.render_table(k, fmt)
+                else:  # any other format is an error, also once markdown is kept
+                    with pytest.raises(ValueError, match="json or markdown"):
+                        cli.render_table(k, fmt)
                 assert set(fresh_tables.renders) <= VALID_PAIRS
     assert set(fresh_tables.renders) == VALID_PAIRS
+
+
+@pytest.mark.parametrize("fmt", ["text", "JSON", "Markdown", "md", ""])
+def test_other_formats_raise_and_keep_nothing(fresh_tables, fmt):
+    for table_id in cli.TABLE_NAMES:
+        with pytest.raises(ValueError, match="json or markdown"):
+            cli.render_table(table_id, fmt)
+    assert fresh_tables.renders == {}
 
 
 def test_member_parses_its_label_once(fresh_tables, monkeypatch):
