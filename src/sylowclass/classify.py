@@ -45,7 +45,7 @@ from .groups import (
     order_factorization,
     product_of,
 )
-from .valuation import ell_part, factorization, lambda_blocks
+from .valuation import ell_part, factorization, is_prime, lambda_blocks
 
 PARABOLIC = "parabolic"
 REFLECTION = "reflection"
@@ -148,10 +148,13 @@ class SubgroupClassResult:
 
 
 def require_divides(g: GroupType, ell: int) -> groups.Factorization:
-    """|G| factored; NotADivisorError unless ell divides it."""
+    """|G| factored; NotADivisorError unless ell divides it, and a plain
+    ValueError for an ell that is not prime."""
     g_factors = order_factorization(g)
     i = bisect_left(g_factors, (ell,))
     if i == len(g_factors) or g_factors[i][0] != ell:
+        if not is_prime(ell):  # not "does not divide": 4 divides |G(2,1,2)| = 8
+            raise ValueError(f"ell must be prime, got {ell}")
         raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
     return g_factors
 
@@ -172,13 +175,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         return _classify_product(g, ell, PARABOLIC)
 
     if isinstance(g, Exceptional):
-        from . import tables  # the imprimitive family never reads the tables
-
-        row = tables.lookup("t1", g, ell)
-        member = row.members[0]
-        result_member = ClassMember(
-            member.group, factorization(member.order), label=member.label)
-        return SubgroupClassResult(g, ell, PARABOLIC, (result_member,))
+        return _table_answer(g, ell, PARABOLIC, "t1")
 
     if g.m % ell == 0:
         return SubgroupClassResult(g, ell, PARABOLIC, (_member_of(g),))
@@ -199,16 +196,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     if isinstance(g, Exceptional):
         from . import tables
 
-        row = tables.lookup(tables.reflection_table_id(g.st), g, ell)
-        members = []
-        seen: dict[str, int] = {}
-        for member in row.members:
-            idx = seen.get(member.label, 0)
-            seen[member.label] = idx + 1
-            members.append(ClassMember(
-                member.group, factorization(member.order),
-                distinguisher=idx, label=member.label))
-        return SubgroupClassResult(g, ell, REFLECTION, tuple(members))
+        return _table_answer(g, ell, REFLECTION, tables.reflection_table_id(g.st))
 
     m, p, n = g.m, g.p, g.n
     if p % ell == 0:
@@ -223,6 +211,20 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     member = _member_of(product_of(
         lambda_blocks(ell, n, lambda k: Imprimitive(a, 1, k), groups.TRIVIAL)))
     return SubgroupClassResult(g, ell, REFLECTION, (member,))
+
+
+def _table_answer(g: Exceptional, ell: int, kind: str,
+                  table_id: str) -> SubgroupClassResult:
+    """An exceptional group's answer, read from its row in table_id; the
+    n-th class of a label already seen in the row has distinguisher n."""
+    from . import tables  # the imprimitive family never reads the tables
+
+    row = tables.lookup(table_id, g, ell)
+    labels = [m.label for m in row.members]
+    return SubgroupClassResult(g, ell, kind, tuple(
+        ClassMember(m.group, factorization(m.order), labels[:i].count(m.label),
+                    label=m.label)
+        for i, m in enumerate(row.members)))
 
 
 def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:

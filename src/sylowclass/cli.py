@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 usage error, 3 domain error (prime does not
 divide the order, unknown table row, a JSON answer too long to print, a
 parameter that cannot be factored exactly, a product with more minimal
 classes than are listed), 4 verification failure.  Results go to stdout,
-diagnostics to stderr.  A reader that closes stdout early (`| head`)
-ends the command with exit code 141, as SIGPIPE would, and no traceback.
+diagnostics to stderr; an error is one "error:" line there, also when the
+argument parser rejects an option (no usage lines).  A reader that closes
+stdout early (`| head`) ends the command with exit code 141, as SIGPIPE
+would, and no traceback.
 
 Every command writes JSON through _json and markdown through _markdown;
 classify and sylow pick their format in _print_reports.  A JSON answer
@@ -221,16 +223,26 @@ def _exceptional_label(st: int) -> str:
 def _cross_check_row(row) -> None:
     """Regeneration guard: every concrete row must agree with the
     classifier, which reads the same data; a mismatch means drift."""
-    st = row.group.st
+    classify = cls.classify_parabolic if row.table == "t1" else cls.classify_reflection
+    want = [(m.display(), m.order) for m in row.members]
     for ell in row.ell_list:
-        if row.table == "t1":
-            result = cls.classify_parabolic(row.group, ell)
-        else:
-            result = cls.classify_reflection(row.group, ell)
-        got = [(m.display_label, m.order) for m in result.members]
-        want = [(m.display(), m.order) for m in row.members]
+        got = [(m.display_label, m.order) for m in classify(row.group, ell).members]
         if got != want:
-            raise RuntimeError(f"table drift for G{st} ell={ell}: {got} != {want}")
+            raise RuntimeError(f"table drift for G{row.group.st} ell={ell}: {got} != {want}")
+
+
+def _family_row(row, **extra) -> dict:
+    return {"group": row.group_label, "ell": row.ell_condition,
+            "members": row.members[0].label, "member_order": row.orders_text, **extra}
+
+
+def _concrete_row(row, member_order: str, **extra) -> dict:
+    """An exceptional group's row, once _cross_check_row has passed."""
+    _cross_check_row(row)
+    return {"group": _exceptional_label(row.group.st),
+            "group_order": order_factored(row.group), "ell": row.ell,
+            "members": " and ".join(m.display() for m in row.members),
+            "member_order": member_order, **extra}
 
 
 def generate_table(table_key: str) -> list[dict]:
@@ -239,61 +251,33 @@ def generate_table(table_key: str) -> list[dict]:
     from . import tables
 
     tabs = tables.load_tables()
-    out: list[dict] = []
     if table_key == "parabolic":
-        for row in tabs.family("t1"):
-            out.append({
-                "group": row.group_label, "ell": row.ell_condition,
-                "members": row.members[0].label, "member_order": row.orders_text,
-                "group_order": "", "cuspidal": row.note,
-            })
-        for row in tabs.concrete("t1"):
-            _cross_check_row(row)
-            cusp = row.ell in tabs.cuspidal_primes(row.group.st)
-            out.append({
-                "group": _exceptional_label(row.group.st),
-                "group_order": order_factored(row.group),
-                "ell": row.ell,
-                "members": " and ".join(m.display() for m in row.members),
-                "member_order": row.members[0].order_text,
-                "cuspidal": cusp,
-            })
-    elif table_key in ("cuspidal", "supercuspidal"):
+        family = [_family_row(row, group_order="", cuspidal=row.note)
+                  for row in tabs.family("t1")]
+        return family + [
+            _concrete_row(row, row.members[0].order_text,
+                          cuspidal=row.ell in tabs.cuspidal_primes(row.group.st))
+            for row in tabs.concrete("t1")]
+    if table_key in ("cuspidal", "supercuspidal"):
         # same row shape; each table lists its family rows first
-        for row in tabs.table("t2" if table_key == "cuspidal" else "t4"):
-            out.append({
-                "group": (row.group_label if row.is_family
-                          else _exceptional_label(row.group.st)),
-                "ell": (row.ell_condition if row.is_family
-                        else ",".join(map(str, row.ell_list))),
-                "group_order": row.orders_text,
-            })
-    elif table_key == "reflection":
-        for row in tabs.family("t3"):
-            out.append({
-                "group": row.group_label, "ell": row.ell_condition,
-                "members": row.members[0].label, "member_order": row.orders_text,
-                "group_order": "", "count": row.count_text,
-            })
-        for row in sorted(tabs.concrete("t3b") + tabs.concrete("t3"),
-                          key=lambda row: (row.group.st, row.ell)):
-            _cross_check_row(row)
-            out.append({
-                "group": _exceptional_label(row.group.st),
-                "group_order": order_factored(row.group),
-                "ell": row.ell,
-                "members": " and ".join(m.display() for m in row.members),
-                "member_order": " and ".join(
-                    m.order_text.replace("x", "*") for m in row.members),
-                "count": len(row.members),
-            })
-    elif table_key == "nonunique":
-        for row in tabs.family("t5"):
-            out.append({
-                "group": row.group_label, "ell": row.ell_condition,
-                "members": row.members[0].label, "member_order": row.orders_text,
-                "count": row.count_text,
-            })
+        return [{"group": (row.group_label if row.is_family
+                           else _exceptional_label(row.group.st)),
+                 "ell": (row.ell_condition if row.is_family
+                         else ",".join(map(str, row.ell_list))),
+                 "group_order": row.orders_text}
+                for row in tabs.table("t2" if table_key == "cuspidal" else "t4")]
+    if table_key == "reflection":
+        family = [_family_row(row, group_order="", count=row.count_text)
+                  for row in tabs.family("t3")]
+        concrete = sorted(tabs.concrete("t3b") + tabs.concrete("t3"),
+                          key=lambda row: (row.group.st, row.ell))
+        return family + [
+            _concrete_row(row, " and ".join(m.order_text.replace("x", "*")
+                                            for m in row.members),
+                          count=len(row.members))
+            for row in concrete]
+    if table_key == "nonunique":
+        out = [_family_row(row, count=row.count_text) for row in tabs.family("t5")]
         # Regenerate the concrete rows from the reflection tables: every
         # (group, prime) whose minimal reflection class is not a single
         # class, one row per member type.
@@ -313,9 +297,8 @@ def generate_table(table_key: str) -> list[dict]:
                         "member_order": format_factorization(ms[0].factors),
                         "count": len(ms),
                     })
-    else:
-        raise TableLookupError(f"unknown table id {table_key!r}")
-    return out
+        return out
+    raise TableLookupError(f"unknown table id {table_key!r}")
 
 
 _TABLE_COLUMNS = {
@@ -460,8 +443,16 @@ def _ell_arg(value: str) -> str:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its rejections (and those of its subcommand parsers) raise
+    UsageError, which main prints as one error line without the usage."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sylowclass",
         description="Minimal parabolic/reflection classes containing Sylow "
                     "subgroups of unitary reflection groups.")
@@ -511,9 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code

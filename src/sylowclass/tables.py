@@ -22,6 +22,12 @@ G27 at l = 3 prints |D3(3)| as 2^3*3^3 = 216, while |G(3,3,3)| = 54.
 check_consistency() misses it, as 216 divides |G27| with its full 3-adic
 valuation.  It is not patched either: classify keeps the printed order.
 
+A fifth is documented and not registered either: for G18 at l = 2, t3b lists
+L2;~L2;G16 and t5 lists only L2 (count 2), while t5 lists the one-class
+types G8, G16 and G20 of G9, G17 and G21.  The nonunique table regenerated
+from the reflection tables therefore has a (G18, 2, G16, count 1) row that
+t5 lacks, its one difference from t5 in either direction.
+
 load_tables() parses the data once per process.  The Tables it returns
 also holds what is computed from it once: each member's parsed group
 (Member.group) and each rendered table (Tables.renders, filled by
@@ -91,16 +97,16 @@ class TableRow:
         return self.group is None
 
 
-def _parse_order_text(text: str) -> tuple[int | None, bool]:
-    """Parse a factorization string; returns (value, had_typo) where a 'x'
-    in place of '*' is read as multiplication but reported as a typo."""
+def _parse_order_text(text: str) -> int | None:
+    """Parse a factorization string; an 'x' in place of '*' is read as
+    multiplication (check_consistency reports it as a typo)."""
     if not text or not _CONCRETE_ORDER.match(text):
-        return None, False
+        return None
     parts = (part.partition("^") for part in text.replace("x", "*").split("*"))
-    return prod(int(base) ** int(exp or 1) for base, _, exp in parts), "x" in text
+    return prod(int(base) ** int(exp or 1) for base, _, exp in parts)
 
 
-def _parse_row(line: str) -> tuple[TableRow, bool]:
+def _parse_row(line: str) -> TableRow:
     fields = line.split("|")
     if len(fields) < 6:
         raise ValueError(f"bad table record: {line!r}")
@@ -125,7 +131,6 @@ def _parse_row(line: str) -> tuple[TableRow, bool]:
         else:
             ell_condition = ell_text
 
-    typo_found = False
     members: list[Member] = []
     if members_text:
         labels = members_text.split(";")
@@ -133,13 +138,11 @@ def _parse_row(line: str) -> tuple[TableRow, bool]:
         if len(order_parts) == 1 and len(labels) > 1:
             order_parts = order_parts * len(labels)
         for label, otext in zip(labels, order_parts):
-            tilde = label.startswith("~")
-            value, typo = _parse_order_text(otext)
-            typo_found = typo_found or typo
-            members.append(Member(label.lstrip("~"), tilde, otext, value))
+            members.append(Member(label.lstrip("~"), label.startswith("~"), otext,
+                                  _parse_order_text(otext)))
 
     count = int(count_text) if count_text.isdigit() else None
-    row = TableRow(
+    return TableRow(
         table=table,
         group_label=group_label,
         group=group,
@@ -152,7 +155,6 @@ def _parse_row(line: str) -> tuple[TableRow, bool]:
         count_text=count_text,
         note=note,
     )
-    return row, typo_found
 
 
 @dataclass
@@ -164,7 +166,6 @@ class Tables:
 
     rows: tuple[TableRow, ...]
     orders: dict[int, int]  # Shephard-Todd index -> canonical |G|
-    typo_rows: tuple[TableRow, ...]
     renders: dict[tuple[str, str], str] = field(
         default_factory=dict, compare=False, repr=False)
 
@@ -220,21 +221,16 @@ def load_tables() -> Tables:
             f"tables.txt checksum mismatch: {digest} != {TABLES_SHA256}"
         )
     rows = []
-    typo_rows = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        row, typo = _parse_row(line)
-        rows.append(row)
-        if typo:
-            typo_rows.append(row)
+        rows.append(_parse_row(line))
     orders = {}
     for row in rows:
         if row.table == "order":
-            value, _ = _parse_order_text(row.orders_text)
-            orders[row.group.st] = value
-    return Tables(tuple(rows), orders, tuple(typo_rows))
+            orders[row.group.st] = _parse_order_text(row.orders_text)
+    return Tables(tuple(rows), orders)
 
 
 def lookup(table_id: str, group: GroupType, ell: int | None = None) -> TableRow:
@@ -315,7 +311,9 @@ def check_consistency() -> ConsistencyReport:
         if groups.EXCEPTIONAL_ORDERS[st] != value:
             add(Anomaly("order-ledger", f"G{st} order ledger mismatch"))
 
-    for row in tabs.typo_rows:
+    for row in tabs.rows:  # an order written with 'x', read as '*'
+        if not any("x" in m.order_text and m.order is not None for m in row.members):
+            continue
         if row.table == "t3" and row.group == Exceptional(26) and row.ell == 2:
             add(Anomaly("t3-g26-order-typo",
                         f"G26 ell=2 order printed {row.orders_text!r}, read as 2^4*3"))
@@ -358,8 +356,7 @@ def check_consistency() -> ConsistencyReport:
                 "t2-g30-g32-block" if block else "t2-vs-t1-primes",
                 f"G{st}: cuspidal primes printed {t2_row.ell_list}, "
                 f"parabolic table gives {t1_whole}"))
-        t2_order, _ = _parse_order_text(t2_row.orders_text)
-        if t2_order != tabs.orders[st]:
+        if _parse_order_text(t2_row.orders_text) != tabs.orders[st]:
             add(Anomaly(
                 "t2-g30-g32-block" if block else "t2-vs-t1-order",
                 f"G{st}: cuspidal table order {t2_row.orders_text} differs "

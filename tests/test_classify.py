@@ -102,6 +102,18 @@ class TestRequireDivides:
                         require_divides(g, ell)
 
 
+    @pytest.mark.parametrize("ell", [4, 1, 0, -2])
+    def test_non_prime_ell_is_not_called_a_non_divisor(self, ell):
+        # 4 divides |G(2,1,2)| = 8: "does not divide" would be false
+        from sylowclass.structure import sylow_structure
+
+        for fn in (classify_parabolic, classify_reflection, sylow_structure,
+                   degrees_criterion):
+            with pytest.raises(ValueError, match="ell must be prime") as exc:
+                fn(Imprimitive(2, 1, 2), ell)
+            assert not isinstance(exc.value, NotADivisorError), fn
+
+
 class TestReflection:
     def test_twisted_classes(self):
         r = classify_reflection(Imprimitive(12, 6, 3), 2)
