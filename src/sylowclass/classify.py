@@ -175,7 +175,7 @@ def classify_parabolic(g: GroupType, ell: int) -> SubgroupClassResult:
         return _classify_product(g, ell, PARABOLIC)
 
     if isinstance(g, Exceptional):
-        return _table_answer(g, ell, PARABOLIC, "t1")
+        return _table_answer(g, ell, PARABOLIC)
 
     if g.m % ell == 0:
         return SubgroupClassResult(g, ell, PARABOLIC, (_member_of(g),))
@@ -194,9 +194,7 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
         return _classify_product(g, ell, REFLECTION)
 
     if isinstance(g, Exceptional):
-        from . import tables
-
-        return _table_answer(g, ell, REFLECTION, tables.reflection_table_id(g.st))
+        return _table_answer(g, ell, REFLECTION)
 
     m, p, n = g.m, g.p, g.n
     if p % ell == 0:
@@ -213,12 +211,13 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     return SubgroupClassResult(g, ell, REFLECTION, (member,))
 
 
-def _table_answer(g: Exceptional, ell: int, kind: str,
-                  table_id: str) -> SubgroupClassResult:
-    """An exceptional group's answer, read from its row in table_id; the
-    n-th class of a label already seen in the row has distinguisher n."""
+def _table_answer(g: Exceptional, ell: int, kind: str) -> SubgroupClassResult:
+    """An exceptional group's answer, read from its row in t1 (parabolic) or
+    in the reflection table that holds it; the n-th class of a label already
+    seen in the row has distinguisher n."""
     from . import tables  # the imprimitive family never reads the tables
 
+    table_id = "t1" if kind == PARABOLIC else tables.reflection_table_id(g.st)
     row = tables.lookup(table_id, g, ell)
     labels = [m.label for m in row.members]
     return SubgroupClassResult(g, ell, kind, tuple(
@@ -283,17 +282,11 @@ def degrees_criterion(g: GroupType, ell: int) -> bool:
 def catalog_irreducibles(max_m: int = 12, max_n: int = 6):
     """All in-scope irreducible group types: the imprimitive grid (after
     canonical normalization, deduplicated) and every exceptional index."""
-    seen = set()
-    for m in range(1, max_m + 1):
-        for p in range(1, m + 1):
-            if m % p:
-                continue
-            for n in range(1, max_n + 1):
-                g = normalize(Imprimitive(m, p, n))
-                if g == groups.TRIVIAL or g in seen:
-                    continue
-                seen.add(g)
-                yield g
+    seen = {groups.TRIVIAL}
+    for g in map(normalize, groups.imprimitive_grid(max_m, max_n)):
+        if g not in seen:
+            seen.add(g)
+            yield g
     for st in range(4, 38):
         yield Exceptional(st)
 

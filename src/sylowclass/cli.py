@@ -12,7 +12,10 @@ divide the order, unknown table row, a JSON answer too long to print, a
 parameter that cannot be factored exactly, a product with more minimal
 classes than are listed), 4 verification failure.  Results go to stdout,
 diagnostics to stderr; an error is one "error:" line there, also when the
-argument parser rejects an option (no usage lines).  A reader that closes
+argument parser rejects an option (no usage lines).  The line keeps the
+first ERROR_CHARS (200) characters of the message and then gives the
+message's length, so a rejected input of thousands of digits is not echoed
+whole.  A reader that closes
 stdout early (`| head`) ends the command with exit code 141, as SIGPIPE
 would, and no traceback.
 
@@ -61,6 +64,7 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the shell's code for a closed pipe
+ERROR_CHARS = 200  # an error line keeps this much of its message
 
 class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""
@@ -501,6 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception, code: int) -> int:
+    """Print exc as the one stderr line of an error, its message cut to
+    ERROR_CHARS characters; return code."""
+    text = str(exc)
+    if len(text) > ERROR_CHARS:
+        text = f"{text[:ERROR_CHARS]}... ({len(text)} characters in all)"
+    print(f"error: {text}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -508,12 +522,10 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
     except (GroupParseError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     except (NotADivisorError, TableLookupError, UnsupportedGroupError,
             FactorizationError, DigitLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _error(exc, EXIT_DOMAIN)
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush at
         # exit stays quiet (the recipe of the SIGPIPE note in Python's docs).

@@ -12,6 +12,11 @@ Group spec grammar (CLI and table data):
     separated by "x" or the unicode times sign, with optional "^k" powers.
     A spec holds at most MAX_FACTORS irreducible factors, powers counted.
 
+check_parameters is the one test of G(m,p,n) parameters (m, p, n >= 1 and
+p | m), for Imprimitive, FeasibleTriple, AugmentedPartition's ambient group
+and degrees_imprimitive; imprimitive_grid is the one walk over the
+G(m,p,n) grid, read by the oracle campaign and the observation catalog.
+
 A Product computes its hash once, on first use, and keeps it on the
 value: the per-process memos hash their keys on every lookup, and a
 Product's hash would otherwise walk its factors each time.  Equality
@@ -66,13 +71,19 @@ class Imprimitive:
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.p < 1:
-            raise ValueError(f"bad parameters G({self.m},{self.p},{self.n})")
-        if self.m % self.p:
-            raise ValueError(f"p must divide m in G({self.m},{self.p},{self.n})")
+        check_parameters(self.m, self.p, self.n)
 
     def __repr__(self):
         return f"G({self.m},{self.p},{self.n})"
+
+
+def check_parameters(m: int, p: int, n: int) -> None:
+    """The one test of G(m,p,n) parameters: ValueError unless m, p, n >= 1
+    and p | m."""
+    if m < 1 or n < 1 or p < 1:
+        raise ValueError(f"bad parameters G({m},{p},{n})")
+    if m % p:
+        raise ValueError(f"p must divide m in G({m},{p},{n})")
 
 
 @dataclass(frozen=True)
@@ -171,6 +182,16 @@ def product_of(factors) -> GroupType:
     return Product(tuple(flat))
 
 
+def imprimitive_grid(max_m: int, max_n: int):
+    """Every G(m,p,n) with m <= max_m, p | m and n <= max_n, in (m, p, n)
+    order, not normalized: the one walk over the campaign grid."""
+    for m in range(1, max_m + 1):
+        for p in range(1, m + 1):
+            if m % p == 0:
+                for n in range(1, max_n + 1):
+                    yield Imprimitive(m, p, n)
+
+
 def irreducible_factors(g: GroupType) -> tuple:
     g = normalize(g)
     if isinstance(g, Product):
@@ -265,8 +286,7 @@ class FeasibleTriple:
     n: int
 
     def __post_init__(self):
-        if self.m < 1 or self.p < 1 or self.n < 1 or self.m % self.p:
-            raise ValueError(f"bad triple ({self.m},{self.p},{self.n})")
+        check_parameters(self.m, self.p, self.n)
 
     def sort_key(self):
         # Total order: larger n first, then larger m, then larger p.
@@ -286,10 +306,10 @@ def is_feasible(t, ambient: tuple[int, int, int]) -> bool:
     p' not dividing m' is simply infeasible rather than an error.
     """
     if not isinstance(t, FeasibleTriple):
-        mp, pp, np_ = t
-        if mp < 1 or pp < 1 or np_ < 1 or mp % pp:
+        try:
+            t = FeasibleTriple(*t)
+        except ValueError:
             return False
-        t = FeasibleTriple(mp, pp, np_)
     m, p, n = ambient
     return t.n <= n and m % t.m == 0 and (m // p) % (t.m // t.p) == 0
 
@@ -303,16 +323,14 @@ class AugmentedPartition:
     ambient: tuple[int, int, int]
 
     def __post_init__(self):
-        m, p, n = self.ambient
-        if m < 1 or p < 1 or n < 1 or m % p:
-            raise ValueError(f"bad ambient {self.ambient}")
+        check_parameters(*self.ambient)
         for t in self.triples:
             if not is_feasible(t, self.ambient):
                 raise ValueError(f"triple {t} not feasible for {self.ambient}")
         for a, b in zip(self.triples, self.triples[1:]):
             if a.sort_key() < b.sort_key():
                 raise ValueError("triples not decreasing")
-        if sum(t.n for t in self.triples) != n:
+        if sum(t.n for t in self.triples) != self.ambient[2]:
             raise ValueError("ranks do not partition n")
 
     def group(self) -> GroupType:
@@ -362,8 +380,7 @@ def degrees_imprimitive(m: int, p: int, n: int) -> tuple[int, ...]:
     """Invariant degrees m, 2m, ..., (n-1)m, nm/p of G(m,p,n), with trivial
     degree-1 entries dropped (they correspond to fixed coordinates of a
     non-essential action).  The product equals the group order."""
-    if m < 1 or n < 1 or p < 1 or m % p:
-        raise ValueError(f"need p | m, got ({m},{p},{n})")
+    check_parameters(m, p, n)
     degs = [i * m for i in range(1, n)] + [n * m // p]
     return tuple(sorted(d for d in degs if d > 1))
 

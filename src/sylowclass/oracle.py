@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -64,15 +63,9 @@ class OracleConsistencyError(AssertionError):
 class FixedSpace:
     """Combinatorial fixed-space basis: one vector per phase-trivial cycle,
     given as (support coordinates ascending, phase exponents relative to the
-    smallest coordinate)."""
+    smallest coordinate).  Its dimension is len(vectors)."""
 
-    m: int
-    n: int
     vectors: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.vectors)
 
 
 def _fixed_space(m: int, phases, perm) -> FixedSpace:
@@ -103,7 +96,7 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
         base = exps[coords[0]]
         vectors.append(
             (coords, tuple((exps[c] - base) % m for c in coords)))
-    return FixedSpace(m, n, tuple(sorted(vectors)))
+    return FixedSpace(tuple(sorted(vectors)))
 
 
 class Subgroup:
@@ -845,7 +838,7 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
             raise ValueError(f"reflection counts of block {block} "
                              "fit no G(m_i,p_i,n_i)")
         triples.append((m_i, p_i, size))
-        order *= m_i**size * factorial(size) // p_i
+        order *= groups.order(groups.Imprimitive(m_i, p_i, size))
     if order != h.order:
         raise ValueError(f"blocks of order {order} do not make up |h| = {h.order}")
     return augmented_partition(triples, (group.m, group.p, n))

@@ -1,7 +1,13 @@
 """Embedded classification tables with a cross-validating consistency check.
 
 The data ships as one pipe-separated text file (see data/tables.txt for the
-format) pinned by a sha256 checksum.  The source tables contain three known
+format) pinned by a sha256 checksum.  Each record has exactly seven fields,
+
+    table|group|ell|members|orders|count|note
+
+any of them but the table id possibly empty; a record with members lists
+one order per member, both separated by ";".  _parse_row raises ValueError
+on any other shape.  The source tables contain three known
 internal inconsistencies; they are preserved in the data, reported by
 check_consistency(), and never patched silently:
 
@@ -107,12 +113,11 @@ def _parse_order_text(text: str) -> int | None:
 
 
 def _parse_row(line: str) -> TableRow:
+    """One record: seven fields, and one order per member if any."""
     fields = line.split("|")
-    if len(fields) < 6:
+    if len(fields) != 7:
         raise ValueError(f"bad table record: {line!r}")
-    while len(fields) < 7:
-        fields.append("")
-    table, group_label, ell_text, members_text, orders_text, count_text, note = fields[:7]
+    table, group_label, ell_text, members_text, orders_text, count_text, note = fields
     if table not in TABLE_IDS:
         raise ValueError(f"unknown table id {table!r}")
 
@@ -131,15 +136,13 @@ def _parse_row(line: str) -> TableRow:
         else:
             ell_condition = ell_text
 
-    members: list[Member] = []
-    if members_text:
-        labels = members_text.split(";")
-        order_parts = orders_text.split(";") if orders_text else [""] * len(labels)
-        if len(order_parts) == 1 and len(labels) > 1:
-            order_parts = order_parts * len(labels)
-        for label, otext in zip(labels, order_parts):
-            members.append(Member(label.lstrip("~"), label.startswith("~"), otext,
-                                  _parse_order_text(otext)))
+    labels = members_text.split(";") if members_text else []
+    order_parts = orders_text.split(";") if labels else []
+    if len(order_parts) != len(labels):
+        raise ValueError(f"not one order per member: {line!r}")
+    members = [Member(label.lstrip("~"), label.startswith("~"), otext,
+                      _parse_order_text(otext))
+               for label, otext in zip(labels, order_parts)]
 
     count = int(count_text) if count_text.isdigit() else None
     return TableRow(
@@ -177,20 +180,16 @@ class Tables:
             if not r.is_family:
                 by_group.setdefault((r.table, r.group.st), []).append(r)
         self._table = {t: tuple(rs) for t, rs in tables.items()}
-        self._concrete = {t: tuple(r for r in rs if not r.is_family)
-                          for t, rs in tables.items()}
-        self._family = {t: tuple(r for r in rs if r.is_family)
-                        for t, rs in tables.items()}
         self._by_group = {k: tuple(rs) for k, rs in by_group.items()}
 
     def table(self, table_id: str) -> tuple[TableRow, ...]:
         return self._table.get(table_id, ())
 
     def concrete(self, table_id: str) -> tuple[TableRow, ...]:
-        return self._concrete.get(table_id, ())
+        return tuple(r for r in self.table(table_id) if not r.is_family)
 
     def family(self, table_id: str) -> tuple[TableRow, ...]:
-        return self._family.get(table_id, ())
+        return tuple(r for r in self.table(table_id) if r.is_family)
 
     def row(self, table_id: str, st: int, ell: int | None = None) -> TableRow:
         for r in self.rows_for(table_id, st):

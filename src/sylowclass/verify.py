@@ -24,17 +24,9 @@ from .valuation import nu, prime_factors  # noqa: F401
 
 def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
                 order_cap: int = DEFAULT_ORDER_CAP) -> list[tuple[int, int, int]]:
-    """All (m,p,n) with p | m, nontrivial order at most the cap."""
-    points = []
-    for m in range(1, max_m + 1):
-        for p in range(1, m + 1):
-            if m % p:
-                continue
-            for n in range(1, max_n + 1):
-                size = groups.order(Imprimitive(m, p, n))
-                if 2 <= size <= order_cap:
-                    points.append((m, p, n))
-    return points
+    """All (m,p,n) of the grid with nontrivial order at most the cap."""
+    return [(g.m, g.p, g.n) for g in groups.imprimitive_grid(max_m, max_n)
+            if 2 <= groups.order(g) <= order_cap]
 
 
 @dataclass

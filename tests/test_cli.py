@@ -262,6 +262,13 @@ class TestExitCodes:
             assert code == 2, spec
             assert "error" in err
 
+    def test_long_error_message_is_cut(self, capsys):
+        code, out, err = run(capsys, "classify", "--group", "G4", "--ell", "7" * 5000)
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("error: argument --ell: ell must be a prime or 'all', got '777")
+        assert err.endswith("7... (5052 characters in all)\n")
+        assert len(err) == len("error: ") + cli.ERROR_CHARS + len("... (5052 characters in all)\n")
+
     def test_usage_error_nonpositive_max_order(self, capsys):
         for cap in ["0", "-3"]:
             code, out, err = run(capsys, "verify", "--max-order", cap)
@@ -891,6 +898,8 @@ def _check_contract(argv) -> tuple[int, str]:
         code = cli.main(argv)
     lines = err.getvalue().splitlines()
     assert "Traceback" not in err.getvalue(), argv
+    # an error line is bounded, whatever the length of the rejected input
+    assert all(len(line) <= 300 for line in lines if "error:" in line), argv
     assert code in (0, 2, 3, 4), argv
     if code == 4:
         assert "FAIL" in out.getvalue() or "VIOLATION" in out.getvalue(), argv
@@ -995,6 +1004,11 @@ class TestExitCodeContract:
         (["sylow", "--group", "A20000", "--ell", "2", "--format", "json"], 3),
         (["verify", "--group", "G(2000,1,2000)", "--format", "json"], 3),
         (["verify", "--group", "G(2000,1,2000)", "--format", "json", "--progress"], 3),
+        # 5000-digit inputs echoed in the message: one error line of bounded length
+        (["classify", "--group", "G4", "--ell", "7" * 5000], 2),
+        (["verify", "--max-order", "7" * 5000], 2),
+        (["tables", "--id", "7" * 5000], 2),
+        (["classify", "--group", f"G({'7' * 5000},1,1)", "--ell", "2"], 2),
     ])
     def test_limit_cases(self, argv, code):
         assert _check_contract(argv)[0] == code, argv

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from sylowclass.classify import (catalog_irreducibles, classify_parabolic,
                                  classify_reflection)
 
 from sylowclass.groups import (
+    AugmentedPartition,
     Cyclic,
     Exceptional,
     MAX_FACTORS,
@@ -22,6 +24,7 @@ from sylowclass.groups import (
     degrees_imprimitive,
     format_group,
     group_primes,
+    imprimitive_grid,
     is_feasible,
     normalize,
     order,
@@ -157,6 +160,33 @@ class TestNormalization:
             Exceptional(3)
         with pytest.raises(ValueError):
             Exceptional(38)
+
+
+class TestParameters:
+    @pytest.mark.parametrize("mpn, message", [
+        ((0, 1, 1), "bad parameters G(0,1,1)"),
+        ((2, 1, 0), "bad parameters G(2,1,0)"),
+        ((4, 3, 2), "p must divide m in G(4,3,2)"),
+    ])
+    def test_one_check_for_every_triple(self, mpn, message):
+        for build in (Imprimitive, FeasibleTriple, degrees_imprimitive,
+                      lambda *t: AugmentedPartition((), t)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(*mpn)
+        assert not is_feasible(mpn, (12, 6, 3))
+
+    def test_grid_walk_order(self):
+        assert [(g.m, g.p, g.n) for g in imprimitive_grid(12, 6)] == list(grid())
+        assert list(imprimitive_grid(0, 6)) == list(imprimitive_grid(12, 0)) == []
+
+    def test_catalog_walks_the_grid(self):
+        want = []
+        for m, p, n in grid(5, 3):
+            g = normalize(Imprimitive(m, p, n))
+            if g != TRIVIAL and g not in want:
+                want.append(g)
+        want += [Exceptional(st) for st in range(4, 38)]
+        assert list(catalog_irreducibles(5, 3)) == want
 
 
 class TestFeasibleTriples:

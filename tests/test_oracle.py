@@ -131,17 +131,17 @@ class TestReflectionsAndFixedSpaces:
                     assert len(g.reflection_indices()) == expected, (m, p, n)
 
     def test_fixed_space_examples(self):
-        assert fixed_space(Element(4, (0, 0, 0), (0, 1, 2))).dimension == 3
+        assert len(fixed_space(Element(4, (0, 0, 0), (0, 1, 2))).vectors) == 3
         e = Element(1, (0, 0, 0), (1, 0, 2))
-        assert fixed_space(e).dimension == 2
+        assert len(fixed_space(e).vectors) == 2
         e = Element(4, (2, 0), (0, 1))
-        assert fixed_space(e).dimension == 1
+        assert len(fixed_space(e).vectors) == 1
 
     def test_reflections_have_hyperplane_fixed_space(self):
         for m, p, n in [(2, 1, 2), (4, 2, 3), (3, 1, 3)]:
             g = enumerate_group(m, p, n)
             for r in g.reflection_indices():
-                assert fixed_space(element(g, r)).dimension == n - 1
+                assert len(fixed_space(element(g, r)).vectors) == n - 1
 
     def test_cycle_order_does_not_change_descriptor(self):
         # the 3-cycles (123) and (132) both fix exactly the diagonal line
@@ -521,7 +521,7 @@ class TestOrbitPathsAgainstDefinitions:
             g = enumerate_group(m, p, n)
             assert g.reflection_indices() == [
                 i for i, sp in enumerate(g.fixed_spaces())
-                if sp.dimension == n - 1], (m, p, n)
+                if len(sp.vectors) == n - 1], (m, p, n)
 
     @pytest.mark.parametrize(
         "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4), (6, 3, 2)],
@@ -553,7 +553,7 @@ class TestOrbitPathsAgainstDefinitions:
             sizes = np.bincount(orbit_labels(g.size, g.conjugation_tables()))
             got = [0] * (n + 1)  # coefficient of t^d at index d
             for x in np.flatnonzero(sizes).tolist():
-                got[fixed_space(element(g, x)).dimension] += int(sizes[x])
+                got[len(fixed_space(element(g, x)).vectors)] += int(sizes[x])
             degrees = degrees_imprimitive(m, p, n)
             want = [0] * (n - len(degrees)) + [1]
             for d in degrees:

@@ -10,6 +10,7 @@ from sylowclass.tables import (
     TABLES_SHA256,
     TableLookupError,
     _data_text,
+    _parse_row,
     _supercuspidal_family_label,
     check_consistency,
     load_tables,
@@ -37,6 +38,22 @@ class TestLoading:
         from sylowclass.groups import EXCEPTIONAL_ORDERS
 
         assert load_tables().orders == EXCEPTIONAL_ORDERS
+
+    def test_record_has_seven_fields(self):
+        row = _parse_row("t3|G8|2|G(4,1,2)|2^5||")
+        assert [(m.label, m.order) for m in row.members] == [("G(4,1,2)", 32)]
+        with pytest.raises(ValueError, match="bad table record"):
+            _parse_row("t3|G8|2|G(4,1,2)|2^5|")
+        with pytest.raises(ValueError, match="bad table record"):
+            _parse_row("t3|G8|2|G(4,1,2)|2^5|||")
+
+    def test_record_has_one_order_per_member(self):
+        row = _parse_row("t3b|G12|2|L2;~L2|2^3;2^3|2|")
+        assert [(m.label, m.tilde, m.order) for m in row.members] == [
+            ("L2", False, 8), ("L2", True, 8)]
+        for orders in ("2^3", "", "2^3;2^3;2^3"):
+            with pytest.raises(ValueError, match="one order per member"):
+                _parse_row(f"t3b|G12|2|L2;~L2|{orders}|2|")
 
 
 def _scan_row(tabs, table_id, st, ell):
