@@ -17,12 +17,13 @@ most 1024 answers each, keyed by (g, ell); a product reaches its factors
 through the same memo.  A repeated query returns the same answer object,
 which is shared and immutable (frozen dataclasses with tuple fields);
 errors are not memoized, and cache_clear() on either function frees its
-answers.  An answer renders its text (group label, factored orders,
-whether its class is the whole group) on first use and keeps it, so a
-repeated query is printed from the stored text; answers that are never
-printed, such as the factor answers inside a product, are never rendered.
-A product answer with more than MAX_PRODUCT_CLASSES classes raises
-TooManyClassesError instead of listing them.
+answers.  An answer renders its report row (SubgroupClassResult.report_row:
+group label, factored orders, twists, cuspidal and supercuspidal) on first
+use and keeps it, so a repeated report is one memo lookup and a copy of
+the kept row; answers that are never printed, such as the factor answers
+inside a product, are never rendered.  A product answer with more than
+MAX_PRODUCT_CLASSES classes raises TooManyClassesError instead of listing
+them.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class SubgroupClassResult:
     Parabolic answers always have a single class.  Reflection answers may
     have several classes, of equal or (for a few exceptional groups) of
     different member orders; each member carries its own order.  The text
-    of the answer (group_label, order_factored, equals_whole_group) is
-    computed on first use and kept on the answer.
+    of the answer (group_label, order_factored, equals_whole_group and the
+    report_row built from them) is computed on first use and kept on the
+    answer; equality and hashing read the fields only.
     """
 
     group: GroupType
@@ -134,6 +136,28 @@ class SubgroupClassResult:
     def order_factored(self) -> str:
         """|G| as a string like 2^7*3^2."""
         return format_factorization(order_factorization(self.group))
+
+    @cached_property
+    def report_row(self) -> tuple:
+        """The values of one classify report, kept on the answer: the group
+        label, |G| factored, a tuple of one (label, order factored, twist)
+        triple per class, cuspidal and supercuspidal.  The flag of the
+        other kind is read from its memoized answer, once per row; a group
+        with more than MAX_PRODUCT_CLASSES minimal reflection classes is
+        not supercuspidal."""
+        if self.kind == PARABOLIC:
+            cuspidal = self.equals_whole_group
+            try:
+                supercuspidal = classify_reflection(self.group, self.ell).equals_whole_group
+            except TooManyClassesError:
+                supercuspidal = False
+        else:
+            cuspidal = classify_parabolic(self.group, self.ell).equals_whole_group
+            supercuspidal = self.equals_whole_group
+        return (self.group_label, self.order_factored,
+                tuple([(m.display_label, m.order_factored, m.twist_exponent)
+                       for m in self.members]),
+                cuspidal, supercuspidal)
 
     @property
     def member_order(self) -> int:

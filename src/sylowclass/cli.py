@@ -28,7 +28,10 @@ text, whose output prints such numbers factored or not at all.
 
 Each rendered table is kept on the loaded tables (tables.Tables.renders)
 and printed from there by later renders in the process;
-tables.load_tables.cache_clear() drops it.
+tables.load_tables.cache_clear() drops it.  A repeated classify report is
+one memo lookup and a copy of the row the answer keeps
+(classify.SubgroupClassResult.report_row), and a memoized Sylow term
+renders its text once (structure.render_term).
 
 Each subcommand imports only the modules it runs.  `classify` on an
 imprimitive group or a product of them loads neither the embedded tables
@@ -122,31 +125,27 @@ def _print_reports(args, reports, columns, cells, text_lines) -> None:
 
 
 def classification_report(g, ell: int, kind: str) -> dict:
-    """One classify answer as a fresh dict, filled from the text that the
-    memoized answers render once."""
-    parabolic = cls.classify_parabolic(g, ell)
-    try:
-        reflection = cls.classify_reflection(g, ell)
-    except cls.TooManyClassesError:
-        if kind == "reflection":
-            raise
-        reflection = None  # more than one minimal class: not supercuspidal
-    result = parabolic if kind == "parabolic" else reflection
+    """One classify answer of kind PARABOLIC or REFLECTION as a fresh dict:
+    one memo lookup, and a copy of the row that the answer keeps
+    (classify.SubgroupClassResult.report_row).  Any other kind raises
+    ValueError before the lookup."""
+    if kind == cls.PARABOLIC:
+        answer = cls.classify_parabolic(g, ell)
+    elif kind == cls.REFLECTION:
+        answer = cls.classify_reflection(g, ell)
+    else:
+        raise ValueError(f"kind must be {cls.PARABOLIC!r} or {cls.REFLECTION!r}, "
+                         f"got {kind!r}")
+    group, order, classes, cuspidal, supercuspidal = answer.report_row
     return {
-        "group": result.group_label,
-        "order_factored": result.order_factored,
+        "group": group,
+        "order_factored": order,
         "ell": ell,
         "kind": kind,
-        "classes": [
-            {
-                "label": m.display_label,
-                "order_factored": m.order_factored,
-                "twist_index": m.twist_exponent,
-            }
-            for m in result.members
-        ],
-        "cuspidal": parabolic.equals_whole_group,
-        "supercuspidal": reflection is not None and reflection.equals_whole_group,
+        "classes": [{"label": label, "order_factored": member_order, "twist_index": twist}
+                    for label, member_order, twist in classes],
+        "cuspidal": cuspidal,
+        "supercuspidal": supercuspidal,
     }
 
 
@@ -183,8 +182,9 @@ def cmd_classify(args) -> int:
 def _resolve_ells(g, ell_arg: str) -> list[int]:
     if ell_arg == "all":
         return groups.group_primes(g)
-    cls.require_divides(g, int(ell_arg))
-    return [int(ell_arg)]
+    ell = int(ell_arg)
+    cls.require_divides(g, ell)
+    return [ell]
 
 
 # ---------------------------------------------------------------------------

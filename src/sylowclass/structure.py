@@ -18,7 +18,9 @@ l^i", but only the l-reading matches the order of Sym(l^i)'s Sylow.
 
 sylow_structure is memoized per process like the classify answers, at most
 1024 terms keyed by (g, ell); the terms are shared and immutable, and
-sylow_structure.cache_clear() frees them.
+sylow_structure.cache_clear() frees them.  render_term keeps each term's
+text on the term, so a memoized term renders once per process and a
+repeated `sylow` request prints the kept text.
 """
 
 from __future__ import annotations
@@ -262,7 +264,17 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
 
 def render_term(t: StructureTerm) -> str:
     """Rendering grammar used by the CLI and JSON output, e.g. "W(2,2)",
-    "A(9,3,2):sd:W(3,1)", "C2 x W(2,2)", "Q8"."""
+    "A(9,3,2):sd:W(3,1)", "C2 x W(2,2)", "Q8".  The text is kept on the
+    term after its first render (its fields stay frozen, and equality and
+    hashing read only them), so a memoized term renders once."""
+    text = getattr(t, "_text", None)
+    if text is None:
+        text = _render(t)
+        object.__setattr__(t, "_text", text)
+    return text
+
+
+def _render(t: StructureTerm) -> str:
     if isinstance(t, Trivial):
         return "1"
     if isinstance(t, CyclicGroup):

@@ -63,6 +63,18 @@ class TestClassifyCommand:
         reports = json.loads(out)
         assert [r["ell"] for r in reports] == [2, 3]
 
+    @pytest.mark.parametrize("kind", ["Parabolic", "REFLECTION", "cuspidal", "", None])
+    def test_report_of_another_kind_raises_before_any_lookup(self, kind):
+        # it once returned the reflection answer under any kind but "parabolic"
+        g = parse_group("G(12,6,3)")
+        lookups = [fn.cache_info() for fn in (cls.classify_parabolic, cls.classify_reflection)]
+        with pytest.raises(ValueError) as info:
+            cli.classification_report(g, 2, kind)
+        assert repr(cls.PARABOLIC) in str(info.value)
+        assert repr(cls.REFLECTION) in str(info.value)
+        assert [fn.cache_info() for fn in (cls.classify_parabolic,
+                                           cls.classify_reflection)] == lookups
+
     def test_markdown(self, capsys):
         code, out, _ = run(capsys, "classify", "--group", "H3", "--ell", "all",
                            "--format", "markdown")

@@ -8,8 +8,12 @@ The classification answers render their text once and keep it; the tests
 below the first rule pin that reports read from it equal freshly computed
 ones, that rendering leaves the answers frozen, equal and hashable, and
 that answers nobody prints stay unrendered.  Below the second rule: each
-rendered table is kept on the loaded tables, a product keeps its hash,
-and every group value hashes by its fields.
+answer keeps one report row, which a repeated report copies after one
+memo lookup, and each Sylow term keeps its rendered text; both equal
+fresh ones, leave the objects frozen, equal and hashable, and go away
+with cache_clear().  Below the third rule: each rendered table is kept on
+the loaded tables, a product keeps its hash, and every group value hashes
+by its fields.
 """
 
 import copy
@@ -204,6 +208,148 @@ def test_factor_answers_inside_a_product_are_not_rendered(cleared):
                 answer = fn(f, ell)  # the memoized factor answer
                 assert not _rendered(answer), (fn.__name__, f, ell)
                 assert not any(_rendered(m) for m in answer.members)
+
+
+# ---------------------------------------------------------------------------
+# Each answer keeps its report row (classify.SubgroupClassResult.report_row),
+# which cli.classification_report copies, and render_term keeps each Sylow
+# term's text on the term; both go away with the memoized object.
+
+
+def test_warm_rows_and_terms_equal_cold_ones(cleared):
+    catalog = list(catalog_irreducibles(16, 8)) + PRODUCTS
+    for _ in range(2):  # the second pass reads the rows and texts the first one kept
+        for g in catalog:
+            for ell in group_primes(g):
+                for fn in ANSWERS:
+                    answer = fn(g, ell)
+                    row = answer.report_row
+                    assert answer.report_row is row
+                    assert row == fn.__wrapped__(g, ell).report_row, (fn.__name__, g, ell)
+                term = _outcome(structure.sylow_structure, g, ell)
+                if isinstance(term, type):  # no Sylow description: raised, not kept
+                    assert _outcome(structure.sylow_structure.__wrapped__, g, ell) is term
+                    continue
+                text = structure.render_term(term)
+                assert text == structure.render_term(
+                    structure.sylow_structure.__wrapped__(g, ell)), (g, ell)
+
+
+def test_report_copies_the_kept_row(cleared):
+    g = parse_group("G(12,6,3) x G(6,1,5)")
+    for fn, kind in zip(ANSWERS, KINDS):
+        report = cli.classification_report(g, 2, kind)
+        group, order, classes, cuspidal, supercuspidal = fn(g, 2).report_row
+        assert report == {
+            "group": group, "order_factored": order, "ell": 2, "kind": kind,
+            "classes": [{"label": label, "order_factored": member_order, "twist_index": twist}
+                        for label, member_order, twist in classes],
+            "cuspidal": cuspidal, "supercuspidal": supercuspidal}
+
+
+def test_a_repeated_report_is_one_lookup(cleared):
+    g = parse_group("G(12,6,3) x G28")
+    for fn, kind in zip(ANSWERS, KINDS):
+        cli.classification_report(g, 2, kind)
+    before = [fn.cache_info() for fn in ANSWERS]
+    for fn, kind in zip(ANSWERS, KINDS):
+        cli.classification_report(g, 2, kind)
+    after = [fn.cache_info() for fn in ANSWERS]
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
+
+
+def test_a_product_past_the_class_limit_is_not_supercuspidal(cleared):
+    # 3^11 minimal reflection classes: the reflection lookup raises, the
+    # parabolic row says "not supercuspidal" and keeps it
+    g = parse_group("G(6,6,3)^11")
+    first = cli.classification_report(g, 2, "parabolic")
+    assert first["supercuspidal"] is False
+    misses = classify.classify_reflection.cache_info().misses
+    assert cli.classification_report(g, 2, "parabolic") == first
+    assert classify.classify_reflection.cache_info().misses == misses
+    with pytest.raises(classify.TooManyClassesError):
+        cli.classification_report(g, 2, "reflection")
+
+
+def test_cache_clear_drops_the_row_with_its_answer(cleared, monkeypatch):
+    formatted = []
+    original = classify.format_factorization
+    monkeypatch.setattr(classify, "format_factorization",
+                        lambda pairs: formatted.append(pairs) or original(pairs))
+    g = Imprimitive(12, 6, 3)
+    first = cli.classification_report(g, 2, "parabolic")
+    assert len(formatted) == 2  # |G| and the one member's order
+    assert cli.classification_report(g, 2, "parabolic") == first
+    assert len(formatted) == 2
+    kept = classify.classify_parabolic(g, 2)
+    classify.classify_parabolic.cache_clear()
+    assert cli.classification_report(g, 2, "parabolic") == first
+    assert len(formatted) == 4  # a new answer renders a new row
+    assert classify.classify_parabolic(g, 2) is not kept
+
+
+def test_a_memoized_term_renders_once(cleared, monkeypatch):
+    g = parse_group("G(12,6,3)^2 x G28")
+    rendered = []
+    original = structure._render
+    monkeypatch.setattr(structure, "_render", lambda t: rendered.append(t) or original(t))
+    term = structure.sylow_structure(g, 2)
+    text = structure.render_term(term)
+    # the two G(12,6,3) factors share one memoized term: rendered once
+    factor = structure.sylow_structure(Imprimitive(12, 6, 3), 2)
+    assert term.factors[:2] == (factor, factor) and term.factors[0] is factor
+    assert rendered.count(factor) == 1
+    assert text == "(A(4,2,3):sd:C2) x (A(4,2,3):sd:C2) x (A(2,1,4):sd:W(2,2))"
+    rendered.clear()
+    assert structure.render_term(structure.sylow_structure(g, 2)) is text
+    assert rendered == []
+    structure.sylow_structure.cache_clear()
+    assert structure.render_term(structure.sylow_structure(g, 2)) == text
+    assert rendered  # a new term renders again
+
+
+TERMS = {
+    "trivial": lambda: structure.Trivial(),
+    "cyclic": lambda: structure.CyclicGroup(3),
+    "abelian": lambda: structure.ElementaryAbelian(3, 3),
+    "wreath": lambda: structure.IteratedWreath(2, 2),
+    "diagonal": lambda: structure.DiagonalPart(9, 3, 2),
+    "direct": lambda: structure.DirectProduct(
+        (structure.CyclicGroup(2), structure.IteratedWreath(2, 2))),
+    "semidirect": lambda: structure.SemidirectProduct(
+        structure.DiagonalPart(9, 3, 2), structure.CyclicGroup(3), "permuting coordinates"),
+    "named": lambda: structure.Named("Q8"),
+}
+
+
+@pytest.mark.parametrize("make", TERMS.values(), ids=TERMS)
+def test_rendering_keeps_terms_frozen_equal_and_hashable(make):
+    term, twin = make(), make()
+    before = hash(term)
+    text = structure.render_term(term)
+    assert structure.render_term(term) is text
+    assert "_text" in vars(term) and "_text" not in vars(twin)
+    assert term == twin and hash(term) == hash(twin) == before
+    assert repr(term) == repr(twin)
+    for field in dataclasses.fields(term):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(term, field.name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term._text = "changed"
+    for other in (dataclasses.replace(term), copy.copy(term), copy.deepcopy(term),
+                  pickle.loads(pickle.dumps(term))):
+        assert other == term and hash(other) == before, other
+        assert structure.render_term(other) == text
+    assert structure.render_term(twin) == text
+
+
+def test_a_replaced_term_renders_its_own_fields():
+    term = structure.CyclicGroup(3)
+    assert structure.render_term(term) == "C3"
+    changed = dataclasses.replace(term, order=5)
+    assert changed != term and structure.render_term(changed) == "C5"
+    assert structure.render_term(term) == "C3"
 
 
 # ---------------------------------------------------------------------------
