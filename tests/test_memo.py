@@ -249,10 +249,10 @@ def test_report_copies_the_kept_row(cleared):
 
 def test_a_repeated_report_is_one_lookup(cleared):
     g = parse_group("G(12,6,3) x G28")
-    for fn, kind in zip(ANSWERS, KINDS):
+    for kind in KINDS:
         cli.classification_report(g, 2, kind)
     before = [fn.cache_info() for fn in ANSWERS]
-    for fn, kind in zip(ANSWERS, KINDS):
+    for kind in KINDS:
         cli.classification_report(g, 2, kind)
     after = [fn.cache_info() for fn in ANSWERS]
     assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1]
