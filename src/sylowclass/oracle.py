@@ -14,30 +14,36 @@ Subgroup is therefore keyed by its order and refl_key, a packed bitmask
 over reflection_indices(), and that key keys every dict; a class is one
 OracleClass, cached under the refl_key of every member.
 
+One source of classes.  reflection_subgroup_classes builds the
+reflection-subgroup lattice once per group and keeps its classes on the
+group.  The reflections of any subgroup h generate a reflection subgroup
+K <= h with the same mask, so the lattice holds K's class under h's mask:
+the parabolic stage and identify_class read every class from there, and h
+is generated by its reflections exactly when |K| = |h|.
+
 One closure.  _generate_from is the only subgroup closure: it walks right
 cosets, one gather through a right table per new coset, and returns the
 membership array in which the lattice reads its reflections.
 
-Lagrange's theorem bounds the closures.  If H <= K <= L, then |H| divides
-|K| divides |L|, so a subgroup K of L with more than |L|/p elements, p the
-smallest prime dividing [L:H], is L itself.  _generate_from therefore takes
-an optional bound and stops as soon as it has marked more elements:
+Lagrange's theorem bounds the lattice's closures.  If H <= K <= L, then
+|H| divides |K| divides |L|, so a subgroup K of L with more than |L|/p
+elements, p the smallest prime dividing [L:H], is L itself.
+_generate_from therefore takes an optional bound and stops as soon as it
+has marked more elements:
   (1) the lattice closes a representative H with the bound |G|/p, p the
       smallest prime of [G:H]; past it the closure is G;
   (2) after a closure K = <H,r> with [K:H] prime, each later orbit
       representative r' of H lying in K has H < <H,r'> <= K, hence
-      <H,r'> = K, and its closure is skipped;
-  (3) identify_class regenerates an h it finds no class for from the
-      reflections inside h with the bound |h|/p, p the smallest prime of
-      |h|; past it the reflections generate h.
-Each rule only skips the rest of a walk whose result it already knows (G,
-K or h), so the subgroups found, their order of admission and every answer
+      <H,r'> = K, and its closure is skipped.
+Each rule only skips the rest of a walk whose result it already knows (G
+or K), so the subgroups found, their order of admission and every answer
 are the same as without the bound.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +226,8 @@ class ConcreteGroup:
         self._gen_indices: list[int] | None = None
         # member refl_key -> its conjugacy class, one object shared by all members
         self._classes: dict[bytes, OracleClass] = {}
+        # the lattice's classes, kept by reflection_subgroup_classes
+        self._lattice: tuple[OracleClass, ...] | None = None
 
     # -- multiplication tables ------------------------------------------
 
@@ -493,25 +501,20 @@ def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
     return member, marked
 
 
-def generate_subgroup(group: ConcreteGroup, element_indices,
-                      bound: int | None = None) -> Subgroup | None:
+def generate_subgroup(group: ConcreteGroup, element_indices) -> Subgroup:
     """Subgroup generated by arbitrary elements (by index); the trivial
     subgroup when there are none.
 
     Adjoins the generators one at a time with _generate_from, as the
     lattice adjoins reflections; a generator already inside (the identity
-    among them) is skipped.  None as soon as a partial closure has more
-    than bound elements (see _generate_from)."""
+    among them) is skipped."""
     member = np.zeros(group.size, dtype=bool)
     member[0] = True
     tables: list[np.ndarray] = []
     for i in element_indices:
         if not member[i]:
             tables.append(group.right_table(i))
-            walk = _generate_from(group, member.nonzero()[0], tables, bound)
-            if walk is None:
-                return None
-            member = walk[0]
+            member = _generate_from(group, member.nonzero()[0], tables)[0]
     return group.subgroup(member)
 
 
@@ -645,12 +648,23 @@ def _sorted_classes(classes) -> list[OracleClass]:
     return sorted(set(classes), key=lambda c: (c.order, c.representative.refl_key))
 
 
-def reflection_subgroup_classes(group: ConcreteGroup) -> list[OracleClass]:
+def reflection_subgroup_classes(group: ConcreteGroup) -> tuple[OracleClass, ...]:
     """Conjugacy classes of all reflection-generated subgroups: the class
-    objects conjugacy_class cached for them (so whichever stage found a
-    class first, the same object comes back)."""
-    return _sorted_classes(group._classes[h.refl_key]
-                           for h in all_reflection_subgroups(group))
+    objects conjugacy_class cached for them.  The first call runs the
+    lattice and keeps its classes on the group; every later call returns
+    that same tuple."""
+    if group._lattice is None:
+        group._lattice = tuple(_sorted_classes(
+            group._classes[h.refl_key] for h in all_reflection_subgroups(group)))
+    return group._lattice
+
+
+def _lattice_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
+    """The lattice class under h's mask: the class of the subgroup that
+    h's reflections generate.  Runs the lattice first if no stage has."""
+    if group._lattice is None:
+        reflection_subgroup_classes(group)
+    return group._classes[h.refl_key]
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +699,11 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     smallest index, from orbit_labels under the conjugation tables) is
     enough.
 
-    Each stabilizer S is matched to the class of the subgroup its
-    reflections generate, by its reflection mask: the lattice's class when
-    the lattice has run, else the class of a fresh closure of those
-    reflections.  That subgroup lies in S, so S is generated by its
-    reflections (Steinberg's theorem) exactly when the class order equals
-    S's element count; OracleConsistencyError otherwise."""
+    Each stabilizer S is matched by its reflection mask to the lattice
+    class of the subgroup its reflections generate.  That subgroup lies in
+    S, so S is generated by its reflections (Steinberg's theorem) exactly
+    when the class order equals S's element count; OracleConsistencyError
+    otherwise."""
     labels = orbit_labels(group.size, group.conjugation_tables())
     reps = np.flatnonzero(labels == np.arange(group.size))
     spaces = {}
@@ -700,10 +713,7 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     classes = []
     for sp in spaces.values():
         stab = pointwise_stabilizer(group, sp)
-        cls = group._classes.get(stab.refl_key)
-        if cls is None:
-            cls = conjugacy_class(group, generate_subgroup(
-                group, group.reflections_in(stab).tolist()))
+        cls = _lattice_class(group, stab)
         if cls.order != stab.order:
             raise OracleConsistencyError(
                 f"the stabilizer of {sp.vectors} has {stab.order} elements, "
@@ -716,7 +726,7 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
 # Minimal classes, Sylow construction, identification
 
 
-def minimal_full_valuation(group: ConcreteGroup, classes: list[OracleClass],
+def minimal_full_valuation(group: ConcreteGroup, classes: Iterable[OracleClass],
                            ell: int) -> list[OracleClass]:
     """Classes whose order has the full ell-valuation of |G| and none of
     whose members properly contain another such class member.
@@ -796,24 +806,13 @@ def identify_class(group: ConcreteGroup, h: Subgroup) -> AugmentedPartition:
     conjugation.  ValueError unless h is generated by its reflections and
     the blocks' orders m_i^n_i n_i!/p_i multiply to |h|.
 
-    The reflections are read from h's mask.  They generate some K <= h, so
-    K = h exactly when |K| = |h|.  A class cached under the same mask is
-    K's (classes hold reflection subgroups), so its order is |K|; only a
-    mask with no cached class is regenerated.
+    The reflections are read from h's mask.  They generate some K <= h,
+    whose lattice class is the one under the same mask, so K = h exactly
+    when that class's order is |h|.
     """
     n = group.n
     inside = group.reflections_in(h)
-    cls = group._classes.get(h.refl_key)
-    if cls is not None:
-        generated = cls.order
-    else:
-        # K != h means [h:K] >= p, the smallest prime of |h|, so a walk
-        # past |h|/p elements proves K = h.
-        primes = factorization(h.order)
-        regen = generate_subgroup(group, inside.tolist(),
-                                  h.order // primes[0][0] if primes else None)
-        generated = h.order if regen is None else regen.order
-    if generated != h.order:
+    if _lattice_class(group, h).order != h.order:
         raise ValueError("subgroup is not generated by its reflections")
 
     moved = group._P[inside] != np.arange(n)

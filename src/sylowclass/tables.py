@@ -52,7 +52,7 @@ from . import groups
 from .groups import Exceptional, GroupType, Imprimitive, TableLookupError, parse_group
 from .valuation import ell_part, nu
 
-TABLES_SHA256 = "95ec4910b7cfcba9e2a400ebe01010b910b3be824410ee92b734b9ba7062ab59"
+TABLES_SHA256 = "bae57504a983bc8117030e57e3713e3a687e5bbee538fe65de8394630904dbf9"
 
 KNOWN_ANOMALY_IDS = (
     "t1-g1-cuspidal-condition",

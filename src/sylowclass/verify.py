@@ -118,8 +118,8 @@ def verify_group(m: int, p: int, n: int, ells=None,
     ambient = normalize(Imprimitive(m, p, n))
     try:  # the order cap and the lattice's MAX_SUBGROUPS both skip the group
         conc = oracle.enumerate_group(m, p, n, order_cap)
-        # the lattice first: its conjugacy classes are cached on conc, and the
-        # parabolic stabilizers (reflection subgroups too) find theirs there
+        # the lattice first, so its time shows under its own traced stage;
+        # it stays on conc, and parabolic_classes reads its classes there
         refl = oracle.reflection_subgroup_classes(conc)
         parab = oracle.parabolic_classes(conc)
     except oracle.ResourceLimitError as exc:

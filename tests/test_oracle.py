@@ -686,7 +686,7 @@ def _plain_lattice(g):
 
 
 class TestLagrangeBounds:
-    """The bounded closure walk and the three rules that use it."""
+    """The bounded closure walk and the two rules that use it."""
 
     def test_bounded_walk_returns_none_exactly_past_the_bound(self):
         rng = random.Random(5)
@@ -725,12 +725,6 @@ class TestLagrangeBounds:
         assert size == g.size and member.all()
         assert _CountedTable.gathers == g.size // base.order - 1
 
-    def test_generate_subgroup_with_a_bound(self):
-        g = enumerate_group(2, 1, 3)
-        gens = g.generator_indices()
-        assert generate_subgroup(g, gens, g.size // 2) is None
-        assert generate_subgroup(g, gens, g.size).key == generate_subgroup(g, gens).key
-
     def test_lattice_equals_plain_bfs_up_to_order_2000(self):
         for mpn in verify.grid_points(order_cap=2000):
             plain_group, g = enumerate_group(*mpn), enumerate_group(*mpn)
@@ -744,9 +738,9 @@ class TestLagrangeBounds:
             assert [(c.order, [h.refl_key for h in c.members])
                     for c in reflection_subgroup_classes(g)] == expected, mpn
 
-    def test_regeneration_check_at_the_bound(self):
-        # S3 x <-1> in G(2,1,3): its reflections generate S3, of index 2 = the
-        # smallest prime of its order, so the bounded walk never passes |h|/2
+    def test_reflections_generating_a_subgroup_of_index_2_are_caught(self):
+        # S3 x <-1> in G(2,1,3): its reflections generate S3, of index 2, and
+        # the lattice class under its mask is S3's
         g = enumerate_group(2, 1, 3)
         h = generate_subgroup(g, [
             index_of(g, Element(2, (0, 0, 0), (1, 0, 2))),
@@ -778,6 +772,40 @@ class TestReuseWithinAGroup:
         got_refl = _class_signatures(reflection_subgroup_classes(first_refl))
         got_parab = _class_signatures(parabolic_classes(first_refl))
         assert (got_parab, got_refl) == (parab, refl)
+
+    @pytest.mark.parametrize("lattice_first", [True, False],
+                             ids=["lattice first", "parabolic first"])
+    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_the_lattice_runs_once_per_group(self, monkeypatch, mpn, lattice_first):
+        reference = enumerate_group(*mpn)
+        refl = _class_signatures(reflection_subgroup_classes(reference))
+        parab = parabolic_classes(reference)
+        labels = [identify_class(reference, c.representative) for c in parab]
+        parab = _class_signatures(parab)
+
+        calls = []
+        lattice = oracle.all_reflection_subgroups
+
+        def counted(group):
+            calls.append(group)
+            return lattice(group)
+
+        monkeypatch.setattr(oracle, "all_reflection_subgroups", counted)
+        g = enumerate_group(*mpn)
+        if lattice_first:
+            first = reflection_subgroup_classes(g)
+            got_parab = parabolic_classes(g)
+        else:
+            got_parab = parabolic_classes(g)
+            first = reflection_subgroup_classes(g)
+        got_labels = [identify_class(g, c.representative) for c in got_parab]
+        again = reflection_subgroup_classes(g)
+        assert calls == [g]
+        assert isinstance(first, tuple) and again is first
+        assert _class_signatures(first) == refl
+        assert _class_signatures(got_parab) == parab
+        assert got_labels == labels
 
     @pytest.mark.parametrize("mpn", [(1, 1, 4), (3, 3, 3), (4, 2, 3), (6, 1, 2)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
