@@ -12,7 +12,16 @@ contains, and so is every parabolic subgroup, since parabolics are
 generated by their reflections (Steinberg 1964; Lehrer-Taylor 2009).  A
 Subgroup is therefore keyed by its order and refl_key, a packed bitmask
 over reflection_indices(), and that key keys every dict; a class is one
-OracleClass, cached under the refl_key of every member.
+OracleClass, cached under the refl_key of every member.  A member found by
+conjugation holds only its mask and closes its reflections when its
+elements are asked for.
+
+Reflection generators.  generator_indices() are reflections, and the
+right tables of all reflections come from theirs: reflection_tables takes
+the generators' tables and their powers and reaches the other reflections
+by conjugation.  reflection_action, Q[s, j] the position of
+r_s*r_j*r_s^{-1}, is the one map of conjugation on reflections; the
+lattice and conjugacy_class read its rows.
 
 One source of classes.  reflection_subgroup_classes builds the
 reflection-subgroup lattice once per group and keeps its classes on the
@@ -43,6 +52,7 @@ are the same as without the bound.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -113,47 +123,47 @@ class Subgroup:
 
     key holds the bytes of its sorted int64 element indices, and idx is a
     read-only array view of those bytes.  A subgroup made from its elements
-    (ConcreteGroup.subgroup) stores them at once; a class member found by
-    conjugacy_class stores only its source, the member it was conjugated
-    from and that conjugation's table, and derives its elements on first
-    access to idx or key: one gather and one sort from the source's."""
+    (ConcreteGroup.subgroup) stores them at once.  A class member found by
+    conjugacy_class holds only its mask and a weak reference to its group,
+    so that no member keeps a group alive; on first access to idx or key it
+    closes its reflections with generate_subgroup and checks the closure's
+    order.  ReferenceError once its group is gone."""
 
-    __slots__ = ("order", "refl_key", "_key", "_idx", "_source")
+    __slots__ = ("order", "refl_key", "_key", "_idx", "_group")
 
     def __init__(self, order: int, refl_key: bytes,
-                 idx: np.ndarray | None = None, source=None):
+                 idx: np.ndarray | None = None, group: ConcreteGroup | None = None):
         self.order = order
         self.refl_key = refl_key
         self._key = self._idx = None
-        self._source = source
+        self._group = None if group is None else weakref.ref(group)
         if idx is not None:
-            self._store(idx)
+            self._key = idx.astype(_INT64, copy=False).tobytes()
+            self._idx = np.frombuffer(self._key, _INT64)
 
-    def _store(self, idx: np.ndarray) -> None:
-        self._key = idx.astype(_INT64, copy=False).tobytes()
-        self._idx = np.frombuffer(self._key, _INT64)
-        self._source = None
-
-    def _derive(self) -> None:
-        chain = []
-        h = self
-        while h._idx is None:  # up to the nearest subgroup holding elements
-            chain.append(h)
-            h = h._source[0]
-        for h in reversed(chain):
-            source, table = h._source
-            h._store(np.sort(table[source._idx]))
+    def _close(self) -> None:
+        group = self._group()
+        if group is None:
+            raise ReferenceError(
+                f"the group of this subgroup of order {self.order} is gone; "
+                "keep the ConcreteGroup to read its elements")
+        h = generate_subgroup(group, group.reflections_in(self).tolist())
+        if h.order != self.order:
+            raise OracleConsistencyError(
+                f"the reflections of a class member generate {h.order} "
+                f"elements, not {self.order}")
+        self._key, self._idx, self._group = h._key, h._idx, None
 
     @property
     def idx(self) -> np.ndarray:
         if self._idx is None:
-            self._derive()
+            self._close()
         return self._idx
 
     @property
     def key(self) -> bytes:
         if self._key is None:
-            self._derive()
+            self._close()
         return self._key
 
     def __repr__(self):
@@ -220,8 +230,7 @@ class ConcreteGroup:
         self._reflection_indices: list[int] | None = None
         self._reflection_array: np.ndarray | None = None
         self._reflection_tables: dict[int, np.ndarray] | None = None
-        self._reflection_conjugation: dict[int, np.ndarray] = {}
-        self._reflection_conjugations: np.ndarray | None = None
+        self._reflection_action: np.ndarray | None = None
         self._fixed_spaces: list[FixedSpace] | None = None
         self._gen_indices: list[int] | None = None
         # member refl_key -> its conjugacy class, one object shared by all members
@@ -274,27 +283,18 @@ class ConcreteGroup:
                 self._PINV, "inverse")
         return self._inversion
 
-    def inverse_right_table(self, g_idx: int) -> np.ndarray:
-        """The right table of g^{-1}: the inverse permutation of g's, since
-        x*g*g^{-1} = x (cached as the right table of g^{-1})."""
-        g_inv = int(self.inversion_table()[g_idx])
-        tab = self._right_tables.get(g_inv)
-        if tab is None:
-            tab = np.empty(self.size, dtype=np.int64)
-            tab[self.right_table(g_idx)] = np.arange(self.size)
-            self._right_tables[g_inv] = tab
-        return tab
-
     def conjugation_tables(self) -> list[np.ndarray]:
         """Index tables of x -> g*x*g^{-1}, one per generator g.  With I the
         inversion table and T the right table of g^{-1}, that is
         I[T[I[T[x]]]]: x*g^{-1}, inverted to g*x^{-1}, times g^{-1},
-        inverted to g*x*g^{-1}."""
+        inverted to g*x*g^{-1}.  g^{-1} is a reflection, like g, so T is
+        read from reflection_tables."""
         if self._conj_tables is None:
             inv = self.inversion_table()
+            tables = self.reflection_tables()
             self._conj_tables = []
             for g in self.generator_indices():
-                t = self.inverse_right_table(g)
+                t = tables[inv.item(g)]
                 self._conj_tables.append(inv[t[inv[t]]])
         return self._conj_tables
 
@@ -329,37 +329,30 @@ class ConcreteGroup:
         self.reflection_indices()
         return self._reflection_array
 
-    def reflection_conjugation(self, x: int) -> np.ndarray:
-        """The index array q over the reflection positions with q[j] the
-        position of x*r_j*x^{-1}, r_j the j-th reflection: r_j's right table
-        read at x gives x*r_j, and the right table of x^{-1} moves that to
-        x*r_j*x^{-1}.  The oracle's only map of conjugation on reflections."""
-        q = self._reflection_conjugation.get(x)
-        if q is None:
+    def reflection_action(self) -> np.ndarray:
+        """Q with Q[s, j] the position of r_s*r_j*r_s^{-1}, r_j the j-th
+        reflection: the oracle's one map of conjugation on reflections.  Row
+        s carries the reflection bits b of a subgroup H to those of
+        r_s^{-1}*H*r_s as b[Q[s]].  Column j reads r_j's table at every
+        reflection, r_s*r_j, and row s moves those through the table of
+        r_s^{-1}, 2R gathers of R entries each."""
+        if self._reflection_action is None:
+            refl = self.reflection_array()
             tables = self.reflection_tables()
-            xr = np.array([tables[r].item(x) for r in self.reflection_indices()],
-                          dtype=np.int64)
-            q = np.searchsorted(self.reflection_array(),
-                                self.inverse_right_table(x)[xr])
-            self._reflection_conjugation[x] = q
-        return q
-
-    def reflection_conjugations(self) -> np.ndarray:
-        """reflection_conjugation at g^{-1}, one row per generator g, so that
-        the reflection bits b of a subgroup H give those of gHg^{-1} as b[q]."""
-        if self._reflection_conjugations is None:
             inv = self.inversion_table()
-            gens = self.generator_indices()
-            self._reflection_conjugations = np.array(
-                [self.reflection_conjugation(int(inv[g])) for g in gens],
-                dtype=np.int64).reshape(len(gens), len(self.reflection_indices()))
-        return self._reflection_conjugations
+            products = np.empty((refl.size, refl.size), dtype=np.int64)
+            for j, r in enumerate(refl.tolist()):
+                products[:, j] = tables[r][refl]
+            for s, r in enumerate(refl.tolist()):
+                products[s] = tables[inv.item(r)][products[s]]
+            self._reflection_action = np.searchsorted(refl, products)
+        return self._reflection_action
 
     def reflection_bits(self, refl_key: bytes) -> np.ndarray:
         """The boolean array over reflection_indices() that refl_key packs
         (a fresh, writable array)."""
         return np.unpackbits(np.frombuffer(refl_key, np.uint8),
-                             count=self._reflection_array.size).view(bool)
+                             count=self.reflection_array().size).view(bool)
 
     def reflections_in(self, h: Subgroup) -> np.ndarray:
         """The element indices of the reflections in h, ascending."""
@@ -372,60 +365,72 @@ class ConcreteGroup:
         return Subgroup(len(idx), _pack(member[self.reflection_array()]), idx)
 
     def reflection_tables(self) -> dict[int, np.ndarray]:
-        """Right tables of every reflection, by index.  One table per G-class
-        of reflections is built by right_table; the class is then walked under
-        the generators, and the table of each new conjugate s' = c*s*c^{-1}
-        is two gathers of known tables, T[s'] = T[c^{-1}][T[s][T[c]]], since
-        x*c*s*c^{-1} is x moved right by c, s and c^{-1}.  Derived tables go
-        into the right-table cache, and each is checked at the identity:
-        T[s'][0] must be s'."""
+        """Right tables of every reflection, by index, derived from the
+        generators, which are reflections.  Each generator g gets its table
+        from right_table and its powers T[g^k] = T[g][T[g^(k-1)]]; these
+        meet every G-class of reflections.  The classes are then walked
+        under conjugation by the generators with right tables only: x*c*s*
+        c^{-1} is x moved right by c, s and c^{-1} (the last power of c), so
+        s' = c*s*c^{-1} is T[c^{-1}][T[s][c]], and only a new s' gathers its
+        table, T[c^{-1}][T[s][T[c]]].  Tables go into the right-table cache,
+        and a table already there is taken as it is.  OracleConsistencyError
+        unless every table belongs to a reflection and starts at it (T[s][0]
+        is s), and every reflection gets one."""
         if self._reflection_tables is None:
-            gens = self.generator_indices()
-            steps = [(c, self.right_table(g), self.inverse_right_table(g))
-                     for g, c in zip(gens, self.conjugation_tables())]
+            refl = set(self.reflection_indices())
             tables: dict[int, np.ndarray] = {}
-            for r in self.reflection_indices():
-                if r in tables:
-                    continue
-                tables[r] = self.right_table(r)
-                stack = [r]
-                while stack:
-                    s = stack.pop()
-                    for conj, t_c, t_c_inv in steps:
-                        s_new = int(conj[s])
-                        if s_new in tables:
-                            continue
-                        tab = self._right_tables.get(s_new)
-                        if tab is None:
-                            tab = t_c_inv[tables[s][t_c]]
-                            if tab[0] != s_new:
-                                raise OracleConsistencyError(
-                                    f"derived table of reflection {s_new} "
-                                    f"starts at {tab[0]}")
-                            self._right_tables[s_new] = tab
-                        tables[s_new] = tab
-                        stack.append(s_new)
+
+            def keep(s: int, derive) -> np.ndarray:
+                tab = self._right_tables.get(s)
+                if tab is None:
+                    tab = self._right_tables[s] = derive()
+                if s not in refl or tab[0] != s:
+                    raise OracleConsistencyError(
+                        f"the table of element {s}, reached as a reflection, "
+                        f"starts at {tab[0]}")
+                tables[s] = tab
+                return tab
+
+            steps = []  # (c, T[c], T[c^{-1}]) per generator c
+            for c in self.generator_indices():
+                t_c = tab = keep(c, lambda: self.right_table(c))
+                s = t_c.item(c)
+                while s:  # c^k for k = 2, 3, ... up to the identity
+                    tab = keep(s, lambda: t_c[tab])
+                    s = t_c.item(s)
+                steps.append((c, t_c, tab))
+            stack = list(tables)
+            while stack:
+                t_s = tables[stack.pop()]
+                for c, t_c, t_c_inv in steps:
+                    s = t_c_inv.item(t_s.item(c))
+                    if s not in tables:
+                        keep(s, lambda: t_c_inv[t_s[t_c]])
+                        stack.append(s)
+            if len(tables) != len(refl):
+                raise OracleConsistencyError(
+                    f"{len(refl) - len(tables)} reflections got no table")
             self._reflection_tables = tables
         return self._reflection_tables
 
     def generator_indices(self) -> list[int]:
-        """A small generating set: adjacent transpositions plus two phase
-        generators (a difference and a p-step), without the identity and
-        repeats."""
+        """A generating set of reflections: the adjacent transpositions; for
+        m > 1 and n > 1 the transposition of coordinates 0 and 1 with phases
+        (1, -1); and diag(z^p, 1, ...), z = exp(2 pi i/m), unless p = m
+        makes it the identity."""
         if self._gen_indices is None:
             m, p, n = self.m, self.p, self.n
-            # for m > 1, diag(z, z^-1, 1, ...) if n > 1 and diag(z^p, 1, ...)
-            phase_gens = (m > 1) * (1 + (n > 1))
-            A = np.zeros((n - 1 + phase_gens, n), dtype=np.int64)
+            twisted = m > 1 and n > 1
+            A = np.zeros((n + twisted, n), dtype=np.int64)
             P = np.tile(np.arange(n), (len(A), 1))
             for i in range(n - 1):
                 P[i, i:i + 2] = i + 1, i
-            if phase_gens == 2:
+            if twisted:
+                P[n - 1, :2] = 1, 0
                 A[n - 1, :2] = 1, m - 1
-            if phase_gens:
-                A[-1, 0] = p % m
+            A[-1, 0] = p % m
             positions = self._positions(A, P, "generator").tolist()
-            self._gen_indices = [g for g in dict.fromkeys(positions) if g]
+            self._gen_indices = [g for g in positions if g]
         return self._gen_indices
 
 
@@ -524,37 +529,38 @@ def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
 
     An orbit search of h's reflection bits under conjugation by the
     parent's generators, one level at a time: one gather of the reflection
-    positions per generator over the whole frontier, then one pack.  A new
-    member stores the member it was conjugated from and the conjugation
-    table, from which it derives its elements only if they are asked for.
-    Each class is found once per group: its OracleClass is cached under the
-    refl_key of every member, and every later call for a member returns
-    that same object."""
+    positions per generator over the whole frontier, then one pack.  The
+    generators are reflections, and the reflection_action row of g carries
+    the bits of F to those of g^{-1}*F*g; the inverses of the generators
+    generate G as well, so these conjugates reach the whole class.  A new
+    member holds only its mask and a weak reference to the group, and
+    closes its reflections only if its elements are asked for.  Each class
+    is found once per group: its OracleClass is cached under the refl_key
+    of every member, and every later call for a member returns that same
+    object."""
     cls = group._classes.get(h.refl_key)
     if cls is not None:
         return cls
     members = {h.refl_key: h}
-    tables = group.conjugation_tables()
-    maps = group.reflection_conjugations().ravel()
-    frontier, sources = group.reflection_bits(h.refl_key)[None, :], [h]
-    while tables:  # G(1,1,1) has no generators
-        # row f*len(tables) + g: the bits of g*F*g^{-1}, F the f-th source
-        # (take is faster than fancy indexing on these small 2-d arrays)
-        images = frontier.take(maps, axis=1).reshape(len(sources) * len(tables), -1)
+    rows = np.searchsorted(group.reflection_array(), group.generator_indices())
+    maps = group.reflection_action()[rows].ravel()
+    frontier = group.reflection_bits(h.refl_key)[None, :]
+    while maps.size:  # G(1,1,1) has no generators
+        # row f*k + g, k generators: the bits of g^{-1}*F*g, F the f-th
+        # frontier row (take is faster than fancy indexing on these small
+        # 2-d arrays)
+        images = frontier.take(maps, axis=1).reshape(-1, frontier.shape[1])
         packed = np.packbits(images, axis=1)
         width, blob = packed.shape[1], packed.tobytes()
-        fresh, new_sources = [], []
+        fresh = []
         for i in range(len(images)):
             key = blob[i * width:(i + 1) * width]
             if key not in members:
-                f, g = divmod(i, len(tables))
-                sub = Subgroup(h.order, key, source=(sources[f], tables[g]))
-                members[key] = sub
+                members[key] = Subgroup(h.order, key, group=group)
                 fresh.append(i)
-                new_sources.append(sub)
         if not fresh:
             break
-        frontier, sources = images.take(fresh, axis=0), new_sources
+        frontier = images.take(fresh, axis=0)
     cls = OracleClass(tuple(members[key] for key in sorted(members)))
     for key in members:
         group._classes[key] = cls
@@ -571,9 +577,10 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     closure not seen before enters with its whole class.  For h in H,
     <H, hrh^{-1}> = <H, r>, so a representative closes only the first
     reflection of each H-orbit of the reflections outside it (the orbits
-    under conjugation by the reflections that generate it).  The trivial
-    subgroup has normalizer G, so it closes only the first reflection of
-    each G-class of reflections.
+    under reflection_action's rows at the reflections that generate it).
+    The trivial subgroup has normalizer G, so it closes only the first
+    reflection of each G-class of reflections (the orbits under the rows at
+    the generators).
 
     A closure is looked up by its reflection bits, member[refl]; only a
     closure that founds a new class has its element indices taken, since
@@ -589,10 +596,12 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     refl = group.reflection_indices()
     refl_arr = group.reflection_array()
     refl_tables = group.reflection_tables()
+    action = group.reflection_action()
+    gen_rows = np.searchsorted(refl_arr, group.generator_indices())
 
-    # One (representative, reflections generating it, its reflection bits)
-    # per class; the loop below walks this list while admit() appends to
-    # it, in BFS order.
+    # One (representative, positions of the reflections generating it, its
+    # reflection bits) per class; the loop below walks this list while
+    # admit() appends to it, in BFS order.
     reps: list[tuple[Subgroup, tuple[int, ...], np.ndarray]] = []
     admitted: dict[OracleClass, None] = {}  # in order of admission
     count = 0
@@ -615,19 +624,15 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     positions = np.arange(len(refl))
     for rep, gens, rep_bits in reps:
         done = rep_bits.copy()  # reflections whose closure is known
-        # the trivial subgroup is normalized by all of G
-        maps = ([group.reflection_conjugation(g) for g in gens] if gens
-                else group.reflection_conjugations())
-        first = orbit_labels(len(refl), maps)
-        gen_tables = [refl_tables[r] for r in gens]
+        first = orbit_labels(len(refl), action[list(gens) if gens else gen_rows])
+        tables = [refl_tables[refl[j]] for j in gens]
         # [K:H] divides [G:H], so it is prime iff it is one of these
         primes = [q for q, _ in factorization(group.size // rep.order)]
         bound = group.size // primes[0] if primes else None
         for j in np.flatnonzero(~done & (first == positions)).tolist():
             if done[j]:
                 continue
-            r = refl[j]
-            walk = _generate_from(group, rep.idx, gen_tables + [refl_tables[r]], bound)
+            walk = _generate_from(group, rep.idx, tables + [refl_tables[refl[j]]], bound)
             if walk is None:
                 key, bits, order = whole.refl_key, whole_bits, group.size
             else:
@@ -636,7 +641,7 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
                 key = _pack(bits)
             if group._classes.get(key) not in admitted:
                 h = whole if walk is None else group.subgroup(member)
-                admit(h, gens + (r,), bits)
+                admit(h, gens + (j,), bits)
             if order // rep.order in primes:
                 done |= bits
     return [h for cls in admitted for h in cls.members]

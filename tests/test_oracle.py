@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -762,8 +764,11 @@ class TestReuseWithinAGroup:
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (1, 1, 5), (4, 2, 2)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
     def test_classes_do_not_depend_on_stage_order(self, mpn):
-        parab = _class_signatures(parabolic_classes(enumerate_group(*mpn)))
-        refl = _class_signatures(reflection_subgroup_classes(enumerate_group(*mpn)))
+        # each group is kept while its members' elements are read: a class
+        # member holds only a weak reference to its group
+        parab_only, refl_only = enumerate_group(*mpn), enumerate_group(*mpn)
+        parab = _class_signatures(parabolic_classes(parab_only))
+        refl = _class_signatures(reflection_subgroup_classes(refl_only))
         first_parab = enumerate_group(*mpn)
         got_parab = _class_signatures(parabolic_classes(first_parab))
         got_refl = _class_signatures(reflection_subgroup_classes(first_parab))
@@ -819,35 +824,59 @@ class TestReuseWithinAGroup:
             assert g.right_table(r) is table
 
     def test_corrupted_derived_table_is_caught(self):
-        g = enumerate_group(4, 2, 3)
-        # the phase generator diag(z, z^-1, 1) is no reflection; shift the
-        # table of its inverse, through which its conjugates are derived
-        c = index_of(g, Element(4, (1, 3, 0), (0, 1, 2)))
-        assert c in g.generator_indices() and c not in g.reflection_indices()
-        g.conjugation_tables()
-        c_inv = int(np.argmin(g.right_table(c)))
-        g._right_tables[c_inv] = np.roll(g.right_table(c_inv), 1)
-        with pytest.raises(oracle.OracleConsistencyError, match="derived table"):
+        g = enumerate_group(3, 1, 3)
+        # diag(z^2, 1, 1) is the inverse of the generator diag(z, 1, 1) and
+        # its square, through whose table the conjugates of diag(z, 1, 1)
+        # are derived; a shifted table of it in the cache is caught
+        z = index_of(g, Element(3, (1, 0, 0), (0, 1, 2)))
+        z2 = index_of(g, Element(3, (2, 0, 0), (0, 1, 2)))
+        assert z in g.generator_indices() and z2 not in g.generator_indices()
+        assert z2 in g.reflection_indices()
+        g._right_tables[z2] = np.roll(g._table_from_element(g._A[z2], g._P[z2]), 1)
+        with pytest.raises(oracle.OracleConsistencyError,
+                           match=f"table of element {z2}, reached as a reflection"):
             g.reflection_tables()
 
-    @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
-                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
-    def test_reflection_conjugation_against_products(self, mpn):
+    def test_reflections_the_generators_miss_are_caught(self, monkeypatch):
+        # the transpositions alone reach no scaling reflection of G(3,1,3)
+        g = enumerate_group(3, 1, 3)
+        swaps = [x for x in g.generator_indices() if g._A[x].sum() % 3 == 0]
+        monkeypatch.setattr(g, "generator_indices", lambda: swaps)
+        with pytest.raises(oracle.OracleConsistencyError,
+                           match="6 reflections got no table"):
+            g.reflection_tables()
+
+    @pytest.mark.parametrize(
+        "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4), (3, 1, 3)],
+        ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_reflection_action_against_products(self, mpn):
+        # G(3,1,3) has the generator diag(z, 1, 1) of order 3, whose inverse
+        # is another reflection
         g = enumerate_group(*mpn)
         refl = g.reflection_indices()
         position = {r: j for j, r in enumerate(refl)}
-        for i, x in enumerate(all_elements(g)):
-            expected = [position[index_of(g, mul(mul(x, element(g, r)), inv(x)))]
-                        for r in refl]
-            assert g.reflection_conjugation(i).tolist() == expected, i
-        inv_table = g.inversion_table()
-        assert np.array_equal(g.reflection_conjugations(), np.array(
-            [g.reflection_conjugation(int(inv_table[x])) for x in g.generator_indices()]))
+        expected = [[position[index_of(g, mul(mul(element(g, s), element(g, r)),
+                                                  inv(element(g, s))))]
+                     for r in refl] for s in refl]
+        assert g.reflection_action().tolist() == expected
+
+    def test_generators_are_reflections_that_generate_the_group(self):
+        for mpn in verify.grid_points(order_cap=1000):
+            g = enumerate_group(*mpn)
+            gens = g.generator_indices()
+            assert set(gens) <= set(g.reflection_indices()), mpn
+            assert generate_subgroup(g, gens).order == g.size, mpn
+
+    def test_reflection_bits_on_a_fresh_group(self):
+        g = enumerate_group(3, 1, 2)
+        # 3 swapping and 2 + 2 scaling reflections: the degrees are 3 and 6
+        bits = g.reflection_bits(b"\xff")
+        assert bits.tolist() == [True] * 7 and bits.flags.writeable
 
     def test_conjugacy_class_in_the_trivial_group(self):
         g = enumerate_group(1, 1, 1)
         assert g.generator_indices() == []
-        assert g.reflection_conjugations().shape == (0, 0)
+        assert g.reflection_action().shape == (0, 0)
         h = generate_subgroup(g, [])
         assert conjugacy_class(g, h).members == (h,)
 
@@ -913,7 +942,7 @@ class TestOneStoredForm:
     def test_only_founding_closures_store_elements(self, mpn):
         # the lattice takes element indices only for the representative it
         # walks from (one per class, the whole group among them); every
-        # other member derives them on first access
+        # other member closes its reflections on first access
         g = enumerate_group(*mpn)
         classes = reflection_subgroup_classes(g)
         stored = [h for c in classes for h in c.members if h._key is not None]
@@ -922,6 +951,38 @@ class TestOneStoredForm:
         assert lazy
         for h in lazy:
             assert g.subgroup(np.isin(np.arange(g.size), h.idx)).refl_key == h.refl_key
+
+    def test_reading_elements_after_the_group_is_gone_raises(self):
+        g = enumerate_group(2, 1, 3)
+        classes = reflection_subgroup_classes(g)
+        h = next(h for c in classes for h in c.members if h._key is None)
+        kept = classes[-1].representative.key  # G itself, stored at once
+        del g
+        for read in ("idx", "key"):
+            with pytest.raises(ReferenceError, match="the group of this subgroup "
+                               f"of order {h.order} is gone"):
+                getattr(h, read)
+        assert classes[-1].representative.key == kept
+
+    def test_a_group_is_freed_by_reference_counting_alone(self):
+        # with the cycle collector off, a group whose stages ran is freed as
+        # soon as the last strong reference goes, while their results stay
+        gc.disable()
+        try:
+            g = enumerate_group(4, 2, 3)
+            classes = reflection_subgroup_classes(g)
+            parab = parabolic_classes(g)
+            minimal = minimal_full_valuation(g, classes, 2)
+            label = identify_class(g, minimal[0].representative)
+            sylow = sylow_construct(g, 2)
+            lazy = next(h for c in classes for h in c.members if h._key is None)
+            assert lazy.idx.size == lazy.order
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+            assert parab and minimal and label.triples and sylow.order == 64
+        finally:
+            gc.enable()
 
 
 class TestCampaignPool:
