@@ -19,11 +19,11 @@ which is shared and immutable (frozen dataclasses with tuple fields);
 errors are not memoized, and cache_clear() on either function frees its
 answers.  An answer renders its report row (SubgroupClassResult.report_row:
 group label, factored orders, twists, cuspidal and supercuspidal) on first
-use and keeps it, so a repeated report is one memo lookup and a copy of
-the kept row; answers that are never printed, such as the factor answers
-inside a product, are never rendered.  A product answer with more than
-MAX_PRODUCT_CLASSES classes raises TooManyClassesError instead of listing
-them.
+use and keeps it, the one value it keeps (its members keep none), so a
+repeated report is one memo lookup and a copy of the kept row; answers
+that are never printed, such as the factor answers inside a product, are
+never rendered.  A product answer with more than MAX_PRODUCT_CLASSES
+classes raises TooManyClassesError instead of listing them.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class TooManyClassesError(UnsupportedGroupError):
 class ClassMember:
     """One conjugacy class in a classification answer, its order factored.
 
-    Its text (display_label, order_factored) is computed on first use and
-    kept on the member."""
+    It keeps no text: its answer's report_row holds the member's label and
+    factored order."""
 
     group: GroupType
     factors: groups.Factorization
@@ -84,7 +84,7 @@ class ClassMember:
     def order(self) -> int:
         return prod(q**e for q, e in self.factors)
 
-    @cached_property
+    @property
     def display_label(self) -> str:
         """The table label, or the group; "~" marks a second class of one
         type that is not a twist."""
@@ -95,11 +95,6 @@ class ClassMember:
             return base
         return f"~{base}"
 
-    @cached_property
-    def order_factored(self) -> str:
-        """The member order as a string like 2^7*3^2."""
-        return format_factorization(self.factors)
-
 
 @dataclass(frozen=True)
 class SubgroupClassResult:
@@ -107,10 +102,9 @@ class SubgroupClassResult:
 
     Parabolic answers always have a single class.  Reflection answers may
     have several classes, of equal or (for a few exceptional groups) of
-    different member orders; each member carries its own order.  The text
-    of the answer (group_label, order_factored, equals_whole_group and the
-    report_row built from them) is computed on first use and kept on the
-    answer; equality and hashing read the fields only.
+    different member orders; each member carries its own order.  The one
+    value an answer keeps is its report_row, computed on first use;
+    equality and hashing read the fields only.
     """
 
     group: GroupType
@@ -122,20 +116,11 @@ class SubgroupClassResult:
     def class_count(self) -> int:
         return len(self.members)
 
-    @cached_property
+    @property
     def equals_whole_group(self) -> bool:
         """One minimal class, and its member has the order of G."""
         return (self.class_count == 1
                 and self.members[0].factors == order_factorization(self.group))
-
-    @cached_property
-    def group_label(self) -> str:
-        return format_group(self.group)
-
-    @cached_property
-    def order_factored(self) -> str:
-        """|G| as a string like 2^7*3^2."""
-        return format_factorization(order_factorization(self.group))
 
     @cached_property
     def report_row(self) -> tuple:
@@ -154,8 +139,9 @@ class SubgroupClassResult:
         else:
             cuspidal = classify_parabolic(self.group, self.ell).equals_whole_group
             supercuspidal = self.equals_whole_group
-        return (self.group_label, self.order_factored,
-                tuple([(m.display_label, m.order_factored, m.twist_exponent)
+        return (format_group(self.group),
+                format_factorization(order_factorization(self.group)),
+                tuple([(m.display_label, format_factorization(m.factors), m.twist_exponent)
                        for m in self.members]),
                 cuspidal, supercuspidal)
 

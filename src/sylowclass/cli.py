@@ -29,9 +29,10 @@ text, whose output prints such numbers factored or not at all.
 Each rendered table is kept on the loaded tables (tables.Tables.renders)
 and printed from there by later renders in the process;
 tables.load_tables.cache_clear() drops it.  A repeated classify report is
-one memo lookup and a copy of the row the answer keeps
-(classify.SubgroupClassResult.report_row), and a memoized Sylow term
-renders its text once (structure.render_term).
+one memo lookup and a copy of the report row, the one value a classify
+answer keeps (classify.SubgroupClassResult.report_row; its members keep
+none), and a memoized Sylow term renders its text once
+(structure.render_term).
 
 Each subcommand imports only the modules it runs.  `classify` on an
 imprimitive group or a product of them loads neither the embedded tables
@@ -68,6 +69,7 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the shell's code for a closed pipe
 ERROR_CHARS = 200  # an error line keeps this much of its message
+
 
 class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""

@@ -109,19 +109,17 @@ def test_memo_stays_bounded(fn, cleared):
 
 
 # ---------------------------------------------------------------------------
-# Each answer renders its text once (group_label, order_factored,
-# equals_whole_group, and each member's display_label and order_factored);
-# cli.classification_report reads it.
+# Each answer renders its text once, into the one value it keeps (its
+# report_row; its members keep nothing); cli.classification_report reads it.
 
 ANSWERS = (classify.classify_parabolic, classify.classify_reflection)
 KINDS = ("parabolic", "reflection")
-TEXT = {"group_label", "order_factored", "equals_whole_group",
-        "display_label"}
+TEXT = {"report_row"}
 
 
-def _rendered(answer) -> set:
-    """The text attributes an answer or member holds, beyond its fields."""
-    return set(vars(answer)) & TEXT
+def _rendered(obj) -> set:
+    """The attributes an answer or member holds beyond its fields."""
+    return set(vars(obj)) - {f.name for f in dataclasses.fields(obj)}
 
 
 def test_warm_reports_equal_cold_ones(cleared):
@@ -160,14 +158,13 @@ def test_rendering_keeps_answers_frozen_equal_and_hashable(spec, ell, cleared):
         twin = fn.__wrapped__(g, ell)  # computed afresh, never rendered
         before = hash(answer)
         cli.classification_report(g, ell, kind)
-        assert _rendered(answer) == {"group_label", "order_factored", "equals_whole_group"}
-        assert all(_rendered(m) == {"display_label", "order_factored"}
-                   for m in answer.members)
+        assert _rendered(answer) == TEXT
+        assert all(_rendered(m) == set() for m in answer.members)
         assert not _rendered(twin)
         assert answer == twin and hash(answer) == hash(twin) == before
         assert answer.members == twin.members
         assert hash(answer.members) == hash(twin.members)
-        for name in ("group", "group_label", "order_factored", "equals_whole_group"):
+        for name in ("group", "report_row", "equals_whole_group"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(answer, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -189,7 +186,7 @@ def test_each_order_is_formatted_once_per_answer(cleared, monkeypatch):
                               ("reflection", 2, ["2^6*3^3"] + ["2^6*3"] * 3)):
         formatted.clear()
         report = cli.classification_report(g, ell, kind)
-        # |G| once by the answer, each member's order once by the member
+        # |G| and each member's order, once each, by the answer's report_row
         assert list(map(original, formatted)) == orders
         assert [c["order_factored"] for c in report["classes"]] == orders[1:]
         formatted.clear()

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from sylowclass.classify import NotADivisorError, catalog_irreducibles
-from sylowclass.groups import Cyclic, Exceptional, Imprimitive, Sym, order, product_of
+from sylowclass.classify import NotADivisorError, catalog_irreducibles, classify_reflection
+from sylowclass.groups import (Cyclic, Exceptional, Imprimitive, Product, Sym, group_primes,
+                               order, product_of)
 from sylowclass.structure import (
     CyclicGroup,
     DiagonalPart,
@@ -138,6 +141,27 @@ class TestSylowStructure:
             for ell in prime_factors(order(g)):
                 if g.m % ell:
                     assert sylow_structure(g, ell) == sylow_symmetric(g.n, ell), (g, ell)
+
+    def test_sylow_of_g_is_the_sylow_of_its_reflection_member(self):
+        # the reduction the module rests on: an ell-Sylow subgroup of G is
+        # one of the member of its minimal reflection class, whose direct
+        # factors are the Sylow subgroups of the member's factors
+        def direct_factors(term):
+            if isinstance(term, DirectProduct):
+                return Counter(term.factors)
+            return Counter() if isinstance(term, Trivial) else Counter([term])
+
+        for g in catalog_irreducibles(16, 8):
+            if not isinstance(g, Imprimitive):
+                continue
+            for ell in group_primes(g):
+                member = classify_reflection(g, ell).members[0].group
+                parts = member.factors if isinstance(member, Product) else (member,)
+                via_member = Counter()
+                for h in parts:
+                    if ell in group_primes(h):
+                        via_member += direct_factors(sylow_structure(h, ell))
+                assert direct_factors(sylow_structure(g, ell)) == via_member, (g, ell)
 
     def test_order_identity_everywhere(self):
         for g in catalog_irreducibles():
