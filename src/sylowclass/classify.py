@@ -240,7 +240,9 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
     """Componentwise classification; factors of ell-free order drop out
     (their minimal class is the trivial subgroup).  The classes are the
     combinations of the factors' classes, so their count is the product of
-    the factors' counts; above MAX_PRODUCT_CLASSES none are built."""
+    the factors' counts; above MAX_PRODUCT_CLASSES none are built.  A
+    member's distinguisher is its index among the combinations, so every
+    member after the first prints "~", even the only class of its type."""
     classify = classify_parabolic if kind == PARABOLIC else classify_reflection
     factor_results = []
     count = 1

@@ -46,7 +46,6 @@ __all__ = [
     "TRIVIAL",
     "FeasibleTriple",
     "AugmentedPartition",
-    "SubgroupClassLabel",
     "order",
     "order_factorization",
     "order_factored",
@@ -361,19 +360,6 @@ def alpha_class_count(delta: AugmentedPartition) -> int:
     """Number of conjugacy classes among the twists of G_Delta: m / k."""
     m, _, _ = delta.ambient
     return m // conjugacy_modulus(delta)
-
-
-@dataclass(frozen=True)
-class SubgroupClassLabel:
-    """An augmented partition plus a twist coset index below the class
-    count for that partition."""
-
-    delta: AugmentedPartition
-    alpha_index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.alpha_index < alpha_class_count(self.delta):
-            raise ValueError("alpha_index out of range")
 
 
 def degrees_imprimitive(m: int, p: int, n: int) -> tuple[int, ...]:

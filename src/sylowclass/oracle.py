@@ -12,9 +12,10 @@ contains, and so is every parabolic subgroup, since parabolics are
 generated by their reflections (Steinberg 1964; Lehrer-Taylor 2009).  A
 Subgroup is therefore keyed by its order and refl_key, a packed bitmask
 over reflection_indices(), and that key keys every dict; a class is one
-OracleClass, cached under the refl_key of every member.  A member found by
-conjugation holds only its mask and closes its reflections when its
-elements are asked for.
+OracleClass, cached under the refl_key of every member.  The element
+indices are no key: a Subgroup holds them only as its read-only idx, and a
+member found by conjugation holds only its mask and closes its reflections
+when its elements are asked for.
 
 Reflection generators.  generator_indices() are reflections, and the
 right tables of all reflections come from theirs: reflection_tables takes
@@ -121,25 +122,26 @@ class Subgroup:
     keys every dict.  A reflection subgroup is generated by its reflections,
     so for one the mask alone determines it.
 
-    key holds the bytes of its sorted int64 element indices, and idx is a
-    read-only array view of those bytes.  A subgroup made from its elements
-    (ConcreteGroup.subgroup) stores them at once.  A class member found by
-    conjugacy_class holds only its mask and a weak reference to its group,
-    so that no member keeps a group alive; on first access to idx or key it
-    closes its reflections with generate_subgroup and checks the closure's
-    order.  ReferenceError once its group is gone."""
+    idx holds its sorted element indices once, as a read-only int64 array;
+    the constructor takes the array it is given and makes it read-only.  A
+    subgroup made from its elements (ConcreteGroup.subgroup) stores them at
+    once.  A class member found by conjugacy_class holds only its mask
+    and a weak reference to its group, so that no member keeps a group
+    alive; on first access to idx it closes its reflections with
+    generate_subgroup and checks the closure's order.  ReferenceError once
+    its group is gone."""
 
-    __slots__ = ("order", "refl_key", "_key", "_idx", "_group")
+    __slots__ = ("order", "refl_key", "_idx", "_group")
 
     def __init__(self, order: int, refl_key: bytes,
                  idx: np.ndarray | None = None, group: ConcreteGroup | None = None):
         self.order = order
         self.refl_key = refl_key
-        self._key = self._idx = None
+        self._idx = None
         self._group = None if group is None else weakref.ref(group)
         if idx is not None:
-            self._key = idx.astype(_INT64, copy=False).tobytes()
-            self._idx = np.frombuffer(self._key, _INT64)
+            self._idx = idx.astype(_INT64, copy=False)
+            self._idx.flags.writeable = False
 
     def _close(self) -> None:
         group = self._group()
@@ -152,19 +154,13 @@ class Subgroup:
             raise OracleConsistencyError(
                 f"the reflections of a class member generate {h.order} "
                 f"elements, not {self.order}")
-        self._key, self._idx, self._group = h._key, h._idx, None
+        self._idx, self._group = h._idx, None
 
     @property
     def idx(self) -> np.ndarray:
         if self._idx is None:
             self._close()
         return self._idx
-
-    @property
-    def key(self) -> bytes:
-        if self._key is None:
-            self._close()
-        return self._key
 
     def __repr__(self):
         return f"<subgroup of order {self.order}>"

@@ -38,7 +38,6 @@ __all__ = [
     "StructureTerm",
     "Trivial",
     "CyclicGroup",
-    "ElementaryAbelian",
     "IteratedWreath",
     "DiagonalPart",
     "DirectProduct",
@@ -61,12 +60,6 @@ class Trivial:
 @dataclass(frozen=True)
 class CyclicGroup:
     order: int
-
-
-@dataclass(frozen=True)
-class ElementaryAbelian:
-    ell: int
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -104,34 +97,25 @@ _NAMED_ORDERS = {
     "Q8": 8,
     "SD16": 16,
     "Sp4_3_Sylow3": 81,
-    "Q8xQ8_swap": 128,
 }
 
 
 @dataclass(frozen=True)
 class Named:
+    """A Sylow subgroup printed by name; Sp4_3_Sylow3 is E(3^3):C3, the
+    elementary abelian group of order 27 extended by C3 acting as a
+    unitriangular symplectic map."""
+
     tag: str
 
     def __post_init__(self):
         if self.tag not in _NAMED_ORDERS:
             raise ValueError(f"unknown named group {self.tag!r}")
 
-    @property
-    def expansion(self) -> "StructureTerm | None":
-        if self.tag == "Sp4_3_Sylow3":
-            return SemidirectProduct(
-                ElementaryAbelian(3, 3), CyclicGroup(3),
-                "unitriangular symplectic action")
-        if self.tag == "Q8xQ8_swap":
-            return SemidirectProduct(
-                DirectProduct((Named("Q8"), Named("Q8"))), CyclicGroup(2),
-                "swapping the factors")
-        return None
-
 
 StructureTerm = (
-    Trivial | CyclicGroup | ElementaryAbelian | IteratedWreath
-    | DiagonalPart | DirectProduct | SemidirectProduct | Named
+    Trivial | CyclicGroup | IteratedWreath | DiagonalPart | DirectProduct
+    | SemidirectProduct | Named
 )
 
 TRIVIAL_TERM = Trivial()
@@ -142,8 +126,6 @@ def structure_order(t: StructureTerm) -> int:
         return 1
     if isinstance(t, CyclicGroup):
         return t.order
-    if isinstance(t, ElementaryAbelian):
-        return t.ell**t.rank
     if isinstance(t, IteratedWreath):
         return t.ell ** ((t.ell**t.depth - 1) // (t.ell - 1))
     if isinstance(t, DiagonalPart):
@@ -185,12 +167,10 @@ def _semidirect(normal: StructureTerm, acting: StructureTerm,
 
 
 def _diagonal(m: int, p: int, n: int) -> StructureTerm:
-    if m // p == 1 and (n == 1 or m == 1):
+    if m == 1 or (n == 1 and m == p):
         return TRIVIAL_TERM
     if n == 1:
         return CyclicGroup(m // p)
-    if m == 1:
-        return TRIVIAL_TERM
     return DiagonalPart(m, p, n)
 
 
@@ -279,8 +259,6 @@ def _render(t: StructureTerm) -> str:
         return "1"
     if isinstance(t, CyclicGroup):
         return f"C{t.order}"
-    if isinstance(t, ElementaryAbelian):
-        return f"E({t.ell}^{t.rank})"
     if isinstance(t, IteratedWreath):
         return f"W({t.ell},{t.depth})"
     if isinstance(t, DiagonalPart):

@@ -261,7 +261,7 @@ class DigitExpansion:
 
 @lru_cache(maxsize=1024)
 def base_digits(ell: int, n: int) -> DigitExpansion:
-    """Base-ell expansion of n, least significant digit first.  Cached, as
+    """The base-ell digits of n, least significant first.  Cached, as
     factorization is: every G(m,p,n) answer reads it through lambda_blocks."""
     _check_prime(ell)
     if n < 0:

@@ -663,6 +663,14 @@ class TestLazyImports:
         with pytest.raises(AttributeError):
             sylowclass.no_such_name  # noqa: B018
 
+    @pytest.mark.parametrize("module", [groups, structure],
+                             ids=lambda module: module.__name__)
+    def test_module_exports_resolve(self, module):
+        # a star import raises AttributeError on a stale __all__ entry
+        namespace: dict = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert [n for n in module.__all__ if n not in namespace] == []
+
     def test_readme_quick_start_runs_as_written(self):
         readme = Path(sylowclass.__file__).resolve().parents[2] / "README.md"
         if not readme.exists():

@@ -243,14 +243,6 @@ class TestConjugacyModulus:
                         d = augmented_partition([(lm, lp, n)], (m, p, n))
                         assert alpha_class_count(d) == math.gcd(p // lp, n)
 
-    def test_class_label_bounds(self):
-        from sylowclass.groups import SubgroupClassLabel
-
-        d = augmented_partition([(4, 2, 3)], (12, 6, 3))
-        assert SubgroupClassLabel(d, 2).alpha_index == 2
-        with pytest.raises(ValueError):
-            SubgroupClassLabel(d, 3)
-
     def test_augmented_partition_invariants(self):
         with pytest.raises(ValueError):
             augmented_partition([(5, 1, 2)], (12, 6, 3))  # infeasible triple

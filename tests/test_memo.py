@@ -309,7 +309,6 @@ def test_a_memoized_term_renders_once(cleared, monkeypatch):
 TERMS = {
     "trivial": lambda: structure.Trivial(),
     "cyclic": lambda: structure.CyclicGroup(3),
-    "abelian": lambda: structure.ElementaryAbelian(3, 3),
     "wreath": lambda: structure.IteratedWreath(2, 2),
     "diagonal": lambda: structure.DiagonalPart(9, 3, 2),
     "direct": lambda: structure.DirectProduct(

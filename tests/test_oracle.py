@@ -29,6 +29,12 @@ from monomial import (
     Element, all_elements, element, fixed_space, index_of, inv, is_identity, mul)
 
 
+def _elements(h):
+    """The bytes of h's sorted element indices: a hashable fingerprint of the
+    subgroup itself, where refl_key fingerprints only its reflections."""
+    return h.idx.tobytes()
+
+
 class TestEnumeration:
     def test_sizes(self):
         assert enumerate_group(3, 3, 2).size == 6
@@ -189,7 +195,8 @@ class TestParabolicClasses:
         # validates the flat-set assumption on a small grid
         for m, p, n in [(2, 1, 2), (3, 3, 2), (2, 2, 3), (4, 2, 2)]:
             g = enumerate_group(m, p, n)
-            subs = {h.key: h.idx for c in parabolic_classes(g) for h in c.members}
+            subs = {_elements(h): h.idx
+                    for c in parabolic_classes(g) for h in c.members}
             for a in subs.values():
                 for b in subs.values():
                     assert np.intersect1d(a, b).tobytes() in subs
@@ -209,7 +216,8 @@ class TestParabolicClasses:
 
         def stabilizer(group, space):
             h = honest(group, space)
-            return corrupted if h.key == generate_subgroup(g, s3).key else h
+            honest_s3 = _elements(generate_subgroup(g, s3))
+            return corrupted if _elements(h) == honest_s3 else h
 
         monkeypatch.setattr(oracle, "pointwise_stabilizer", stabilizer)
         if lattice_first:
@@ -228,7 +236,7 @@ class TestParabolicClasses:
                 inside = [i for i in h.idx.tolist() if i in refl]
                 if inside:
                     regen = generate_subgroup(g, inside)
-                    assert regen.key == h.key
+                    assert _elements(regen) == _elements(h)
                 else:
                     assert h.order == 1
 
@@ -262,7 +270,7 @@ class TestReflectionSubgroupClasses:
                 inside = [i for i in h.idx.tolist() if i in refl]
                 regen = generate_subgroup(g, inside) if inside else None
                 if regen is not None:
-                    assert regen.key == h.key
+                    assert _elements(regen) == _elements(h)
 
 
 class TestLatticeBruteForce:
@@ -274,11 +282,11 @@ class TestLatticeBruteForce:
     def test_classes_are_all_reflection_subgroups_up_to_conjugacy(self, mpn):
         g = enumerate_group(*mpn)
         refl = g.reflection_indices()
-        expected = {generate_subgroup(g, list(subset)).key
+        expected = {_elements(generate_subgroup(g, list(subset)))
                     for k in range(len(refl) + 1)
                     for subset in itertools.combinations(refl, k)}
         classes = reflection_subgroup_classes(g)
-        members = [h.key for c in classes for h in c.members]
+        members = [_elements(h) for c in classes for h in c.members]
         assert len(members) == len(set(members))
         assert set(members) == expected
 
@@ -293,7 +301,7 @@ class TestLatticeBruteForce:
                     index[(c.phases, c.perm)]
                     for c in (mul(mul(x, h), x_inv) for h in rep)),
                     dtype=np.int64).tobytes())
-            assert {h.key for h in cls.members} == conjugates
+            assert {_elements(h) for h in cls.members} == conjugates
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
@@ -328,7 +336,7 @@ class TestLatticeBruteForce:
 
 
 def _member_keys(cls):
-    return [h.key for h in cls.members]
+    return [_elements(h) for h in cls.members]
 
 
 class TestConjugacy:
@@ -336,18 +344,18 @@ class TestConjugacy:
         g = enumerate_group(1, 1, 3)
         a = generate_subgroup(g, [index_of(g, Element(1, (0, 0, 0), (1, 0, 2)))])
         b = generate_subgroup(g, [index_of(g, Element(1, (0, 0, 0), (0, 2, 1)))])
-        assert b.key in _member_keys(conjugacy_class(g, a))
+        assert _elements(b) in _member_keys(conjugacy_class(g, a))
 
     def test_diagonal_vs_transposition_not_conjugate(self):
         g = enumerate_group(2, 1, 2)
         diag = generate_subgroup(g, [index_of(g, Element(2, (1, 0), (0, 1)))])
         swap = generate_subgroup(g, [index_of(g, Element(2, (0, 0), (1, 0)))])
-        assert swap.key not in _member_keys(conjugacy_class(g, diag))
+        assert _elements(swap) not in _member_keys(conjugacy_class(g, diag))
 
     def test_self_conjugate(self):
         g = enumerate_group(3, 3, 2)
         h = generate_subgroup(g, [g.reflection_indices()[0]])
-        assert h.key in _member_keys(conjugacy_class(g, h))
+        assert _elements(h) in _member_keys(conjugacy_class(g, h))
 
 
 class TestMinimalFullValuation:
@@ -578,11 +586,11 @@ class TestOrbitPathsAgainstDefinitions:
         expected = []
         for sp in spaces.values():
             h = pointwise_stabilizer(g, sp)
-            if h.key not in known:
+            if _elements(h) not in known:
                 keys = _member_keys(conjugacy_class(g, h))
                 known.update(keys)
                 expected.append((h.order, len(keys), sorted(keys)))
-        got = [(c.order, c.size, sorted(h.key for h in c.members))
+        got = [(c.order, c.size, sorted(_elements(h) for h in c.members))
                for c in parabolic_classes(g)]
         assert len(got) == len(expected)
         assert sorted(got) == sorted(expected)
@@ -599,7 +607,8 @@ class TestOrbitPathsAgainstDefinitions:
                         gens[rng.randrange(1, k)] = rng.choice(
                             [0, gens[0], int(g.right_table(gens[0])[gens[0]])])
                     got = generate_subgroup(g, gens)
-                    assert got.key == _brute_force_closure(g, gens), (m, p, n, gens)
+                    assert _elements(got) == _brute_force_closure(g, gens), \
+                        (m, p, n, gens)
                     assert got.idx.dtype == np.int64
 
     @pytest.mark.parametrize("mpn, skips", [
@@ -644,8 +653,8 @@ class TestOrbitPathsAgainstDefinitions:
                 k_index = k.order // cls.order
                 if prime_factors(k_index) != [k_index]:
                     closures += 1
-                elif k.key not in prime_index:
-                    prime_index.add(k.key)
+                elif _elements(k) not in prime_index:
+                    prime_index.add(_elements(k))
                     closures += 1
         assert len(calls) == closures
         assert (closures < orbits) == skips
@@ -670,7 +679,7 @@ def _plain_lattice(g):
     reps = []
 
     def admit(h, gens):
-        found.update((m.key, m) for m in conjugacy_class(g, h).members)
+        found.update((_elements(m), m) for m in conjugacy_class(g, h).members)
         reps.append((h, gens))
 
     admit(generate_subgroup(g, []), ())
@@ -682,7 +691,7 @@ def _plain_lattice(g):
                 member, _ = oracle._generate_from(
                     g, rep.idx, tables + [g.right_table(r)])
                 h = g.subgroup(member)
-                if h.key not in found:
+                if _elements(h) not in found:
                     admit(h, gens + (r,))
     return list(found.values())
 
@@ -731,8 +740,8 @@ class TestLagrangeBounds:
         for mpn in verify.grid_points(order_cap=2000):
             plain_group, g = enumerate_group(*mpn), enumerate_group(*mpn)
             plain = _plain_lattice(plain_group)
-            assert [h.key for h in oracle.all_reflection_subgroups(g)] == \
-                [h.key for h in plain], mpn
+            assert [_elements(h) for h in oracle.all_reflection_subgroups(g)] == \
+                [_elements(h) for h in plain], mpn
             classes = {conjugacy_class(plain_group, h): None for h in plain}
             expected = sorted(((c.order, sorted(h.refl_key for h in c.members))
                                for c in classes),
@@ -754,7 +763,7 @@ class TestLagrangeBounds:
 
 
 def _class_signatures(classes):
-    return [(c.order, c.size, c.representative.key) for c in classes]
+    return [(c.order, c.size, _elements(c.representative)) for c in classes]
 
 
 class TestReuseWithinAGroup:
@@ -910,12 +919,12 @@ class TestOneStoredForm:
             else:
                 parab = parabolic_classes(g)
                 lattice = reflection_subgroup_classes(g)
-            by_key = {c.representative.key: c for c in lattice}
+            by_key = {_elements(c.representative): c for c in lattice}
             for cls in parab:
-                assert by_key[cls.representative.key] is cls
+                assert by_key[_elements(cls.representative)] is cls
             assert len(set(lattice)) == len(lattice)
 
-    def test_subgroup_indices_are_a_read_only_view_of_the_key(self):
+    def test_subgroup_indices_are_one_read_only_int64_array(self):
         g = enumerate_group(2, 1, 3)
         space = fixed_space(element(g, g.reflection_indices()[0]))
         subgroups = [generate_subgroup(g, g.generator_indices()[:2]),
@@ -923,10 +932,9 @@ class TestOneStoredForm:
                      *oracle.all_reflection_subgroups(g)]
         refl = g.reflection_array()
         for h in subgroups:
-            assert h.idx.base is h.key
             assert not h.idx.flags.writeable
             assert h.idx.dtype == np.int64
-            assert h.order == len(h.key) // 8
+            assert h.order == h.idx.size
             with pytest.raises(ValueError):
                 h.idx[0] = 1
             # the mask holds exactly the reflections among the elements
@@ -935,7 +943,8 @@ class TestOneStoredForm:
         member = np.zeros(g.size, dtype=bool)
         member[h.idx] = True
         again = g.subgroup(member)
-        assert (again.key, again.refl_key, again.order) == (h.key, h.refl_key, h.order)
+        assert (_elements(again), again.refl_key, again.order) == \
+            (_elements(h), h.refl_key, h.order)
 
     @pytest.mark.parametrize("mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 3)],
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
@@ -945,9 +954,9 @@ class TestOneStoredForm:
         # other member closes its reflections on first access
         g = enumerate_group(*mpn)
         classes = reflection_subgroup_classes(g)
-        stored = [h for c in classes for h in c.members if h._key is not None]
+        stored = [h for c in classes for h in c.members if h._idx is not None]
         assert len(stored) == len(classes)
-        lazy = [h for c in classes for h in c.members if h._key is None]
+        lazy = [h for c in classes for h in c.members if h._idx is None]
         assert lazy
         for h in lazy:
             assert g.subgroup(np.isin(np.arange(g.size), h.idx)).refl_key == h.refl_key
@@ -955,14 +964,13 @@ class TestOneStoredForm:
     def test_reading_elements_after_the_group_is_gone_raises(self):
         g = enumerate_group(2, 1, 3)
         classes = reflection_subgroup_classes(g)
-        h = next(h for c in classes for h in c.members if h._key is None)
-        kept = classes[-1].representative.key  # G itself, stored at once
+        h = next(h for c in classes for h in c.members if h._idx is None)
+        kept = _elements(classes[-1].representative)  # G itself, stored at once
         del g
-        for read in ("idx", "key"):
-            with pytest.raises(ReferenceError, match="the group of this subgroup "
-                               f"of order {h.order} is gone"):
-                getattr(h, read)
-        assert classes[-1].representative.key == kept
+        with pytest.raises(ReferenceError, match="the group of this subgroup "
+                           f"of order {h.order} is gone"):
+            h.idx  # noqa: B018
+        assert _elements(classes[-1].representative) == kept
 
     def test_a_group_is_freed_by_reference_counting_alone(self):
         # with the cycle collector off, a group whose stages ran is freed as
@@ -975,7 +983,7 @@ class TestOneStoredForm:
             minimal = minimal_full_valuation(g, classes, 2)
             label = identify_class(g, minimal[0].representative)
             sylow = sylow_construct(g, 2)
-            lazy = next(h for c in classes for h in c.members if h._key is None)
+            lazy = next(h for c in classes for h in c.members if h._idx is None)
             assert lazy.idx.size == lazy.order
             ref = weakref.ref(g)
             del g

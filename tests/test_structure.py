@@ -9,7 +9,6 @@ from sylowclass.structure import (
     CyclicGroup,
     DiagonalPart,
     DirectProduct,
-    ElementaryAbelian,
     IteratedWreath,
     Named,
     SemidirectProduct,
@@ -39,12 +38,10 @@ class TestStructureOrder:
     def test_examples(self):
         assert structure_order(IteratedWreath(2, 2)) == 8 == 2 ** nu_factorial(2, 4)
         assert structure_order(DiagonalPart(9, 3, 2)) == 81 // 3 == 27
-        assert structure_order(Named("Q8xQ8_swap")) == 128
         assert structure_order(Named("Q8")) == 8
         assert structure_order(Named("SD16")) == 16
         assert structure_order(Named("Sp4_3_Sylow3")) == 81
         assert structure_order(Trivial()) == 1
-        assert structure_order(ElementaryAbelian(3, 3)) == 27
 
     def test_products(self):
         t = DirectProduct((CyclicGroup(4), IteratedWreath(2, 2)))
@@ -55,16 +52,6 @@ class TestStructureOrder:
     def test_named_tags_are_closed(self):
         with pytest.raises(ValueError):
             Named("D8")
-
-    def test_named_expansions(self):
-        exp = Named("Sp4_3_Sylow3").expansion
-        assert isinstance(exp, SemidirectProduct)
-        assert exp.normal == ElementaryAbelian(3, 3)
-        assert exp.acting == CyclicGroup(3)
-        assert structure_order(exp) == 81
-        exp = Named("Q8xQ8_swap").expansion
-        assert structure_order(exp) == 128
-        assert Named("Q8").expansion is None
 
 
 class TestSylowSymmetric:
@@ -183,7 +170,6 @@ class TestRendering:
             SemidirectProduct(DiagonalPart(9, 3, 3), IteratedWreath(3, 1))
         ) == "A(9,3,3):sd:W(3,1)"
         assert render_term(Trivial()) == "1"
-        assert render_term(ElementaryAbelian(3, 3)) == "E(3^3)"
 
     def test_normalization(self):
         assert direct_product([]) == Trivial()
