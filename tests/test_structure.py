@@ -5,6 +5,7 @@ import pytest
 from sylowclass.classify import NotADivisorError, catalog_irreducibles, classify_reflection
 from sylowclass.groups import (Cyclic, Exceptional, Imprimitive, Product, Sym, group_primes,
                                order, product_of)
+from sylowclass import structure
 from sylowclass.structure import (
     CyclicGroup,
     DiagonalPart,
@@ -52,6 +53,16 @@ class TestStructureOrder:
     def test_named_tags_are_closed(self):
         with pytest.raises(ValueError):
             Named("D8")
+
+    @pytest.mark.parametrize("tag", sorted(structure._NAMED_ORDERS))
+    def test_named_tag_is_a_whole_sylow_subgroup(self, tag):
+        # each tag is the answer for some exceptional group, of its ell-part order
+        hits = [(Exceptional(st), ell) for st in range(4, 38)
+                for ell in group_primes(Exceptional(st))
+                if sylow_structure(Exceptional(st), ell) == Named(tag)]
+        assert hits
+        for g, ell in hits:
+            assert structure_order(Named(tag)) == ell ** nu(ell, order(g)), g
 
 
 class TestSylowSymmetric:
