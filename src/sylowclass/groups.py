@@ -383,9 +383,9 @@ _CLASSICAL = {
 # Reverse preference for display of exceptional groups.
 _CLASSICAL_NAMES = {v: k for k, v in _CLASSICAL.items()}
 
-_G_MPN = re.compile(r"G\((\d+),(\d+),(\d+)\)$")
+_G_MPN = re.compile(r"G\((\d+),(\d+),(\d+)\)")
 # Every other atom: a letter, a rank or index n, an optional decoration (k).
-_SERIES = re.compile(r"([A-Z])(\d+)(?:\((\d+)\))?$")
+_SERIES = re.compile(r"([A-Z])(\d+)(?:\((\d+)\))?")
 # The irreducible factors one spec may hold, counted before any is built.
 MAX_FACTORS = 10000
 
@@ -403,11 +403,11 @@ class TableLookupError(KeyError):
 
 
 def _parse_atom(token: str) -> GroupType:
-    if m := _G_MPN.match(token):
+    if m := _G_MPN.fullmatch(token):
         return normalize(Imprimitive(*map(int, m.groups())))
     if token in _CLASSICAL:
         return Exceptional(_CLASSICAL[token])
-    if m := _SERIES.match(token):
+    if m := _SERIES.fullmatch(token):
         letter, n, k = m[1], int(m[2]), m[3]
         if k is None:
             if letter == "G":

@@ -11,18 +11,24 @@ Mask keys.  A reflection subgroup is determined by the reflections it
 contains, and so is every parabolic subgroup, since parabolics are
 generated by their reflections (Steinberg 1964; Lehrer-Taylor 2009).  A
 Subgroup is therefore keyed by its order and refl_key, a packed bitmask
-over reflection_indices(), and that key keys every dict; a class is one
+over the group's reflections, and that key keys every dict; a class is one
 OracleClass, cached under the refl_key of every member.  The element
 indices are no key: a Subgroup holds them only as its read-only idx, and a
 member found by conjugation holds only its mask and closes its reflections
 when its elements are asked for.
 
-Reflection generators.  generator_indices() are reflections, and the
+Reflection generators.  A group's generators are reflections, and the
 right tables of all reflections come from theirs: reflection_tables takes
 the generators' tables and their powers and reaches the other reflections
 by conjugation.  reflection_action, Q[s, j] the position of
 r_s*r_j*r_s^{-1}, is the one map of conjugation on reflections; the
 lattice and conjugacy_class read its rows.
+
+Derived tables.  The reflections, the generators and their positions
+among the reflections (generator_rows), the inversion table,
+reflection_tables, reflection_action and conjugation_tables are cached
+properties of a ConcreteGroup, each computed on its first read and kept
+with the group.
 
 One source of classes.  reflection_subgroup_classes builds the
 reflection-subgroup lattice once per group and keeps its classes on the
@@ -56,6 +62,7 @@ import itertools
 import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,9 +125,9 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
 
 class Subgroup:
     """A subgroup of a ConcreteGroup: its order and refl_key, the packed
-    bitmask of the reflections it contains over reflection_indices(), which
-    keys every dict.  A reflection subgroup is generated by its reflections,
-    so for one the mask alone determines it.
+    bitmask of the reflections it contains over ConcreteGroup.reflections,
+    which keys every dict.  A reflection subgroup is generated by its
+    reflections, so for one the mask alone determines it.
 
     idx holds its sorted element indices once, as a read-only int64 array;
     the constructor takes the array it is given and makes it read-only.  A
@@ -221,14 +228,6 @@ class ConcreteGroup:
             raise OracleConsistencyError("identity not first in canonical order")
 
         self._right_tables: dict[int, np.ndarray] = {}
-        self._conj_tables: list[np.ndarray] | None = None
-        self._inversion: np.ndarray | None = None
-        self._reflection_indices: list[int] | None = None
-        self._reflection_array: np.ndarray | None = None
-        self._reflection_tables: dict[int, np.ndarray] | None = None
-        self._reflection_action: np.ndarray | None = None
-        self._fixed_spaces: list[FixedSpace] | None = None
-        self._gen_indices: list[int] | None = None
         # member refl_key -> its conjugacy class, one object shared by all members
         self._classes: dict[bytes, OracleClass] = {}
         # the lattice's classes, kept by reflection_subgroup_classes
@@ -271,60 +270,50 @@ class ConcreteGroup:
             self._right_tables[g_idx] = tab
         return tab
 
-    def inversion_table(self) -> np.ndarray:
+    @cached_property
+    def inversion(self) -> np.ndarray:
         """Index table of x -> x^{-1}."""
-        if self._inversion is None:
-            self._inversion = self._positions(
-                -np.take_along_axis(self._A, self._P, axis=1) % self.m,
-                self._PINV, "inverse")
-        return self._inversion
+        return self._positions(-np.take_along_axis(self._A, self._P, axis=1) % self.m,
+                               self._PINV, "inverse")
 
+    @cached_property
     def conjugation_tables(self) -> list[np.ndarray]:
         """Index tables of x -> g*x*g^{-1}, one per generator g.  With I the
         inversion table and T the right table of g^{-1}, that is
         I[T[I[T[x]]]]: x*g^{-1}, inverted to g*x^{-1}, times g^{-1},
         inverted to g*x*g^{-1}.  g^{-1} is a reflection, like g, so T is
         read from reflection_tables."""
-        if self._conj_tables is None:
-            inv = self.inversion_table()
-            tables = self.reflection_tables()
-            self._conj_tables = []
-            for g in self.generator_indices():
-                t = tables[inv.item(g)]
-                self._conj_tables.append(inv[t[inv[t]]])
-        return self._conj_tables
+        inv = self.inversion
+        tables = [self.reflection_tables[inv.item(g)] for g in self.generators]
+        return [inv[t[inv[t]]] for t in tables]
 
     # -- reflections and fixed spaces -----------------------------------
 
-    # Unused by the program; kept only for perfbench/tracing.py and selftest.py.
+    # Unused by the program and not cached; kept for perfbench/tracing.py,
+    # which times it and counts the distinct fixed spaces, and for tests.
     def fixed_spaces(self) -> list[FixedSpace]:
-        if self._fixed_spaces is None:
-            self._fixed_spaces = [
-                _fixed_space(self.m, a, pp)
+        return [_fixed_space(self.m, a, pp)
                 for a, pp in zip(self._A.tolist(), self._P.tolist())]
-        return self._fixed_spaces
+
+    @cached_property
+    def reflections(self) -> np.ndarray:
+        """Ascending indices of the reflections (int64), read from the phase
+        and permutation rows: the identity permutation with one nonzero
+        phase, or one transposition whose two phases sum to 0 mod m with
+        every other phase 0 (the only elements fixing a hyperplane)."""
+        moved = self._P != np.arange(self.n)
+        phased = self._A != 0
+        n_moved = moved.sum(axis=1)
+        scaling = (n_moved == 0) & (phased.sum(axis=1) == 1)
+        swapping = ((n_moved == 2) & ~(phased & ~moved).any(axis=1)
+                    & ((self._A * moved).sum(axis=1) % self.m == 0))
+        return np.flatnonzero(scaling | swapping)
 
     def reflection_indices(self) -> list[int]:
-        """Ascending indices of the reflections, read from the phase and
-        permutation rows: the identity permutation with one nonzero phase,
-        or one transposition whose two phases sum to 0 mod m with every
-        other phase 0 (the only elements fixing a hyperplane)."""
-        if self._reflection_indices is None:
-            moved = self._P != np.arange(self.n)
-            phased = self._A != 0
-            n_moved = moved.sum(axis=1)
-            scaling = (n_moved == 0) & (phased.sum(axis=1) == 1)
-            swapping = ((n_moved == 2) & ~(phased & ~moved).any(axis=1)
-                        & ((self._A * moved).sum(axis=1) % self.m == 0))
-            self._reflection_array = np.flatnonzero(scaling | swapping)
-            self._reflection_indices = self._reflection_array.tolist()
-        return self._reflection_indices
+        """reflections as a list of ints."""
+        return self.reflections.tolist()
 
-    def reflection_array(self) -> np.ndarray:
-        """reflection_indices() as an int64 array."""
-        self.reflection_indices()
-        return self._reflection_array
-
+    @cached_property
     def reflection_action(self) -> np.ndarray:
         """Q with Q[s, j] the position of r_s*r_j*r_s^{-1}, r_j the j-th
         reflection: the oracle's one map of conjugation on reflections.  Row
@@ -332,34 +321,33 @@ class ConcreteGroup:
         r_s^{-1}*H*r_s as b[Q[s]].  Column j reads r_j's table at every
         reflection, r_s*r_j, and row s moves those through the table of
         r_s^{-1}, 2R gathers of R entries each."""
-        if self._reflection_action is None:
-            refl = self.reflection_array()
-            tables = self.reflection_tables()
-            inv = self.inversion_table()
-            products = np.empty((refl.size, refl.size), dtype=np.int64)
-            for j, r in enumerate(refl.tolist()):
-                products[:, j] = tables[r][refl]
-            for s, r in enumerate(refl.tolist()):
-                products[s] = tables[inv.item(r)][products[s]]
-            self._reflection_action = np.searchsorted(refl, products)
-        return self._reflection_action
+        refl = self.reflections
+        tables = self.reflection_tables
+        inv = self.inversion
+        products = np.empty((refl.size, refl.size), dtype=np.int64)
+        for j, r in enumerate(refl.tolist()):
+            products[:, j] = tables[r][refl]
+        for s, r in enumerate(refl.tolist()):
+            products[s] = tables[inv.item(r)][products[s]]
+        return np.searchsorted(refl, products)
 
     def reflection_bits(self, refl_key: bytes) -> np.ndarray:
-        """The boolean array over reflection_indices() that refl_key packs
-        (a fresh, writable array)."""
+        """The boolean array over the reflections that refl_key packs (a
+        fresh, writable array)."""
         return np.unpackbits(np.frombuffer(refl_key, np.uint8),
-                             count=self.reflection_array().size).view(bool)
+                             count=self.reflections.size).view(bool)
 
     def reflections_in(self, h: Subgroup) -> np.ndarray:
         """The element indices of the reflections in h, ascending."""
-        return self.reflection_array()[self.reflection_bits(h.refl_key)]
+        return self.reflections[self.reflection_bits(h.refl_key)]
 
     def subgroup(self, member: np.ndarray) -> Subgroup:
         """The subgroup whose elements are True in member, a boolean array
         over the elements."""
         idx = member.nonzero()[0]
-        return Subgroup(len(idx), _pack(member[self.reflection_array()]), idx)
+        return Subgroup(len(idx), _pack(member[self.reflections]), idx)
 
+    @cached_property
     def reflection_tables(self) -> dict[int, np.ndarray]:
         """Right tables of every reflection, by index, derived from the
         generators, which are reflections.  Each generator g gets its table
@@ -372,62 +360,63 @@ class ConcreteGroup:
         and a table already there is taken as it is.  OracleConsistencyError
         unless every table belongs to a reflection and starts at it (T[s][0]
         is s), and every reflection gets one."""
-        if self._reflection_tables is None:
-            refl = set(self.reflection_indices())
-            tables: dict[int, np.ndarray] = {}
+        refl = set(self.reflections.tolist())
+        tables: dict[int, np.ndarray] = {}
 
-            def keep(s: int, derive) -> np.ndarray:
-                tab = self._right_tables.get(s)
-                if tab is None:
-                    tab = self._right_tables[s] = derive()
-                if s not in refl or tab[0] != s:
-                    raise OracleConsistencyError(
-                        f"the table of element {s}, reached as a reflection, "
-                        f"starts at {tab[0]}")
-                tables[s] = tab
-                return tab
-
-            steps = []  # (c, T[c], T[c^{-1}]) per generator c
-            for c in self.generator_indices():
-                t_c = tab = keep(c, lambda: self.right_table(c))
-                s = t_c.item(c)
-                while s:  # c^k for k = 2, 3, ... up to the identity
-                    tab = keep(s, lambda: t_c[tab])
-                    s = t_c.item(s)
-                steps.append((c, t_c, tab))
-            stack = list(tables)
-            while stack:
-                t_s = tables[stack.pop()]
-                for c, t_c, t_c_inv in steps:
-                    s = t_c_inv.item(t_s.item(c))
-                    if s not in tables:
-                        keep(s, lambda: t_c_inv[t_s[t_c]])
-                        stack.append(s)
-            if len(tables) != len(refl):
+        def keep(s: int, derive) -> np.ndarray:
+            tab = self._right_tables.get(s)
+            if tab is None:
+                tab = self._right_tables[s] = derive()
+            if s not in refl or tab[0] != s:
                 raise OracleConsistencyError(
-                    f"{len(refl) - len(tables)} reflections got no table")
-            self._reflection_tables = tables
-        return self._reflection_tables
+                    f"the table of element {s}, reached as a reflection, "
+                    f"starts at {tab[0]}")
+            tables[s] = tab
+            return tab
 
-    def generator_indices(self) -> list[int]:
+        steps = []  # (c, T[c], T[c^{-1}]) per generator c
+        for c in self.generators:
+            t_c = tab = keep(c, lambda: self.right_table(c))
+            s = t_c.item(c)
+            while s:  # c^k for k = 2, 3, ... up to the identity
+                tab = keep(s, lambda: t_c[tab])
+                s = t_c.item(s)
+            steps.append((c, t_c, tab))
+        stack = list(tables)
+        while stack:
+            t_s = tables[stack.pop()]
+            for c, t_c, t_c_inv in steps:
+                s = t_c_inv.item(t_s.item(c))
+                if s not in tables:
+                    keep(s, lambda: t_c_inv[t_s[t_c]])
+                    stack.append(s)
+        if len(tables) != len(refl):
+            raise OracleConsistencyError(
+                f"{len(refl) - len(tables)} reflections got no table")
+        return tables
+
+    @cached_property
+    def generators(self) -> list[int]:
         """A generating set of reflections: the adjacent transpositions; for
         m > 1 and n > 1 the transposition of coordinates 0 and 1 with phases
         (1, -1); and diag(z^p, 1, ...), z = exp(2 pi i/m), unless p = m
         makes it the identity."""
-        if self._gen_indices is None:
-            m, p, n = self.m, self.p, self.n
-            twisted = m > 1 and n > 1
-            A = np.zeros((n + twisted, n), dtype=np.int64)
-            P = np.tile(np.arange(n), (len(A), 1))
-            for i in range(n - 1):
-                P[i, i:i + 2] = i + 1, i
-            if twisted:
-                P[n - 1, :2] = 1, 0
-                A[n - 1, :2] = 1, m - 1
-            A[-1, 0] = p % m
-            positions = self._positions(A, P, "generator").tolist()
-            self._gen_indices = [g for g in positions if g]
-        return self._gen_indices
+        m, p, n = self.m, self.p, self.n
+        twisted = m > 1 and n > 1
+        A = np.zeros((n + twisted, n), dtype=np.int64)
+        P = np.tile(np.arange(n), (len(A), 1))
+        for i in range(n - 1):
+            P[i, i:i + 2] = i + 1, i
+        if twisted:
+            P[n - 1, :2] = 1, 0
+            A[n - 1, :2] = 1, m - 1
+        A[-1, 0] = p % m
+        return [g for g in self._positions(A, P, "generator").tolist() if g]
+
+    @cached_property
+    def generator_rows(self) -> np.ndarray:
+        """The generators' positions among the reflections."""
+        return np.searchsorted(self.reflections, self.generators)
 
 
 def _pack(bits: np.ndarray) -> bytes:
@@ -538,8 +527,7 @@ def conjugacy_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
     if cls is not None:
         return cls
     members = {h.refl_key: h}
-    rows = np.searchsorted(group.reflection_array(), group.generator_indices())
-    maps = group.reflection_action()[rows].ravel()
+    maps = group.reflection_action[group.generator_rows].ravel()
     frontier = group.reflection_bits(h.refl_key)[None, :]
     while maps.size:  # G(1,1,1) has no generators
         # row f*k + g, k generators: the bits of g^{-1}*F*g, F the f-th
@@ -589,11 +577,9 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     and their order of admission do not change.  More than MAX_SUBGROUPS
     subgroups raise ResourceLimitError.
     """
-    refl = group.reflection_indices()
-    refl_arr = group.reflection_array()
-    refl_tables = group.reflection_tables()
-    action = group.reflection_action()
-    gen_rows = np.searchsorted(refl_arr, group.generator_indices())
+    refl = group.reflections
+    refl_tables = [group.reflection_tables[r] for r in refl.tolist()]
+    action = group.reflection_action
 
     # One (representative, positions of the reflections generating it, its
     # reflection bits) per class; the loop below walks this list while
@@ -620,20 +606,21 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     positions = np.arange(len(refl))
     for rep, gens, rep_bits in reps:
         done = rep_bits.copy()  # reflections whose closure is known
-        first = orbit_labels(len(refl), action[list(gens) if gens else gen_rows])
-        tables = [refl_tables[refl[j]] for j in gens]
+        rows = list(gens) if gens else group.generator_rows
+        first = orbit_labels(len(refl), action[rows])
+        tables = [refl_tables[j] for j in gens]
         # [K:H] divides [G:H], so it is prime iff it is one of these
         primes = [q for q, _ in factorization(group.size // rep.order)]
         bound = group.size // primes[0] if primes else None
         for j in np.flatnonzero(~done & (first == positions)).tolist():
             if done[j]:
                 continue
-            walk = _generate_from(group, rep.idx, tables + [refl_tables[refl[j]]], bound)
+            walk = _generate_from(group, rep.idx, tables + [refl_tables[j]], bound)
             if walk is None:
                 key, bits, order = whole.refl_key, whole_bits, group.size
             else:
                 member, order = walk
-                bits = member[refl_arr]
+                bits = member[refl]
                 key = _pack(bits)
             if group._classes.get(key) not in admitted:
                 h = whole if walk is None else group.subgroup(member)
@@ -705,7 +692,7 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     S, so S is generated by its reflections (Steinberg's theorem) exactly
     when the class order equals S's element count; OracleConsistencyError
     otherwise."""
-    labels = orbit_labels(group.size, group.conjugation_tables())
+    labels = orbit_labels(group.size, group.conjugation_tables)
     reps = np.flatnonzero(labels == np.arange(group.size))
     spaces = {}
     for phases, perm in zip(group._A[reps].tolist(), group._P[reps].tolist()):

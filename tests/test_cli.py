@@ -268,8 +268,9 @@ class TestPinnedOutput:
 
 class TestExitCodes:
     def test_usage_error_bad_group(self, capsys):
-        # unparsable, and parsable with parameters no G(m,p,n) has
-        for spec in ["Gnope", "G(3,2,3)", "G(0,1,1)"]:
+        # unparsable (a final newline included), and parsable with
+        # parameters no G(m,p,n) has
+        for spec in ["Gnope", "G4\n", "G(12,6,3)\n", "G(3,2,3)", "G(0,1,1)"]:
             code, _, err = run(capsys, "classify", "--group", spec, "--ell", "2")
             assert code == 2, spec
             assert "error" in err

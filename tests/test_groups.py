@@ -357,6 +357,14 @@ class TestGrammar:
             with pytest.raises(GroupParseError):
                 parse_group(bad)
 
+    def test_trailing_newline_is_rejected(self):
+        # every atom pattern matches the whole token; "$" alone would also
+        # match before a final newline
+        for bad in ["G4\n", "G(12,6,3)\n", "B3(3)\n", "A1^2\n", "G4\nx A1",
+                    "A2 x G28\n"]:
+            with pytest.raises(GroupParseError):
+                parse_group(bad)
+
     def test_factor_cap(self):
         assert len(parse_group(f"A1^{MAX_FACTORS}").factors) == MAX_FACTORS
         assert len(parse_group("G(6,6,3)^20").factors) == 20

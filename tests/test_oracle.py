@@ -540,7 +540,7 @@ class TestOrbitPathsAgainstDefinitions:
         g = enumerate_group(*mpn)
         elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
-        labels = orbit_labels(g.size, g.conjugation_tables())
+        labels = orbit_labels(g.size, g.conjugation_tables)
         for i, e in enumerate(elements):
             cls = {index[(c.phases, c.perm)]
                    for c in (mul(mul(x, e), inv(x)) for x in elements)}
@@ -550,7 +550,7 @@ class TestOrbitPathsAgainstDefinitions:
     def test_orbit_labels_fixed_points_are_the_distinct_labels(self):
         for mpn in [(2, 1, 3), (3, 3, 3), (4, 2, 3)]:
             g = enumerate_group(*mpn)
-            labels = orbit_labels(g.size, g.conjugation_tables())
+            labels = orbit_labels(g.size, g.conjugation_tables)
             assert np.array_equal(np.flatnonzero(labels == np.arange(g.size)),
                                   np.unique(labels))
 
@@ -560,7 +560,7 @@ class TestOrbitPathsAgainstDefinitions:
         # element class, weighted by the class size
         for m, p, n in verify.grid_points():
             g = enumerate_group(m, p, n)
-            sizes = np.bincount(orbit_labels(g.size, g.conjugation_tables()))
+            sizes = np.bincount(orbit_labels(g.size, g.conjugation_tables))
             got = [0] * (n + 1)  # coefficient of t^d at index d
             for x in np.flatnonzero(sizes).tolist():
                 got[len(fixed_space(element(g, x)).vectors)] += int(sizes[x])
@@ -727,7 +727,7 @@ class TestLagrangeBounds:
         r = g.reflection_indices()[0]
         base = generate_subgroup(g, [r])
         tables = [g.right_table(i).view(_CountedTable)
-                  for i in [r] + g.generator_indices()]
+                  for i in [r] + g.generators]
         _CountedTable.gathers = 0
         assert oracle._generate_from(g, base.idx, tables, base.order) is None
         assert _CountedTable.gathers == 1
@@ -825,7 +825,7 @@ class TestReuseWithinAGroup:
                              ids=lambda mpn: "G(%d,%d,%d)" % mpn)
     def test_reflection_tables_match_tables_built_from_elements(self, mpn):
         g = enumerate_group(*mpn)
-        tables = g.reflection_tables()
+        tables = g.reflection_tables
         assert sorted(tables) == g.reflection_indices()
         for r, table in tables.items():
             expected = g._table_from_element(g._A[r], g._P[r])
@@ -839,21 +839,21 @@ class TestReuseWithinAGroup:
         # are derived; a shifted table of it in the cache is caught
         z = index_of(g, Element(3, (1, 0, 0), (0, 1, 2)))
         z2 = index_of(g, Element(3, (2, 0, 0), (0, 1, 2)))
-        assert z in g.generator_indices() and z2 not in g.generator_indices()
+        assert z in g.generators and z2 not in g.generators
         assert z2 in g.reflection_indices()
         g._right_tables[z2] = np.roll(g._table_from_element(g._A[z2], g._P[z2]), 1)
         with pytest.raises(oracle.OracleConsistencyError,
                            match=f"table of element {z2}, reached as a reflection"):
-            g.reflection_tables()
+            g.reflection_tables
 
     def test_reflections_the_generators_miss_are_caught(self, monkeypatch):
         # the transpositions alone reach no scaling reflection of G(3,1,3)
         g = enumerate_group(3, 1, 3)
-        swaps = [x for x in g.generator_indices() if g._A[x].sum() % 3 == 0]
-        monkeypatch.setattr(g, "generator_indices", lambda: swaps)
+        swaps = [x for x in g.generators if g._A[x].sum() % 3 == 0]
+        monkeypatch.setattr(g, "generators", swaps)
         with pytest.raises(oracle.OracleConsistencyError,
                            match="6 reflections got no table"):
-            g.reflection_tables()
+            g.reflection_tables
 
     @pytest.mark.parametrize(
         "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4), (3, 1, 3)],
@@ -867,12 +867,12 @@ class TestReuseWithinAGroup:
         expected = [[position[index_of(g, mul(mul(element(g, s), element(g, r)),
                                                   inv(element(g, s))))]
                      for r in refl] for s in refl]
-        assert g.reflection_action().tolist() == expected
+        assert g.reflection_action.tolist() == expected
 
     def test_generators_are_reflections_that_generate_the_group(self):
         for mpn in verify.grid_points(order_cap=1000):
             g = enumerate_group(*mpn)
-            gens = g.generator_indices()
+            gens = g.generators
             assert set(gens) <= set(g.reflection_indices()), mpn
             assert generate_subgroup(g, gens).order == g.size, mpn
 
@@ -884,10 +884,40 @@ class TestReuseWithinAGroup:
 
     def test_conjugacy_class_in_the_trivial_group(self):
         g = enumerate_group(1, 1, 1)
-        assert g.generator_indices() == []
-        assert g.reflection_action().shape == (0, 0)
+        assert g.generators == []
+        assert g.reflection_action.shape == (0, 0)
         h = generate_subgroup(g, [])
         assert conjugacy_class(g, h).members == (h,)
+
+    def test_each_derived_table_is_computed_once_per_group(self, monkeypatch):
+        lookups = []
+        positions = oracle.ConcreteGroup._positions
+
+        def counted(self, A, P, what):
+            lookups.append(what)
+            return positions(self, A, P, what)
+
+        built = []
+        enumerate_ = oracle.enumerate_group
+
+        def recorded(*args):
+            built.append(enumerate_(*args))
+            return built[-1]
+
+        monkeypatch.setattr(oracle.ConcreteGroup, "_positions", counted)
+        monkeypatch.setattr(oracle, "enumerate_group", recorded)
+        verify.verify_group(3, 1, 3)
+        [g] = built
+        assert lookups.count("inverse") == 1 and lookups.count("generator") == 1
+        names = ["reflections", "generators", "generator_rows", "inversion",
+                 "reflection_tables", "reflection_action", "conjugation_tables"]
+        # the campaign reads every table, and a second read computes nothing
+        assert set(names) <= set(vars(g))
+        before = len(lookups)
+        for name in names:
+            assert getattr(g, name) is getattr(g, name), name
+        assert len(lookups) == before
+        assert g.reflection_indices() == g.reflections.tolist()
 
 
 class TestOneStoredForm:
@@ -927,10 +957,10 @@ class TestOneStoredForm:
     def test_subgroup_indices_are_one_read_only_int64_array(self):
         g = enumerate_group(2, 1, 3)
         space = fixed_space(element(g, g.reflection_indices()[0]))
-        subgroups = [generate_subgroup(g, g.generator_indices()[:2]),
+        subgroups = [generate_subgroup(g, g.generators[:2]),
                      pointwise_stabilizer(g, space),
                      *oracle.all_reflection_subgroups(g)]
-        refl = g.reflection_array()
+        refl = g.reflections
         for h in subgroups:
             assert not h.idx.flags.writeable
             assert h.idx.dtype == np.int64
