@@ -10,6 +10,7 @@ Group spec grammar (CLI and table data):
     G(m,p,n) | G<k> for k in 4..37 | classical aliases (A4, B3, B3(3),
     D4(3), H3, ..., L2..L4, M3, J3(4), K5, N4, O4, C<m>) | products
     separated by "x" or the unicode times sign, with optional "^k" powers.
+    Every digit (m, p, n, k, a rank or a power) is an ASCII digit 0-9.
     A spec holds at most MAX_FACTORS irreducible factors, powers counted.
 
 check_parameters is the one test of G(m,p,n) parameters (m, p, n >= 1 and
@@ -383,9 +384,9 @@ _CLASSICAL = {
 # Reverse preference for display of exceptional groups.
 _CLASSICAL_NAMES = {v: k for k, v in _CLASSICAL.items()}
 
-_G_MPN = re.compile(r"G\((\d+),(\d+),(\d+)\)")
+_G_MPN = re.compile(r"G\((\d+),(\d+),(\d+)\)", re.ASCII)
 # Every other atom: a letter, a rank or index n, an optional decoration (k).
-_SERIES = re.compile(r"([A-Z])(\d+)(?:\((\d+)\))?")
+_SERIES = re.compile(r"([A-Z])(\d+)(?:\((\d+)\))?", re.ASCII)
 # The irreducible factors one spec may hold, counted before any is built.
 MAX_FACTORS = 10000
 
@@ -450,7 +451,7 @@ def parse_group(spec: str) -> GroupType:
             raise GroupParseError(f"empty factor in {spec!r}")
         power = 1
         base, caret, exponent = token.rpartition("^")
-        if caret and exponent.isdecimal():
+        if caret and exponent.isascii() and exponent.isdecimal():
             token = base
             try:
                 power = int(exponent)

@@ -26,16 +26,20 @@ lattice and conjugacy_class read its rows.
 
 Derived tables.  The reflections, the generators and their positions
 among the reflections (generator_rows), the inversion table,
-reflection_tables, reflection_action and conjugation_tables are cached
-properties of a ConcreteGroup, each computed on its first read and kept
-with the group.
+reflection_tables, reflection_action, conjugation_tables and the lattice
+are cached properties of a ConcreteGroup, each computed on its first read
+and kept with the group.  reflection_tables is the one store of right
+tables: right_table returns the kept table of a reflection, and builds
+that of any other element (a Sylow generator) from its rows and keeps
+nothing.
 
-One source of classes.  reflection_subgroup_classes builds the
-reflection-subgroup lattice once per group and keeps its classes on the
-group.  The reflections of any subgroup h generate a reflection subgroup
-K <= h with the same mask, so the lattice holds K's class under h's mask:
-the parabolic stage and identify_class read every class from there, and h
-is generated by its reflections exactly when |K| = |h|.
+One source of classes.  ConcreteGroup.lattice builds the
+reflection-subgroup lattice once per group and keeps its sorted classes,
+which reflection_subgroup_classes returns.  The reflections of any
+subgroup h generate a reflection subgroup K <= h with the same mask, so
+the lattice holds K's class under h's mask: the parabolic stage and
+identify_class read every class from there, and h is generated by its
+reflections exactly when |K| = |h|.
 
 One closure.  _generate_from is the only subgroup closure: it walks right
 cosets, one gather through a right table per new coset, and returns the
@@ -227,11 +231,8 @@ class ConcreteGroup:
         if self._A[0].any() or (self._P[0] != np.arange(n)).any():
             raise OracleConsistencyError("identity not first in canonical order")
 
-        self._right_tables: dict[int, np.ndarray] = {}
         # member refl_key -> its conjugacy class, one object shared by all members
         self._classes: dict[bytes, OracleClass] = {}
-        # the lattice's classes, kept by reflection_subgroup_classes
-        self._lattice: tuple[OracleClass, ...] | None = None
 
     # -- multiplication tables ------------------------------------------
 
@@ -264,10 +265,12 @@ class ConcreteGroup:
                                self._P[:, perm], "product")
 
     def right_table(self, g_idx: int) -> np.ndarray:
-        tab = self._right_tables.get(g_idx)
+        """Index table of x -> x*g, g the element at g_idx: the kept table
+        from reflection_tables for a reflection, and for any other element a
+        table built from its rows and not kept."""
+        tab = self.reflection_tables.get(g_idx)
         if tab is None:
             tab = self._table_from_element(self._A[g_idx], self._P[g_idx])
-            self._right_tables[g_idx] = tab
         return tab
 
     @cached_property
@@ -351,22 +354,19 @@ class ConcreteGroup:
     def reflection_tables(self) -> dict[int, np.ndarray]:
         """Right tables of every reflection, by index, derived from the
         generators, which are reflections.  Each generator g gets its table
-        from right_table and its powers T[g^k] = T[g][T[g^(k-1)]]; these
+        from its rows and its powers T[g^k] = T[g][T[g^(k-1)]]; these
         meet every G-class of reflections.  The classes are then walked
         under conjugation by the generators with right tables only: x*c*s*
         c^{-1} is x moved right by c, s and c^{-1} (the last power of c), so
         s' = c*s*c^{-1} is T[c^{-1}][T[s][c]], and only a new s' gathers its
-        table, T[c^{-1}][T[s][T[c]]].  Tables go into the right-table cache,
-        and a table already there is taken as it is.  OracleConsistencyError
-        unless every table belongs to a reflection and starts at it (T[s][0]
-        is s), and every reflection gets one."""
+        table, T[c^{-1}][T[s][T[c]]].  These are the group's only kept right
+        tables (right_table reads them).  OracleConsistencyError unless
+        every table belongs to a reflection and starts at it (T[s][0] is s),
+        and every reflection gets one."""
         refl = set(self.reflections.tolist())
         tables: dict[int, np.ndarray] = {}
 
-        def keep(s: int, derive) -> np.ndarray:
-            tab = self._right_tables.get(s)
-            if tab is None:
-                tab = self._right_tables[s] = derive()
+        def keep(s: int, tab: np.ndarray) -> np.ndarray:
             if s not in refl or tab[0] != s:
                 raise OracleConsistencyError(
                     f"the table of element {s}, reached as a reflection, "
@@ -376,10 +376,10 @@ class ConcreteGroup:
 
         steps = []  # (c, T[c], T[c^{-1}]) per generator c
         for c in self.generators:
-            t_c = tab = keep(c, lambda: self.right_table(c))
+            t_c = tab = keep(c, self._table_from_element(self._A[c], self._P[c]))
             s = t_c.item(c)
             while s:  # c^k for k = 2, 3, ... up to the identity
-                tab = keep(s, lambda: t_c[tab])
+                tab = keep(s, t_c[tab])
                 s = t_c.item(s)
             steps.append((c, t_c, tab))
         stack = list(tables)
@@ -388,7 +388,7 @@ class ConcreteGroup:
             for c, t_c, t_c_inv in steps:
                 s = t_c_inv.item(t_s.item(c))
                 if s not in tables:
-                    keep(s, lambda: t_c_inv[t_s[t_c]])
+                    keep(s, t_c_inv[t_s[t_c]])
                     stack.append(s)
         if len(tables) != len(refl):
             raise OracleConsistencyError(
@@ -417,6 +417,15 @@ class ConcreteGroup:
     def generator_rows(self) -> np.ndarray:
         """The generators' positions among the reflections."""
         return np.searchsorted(self.reflections, self.generators)
+
+    @cached_property
+    def lattice(self) -> tuple[OracleClass, ...]:
+        """The classes of all reflection subgroups, by order and
+        representative refl_key: the class objects that conjugacy_class
+        cached for the subgroups all_reflection_subgroups finds on first
+        read."""
+        return tuple(_sorted_classes(
+            self._classes[h.refl_key] for h in all_reflection_subgroups(self)))
 
 
 def _pack(bits: np.ndarray) -> bytes:
@@ -637,21 +646,16 @@ def _sorted_classes(classes) -> list[OracleClass]:
 
 
 def reflection_subgroup_classes(group: ConcreteGroup) -> tuple[OracleClass, ...]:
-    """Conjugacy classes of all reflection-generated subgroups: the class
-    objects conjugacy_class cached for them.  The first call runs the
-    lattice and keeps its classes on the group; every later call returns
-    that same tuple."""
-    if group._lattice is None:
-        group._lattice = tuple(_sorted_classes(
-            group._classes[h.refl_key] for h in all_reflection_subgroups(group)))
-    return group._lattice
+    """Conjugacy classes of all reflection-generated subgroups: the
+    group's lattice, which the first read computes and every later call
+    returns as the same tuple."""
+    return group.lattice
 
 
 def _lattice_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
     """The lattice class under h's mask: the class of the subgroup that
     h's reflections generate.  Runs the lattice first if no stage has."""
-    if group._lattice is None:
-        reflection_subgroup_classes(group)
+    group.lattice  # the first read runs the lattice, which caches every class
     return group._classes[h.refl_key]
 
 

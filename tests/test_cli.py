@@ -268,12 +268,13 @@ class TestPinnedOutput:
 
 class TestExitCodes:
     def test_usage_error_bad_group(self, capsys):
-        # unparsable (a final newline included), and parsable with
-        # parameters no G(m,p,n) has
-        for spec in ["Gnope", "G4\n", "G(12,6,3)\n", "G(3,2,3)", "G(0,1,1)"]:
+        # unparsable (a final newline and non-ASCII digits included), and
+        # parsable with parameters no G(m,p,n) has
+        for spec in ["Gnope", "G4\n", "G(12,6,3)\n", "A\uff12",
+                     "G(\uff11\uff12,\uff16,\uff13)", "G(3,2,3)", "G(0,1,1)"]:
             code, _, err = run(capsys, "classify", "--group", spec, "--ell", "2")
             assert code == 2, spec
-            assert "error" in err
+            assert "error" in err and err.count("\n") == 1, spec
 
     def test_long_error_message_is_cut(self, capsys):
         code, out, err = run(capsys, "classify", "--group", "G4", "--ell", "7" * 5000)

@@ -365,6 +365,13 @@ class TestGrammar:
             with pytest.raises(GroupParseError):
                 parse_group(bad)
 
+    def test_non_ascii_digits_are_rejected(self):
+        # \d and str.isdecimal accept every Unicode decimal digit, and int()
+        # converts them: a fullwidth 2, Arabic-Indic digits, a fullwidth power
+        for bad in ["A\uff12", "G(\u0661\u0662,\u0666,\u0663)", "A1^\uff12"]:
+            with pytest.raises(GroupParseError):
+                parse_group(bad)
+
     def test_factor_cap(self):
         assert len(parse_group(f"A1^{MAX_FACTORS}").factors) == MAX_FACTORS
         assert len(parse_group("G(6,6,3)^20").factors) == 20

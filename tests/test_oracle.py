@@ -832,19 +832,65 @@ class TestReuseWithinAGroup:
             assert np.array_equal(table, expected), r
             assert g.right_table(r) is table
 
-    def test_corrupted_derived_table_is_caught(self):
+    def test_corrupted_derived_table_is_caught(self, monkeypatch):
         g = enumerate_group(3, 1, 3)
-        # diag(z^2, 1, 1) is the inverse of the generator diag(z, 1, 1) and
-        # its square, through whose table the conjugates of diag(z, 1, 1)
-        # are derived; a shifted table of it in the cache is caught
+        # diag(z^2, 1, 1) is the square of the generator diag(z, 1, 1), and
+        # its table is derived from the generator's.  A generator table
+        # that starts right (entry 0 is z) but sends z to the non-reflection
+        # diag(z^2, z, 1) instead of to z^2 derives a table for that
+        # element, which is caught
         z = index_of(g, Element(3, (1, 0, 0), (0, 1, 2)))
         z2 = index_of(g, Element(3, (2, 0, 0), (0, 1, 2)))
+        k = index_of(g, Element(3, (1, 1, 0), (0, 1, 2)))
+        wrong = index_of(g, Element(3, (2, 1, 0), (0, 1, 2)))
         assert z in g.generators and z2 not in g.generators
-        assert z2 in g.reflection_indices()
-        g._right_tables[z2] = np.roll(g._table_from_element(g._A[z2], g._P[z2]), 1)
+        assert z2 in g.reflection_indices() and wrong not in g.reflection_indices()
+        build = oracle.ConcreteGroup._table_from_element
+
+        def corrupted(self, phases, perm):
+            tab = build(self, phases, perm)
+            if tab[0] == z:
+                assert (tab[z], tab[k]) == (z2, wrong)
+                tab[[z, k]] = tab[[k, z]]
+            return tab
+
+        monkeypatch.setattr(oracle.ConcreteGroup, "_table_from_element", corrupted)
         with pytest.raises(oracle.OracleConsistencyError,
-                           match=f"table of element {z2}, reached as a reflection"):
+                           match=f"table of element {wrong}, reached as a reflection"):
             g.reflection_tables
+
+    def test_a_reflection_table_is_the_kept_one(self):
+        # right_table on a fresh group derives the reflection tables and
+        # returns the kept table, whichever is read first
+        g = enumerate_group(3, 1, 3)
+        refl = g.reflection_indices()
+        read = [g.right_table(r) for r in refl]
+        assert all(t is g.reflection_tables[r] for r, t in zip(refl, read))
+
+    def test_sylow_generator_tables_are_not_kept(self, monkeypatch):
+        # G(3,1,3) at 3: diag(z, z^-1, 1), diag(1, z, z^-1) and the 3-cycle
+        # are Sylow generators and no reflections; their tables are built
+        # from their rows, used by the closure and then dropped
+        g = enumerate_group(3, 1, 3)
+        assert reflection_subgroup_classes(g) is g.lattice
+        refl = set(g.reflection_indices())
+        right_table = oracle.ConcreteGroup.right_table
+        built = {}
+
+        def recorded(self, g_idx):
+            tab = right_table(self, g_idx)
+            if g_idx not in refl:
+                assert np.array_equal(
+                    tab, self._table_from_element(self._A[g_idx], self._P[g_idx]))
+                built[g_idx] = weakref.ref(tab)
+            return tab
+
+        monkeypatch.setattr(oracle.ConcreteGroup, "right_table", recorded)
+        assert sylow_construct(g, 3).order == 81
+        assert len(built) == 3
+        gc.collect()
+        assert all(ref() is None for ref in built.values())
+        assert sorted(g.reflection_tables) == sorted(refl)
 
     def test_reflections_the_generators_miss_are_caught(self, monkeypatch):
         # the transpositions alone reach no scaling reflection of G(3,1,3)
@@ -910,7 +956,8 @@ class TestReuseWithinAGroup:
         [g] = built
         assert lookups.count("inverse") == 1 and lookups.count("generator") == 1
         names = ["reflections", "generators", "generator_rows", "inversion",
-                 "reflection_tables", "reflection_action", "conjugation_tables"]
+                 "reflection_tables", "reflection_action", "conjugation_tables",
+                 "lattice"]
         # the campaign reads every table, and a second read computes nothing
         assert set(names) <= set(vars(g))
         before = len(lookups)
