@@ -261,8 +261,6 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
         members.append(ClassMember(
             combined, groups.factorization_product(c.factors for c in combo),
             distinguisher=len(members)))
-    if not members:  # cannot happen: ell divides |G|
-        raise NotADivisorError(f"{ell} does not divide any factor order")
     return SubgroupClassResult(g, ell, kind, tuple(members))
 
 

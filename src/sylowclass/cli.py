@@ -75,13 +75,9 @@ class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""
 
 
-def _positive_int(value, source: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
+def _positive_int(number: int, source: str) -> int:
     if number < 1:
-        raise UsageError(f"{source} must be a positive integer, got {value!r}")
+        raise UsageError(f"{source} must be a positive integer, got {number!r}")
     return number
 
 

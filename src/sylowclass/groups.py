@@ -17,6 +17,11 @@ check_parameters is the one test of G(m,p,n) parameters (m, p, n >= 1 and
 p | m), for Imprimitive, FeasibleTriple, AugmentedPartition's ambient group
 and degrees_imprimitive; imprimitive_grid is the one walk over the
 G(m,p,n) grid, read by the oracle campaign and the observation catalog.
+product_of is the one rewrite to canonical form (G(m,p,1) becomes
+G(m/p,1,1), or the trivial group when m = p, and trivial factors go):
+parse_group normalizes each atom once (not once per power), and normalize
+only decides whether to call it.  The spellings G(m,p,n) and G<k> are the __repr__s,
+which format_group reuses.
 
 A Product computes its hash once, on first use, and keeps it on the
 value: the per-process memos hash their keys on every lookup, and a
@@ -148,14 +153,13 @@ def normalize(g: GroupType) -> GroupType:
     """Canonical form: G(m,p,1) becomes the cyclic G(m/p,1,1); products are
     flattened, trivial factors dropped, singleton products unwrapped.
 
-    A canonical value (an Imprimitive other than G(m,p,1) with p > 1, an
+    The rewrite lives in product_of; normalize only decides whether to call
+    it.  A canonical value (an Imprimitive other than G(m,p,1) with p > 1, an
     Exceptional, a Product of canonical non-trivial factors) comes back as
     itself: normalizing what product_of or parse_group built allocates
     nothing."""
     if type(g) is Imprimitive:
-        if g.n == 1 and g.p > 1:
-            return Imprimitive(g.m // g.p, 1, 1)
-        return g
+        return product_of((g,)) if g.n == 1 and g.p > 1 else g
     if type(g) is Product:
         for f in g.factors:
             if type(f) is Imprimitive and f.n == 1 and (f.p > 1 or f.m == 1):
@@ -288,12 +292,10 @@ class FeasibleTriple:
     def __post_init__(self):
         check_parameters(self.m, self.p, self.n)
 
-    def sort_key(self):
-        # Total order: larger n first, then larger m, then larger p.
-        return (self.n, self.m, self.p)
-
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        # The one order of triples, by (n, m, p); a decreasing sequence
+        # puts larger n first, then larger m, then larger p.
+        return (self.n, self.m, self.p) < (other.n, other.m, other.p)
 
     def __repr__(self):
         return f"({self.m},{self.p},{self.n})"
@@ -328,7 +330,7 @@ class AugmentedPartition:
             if not is_feasible(t, self.ambient):
                 raise ValueError(f"triple {t} not feasible for {self.ambient}")
         for a, b in zip(self.triples, self.triples[1:]):
-            if a.sort_key() < b.sort_key():
+            if a < b:
                 raise ValueError("triples not decreasing")
         if sum(t.n for t in self.triples) != self.ambient[2]:
             raise ValueError("ranks do not partition n")
@@ -405,7 +407,7 @@ class TableLookupError(KeyError):
 
 def _parse_atom(token: str) -> GroupType:
     if m := _G_MPN.fullmatch(token):
-        return normalize(Imprimitive(*map(int, m.groups())))
+        return Imprimitive(*map(int, m.groups()))
     if token in _CLASSICAL:
         return Exceptional(_CLASSICAL[token])
     if m := _SERIES.fullmatch(token):
@@ -419,7 +421,7 @@ def _parse_atom(token: str) -> GroupType:
             if letter == "A":
                 return Sym(n + 1)
             if letter in "BD":
-                return normalize(Imprimitive(2, 2 if letter == "D" else 1, n))
+                return Imprimitive(2, 2 if letter == "D" else 1, n)
             if letter == "C":
                 return Cyclic(n)
             if letter == "L" and n == 1:
@@ -427,14 +429,14 @@ def _parse_atom(token: str) -> GroupType:
         elif letter == "B":
             k = int(k)
             if k == 3:
-                return normalize(Imprimitive(3, 1, n))
+                return Imprimitive(3, 1, n)
             if k % 2 == 0:
                 # B_n^(2j) = G(2j, j, n); only the (3) and (4) decorations occur
                 # in the embedded tables.
-                return normalize(Imprimitive(k, k // 2, n))
+                return Imprimitive(k, k // 2, n)
             raise GroupParseError(f"unknown decoration in {token}")
         elif letter == "D":
-            return normalize(Imprimitive(int(k), int(k), n))
+            return Imprimitive(int(k), int(k), n)
     raise GroupParseError(f"cannot parse group spec {token!r}")
 
 
@@ -471,7 +473,7 @@ def parse_group(spec: str) -> GroupType:
             raise
         except ValueError as exc:  # the group constructor rejected the parameters
             raise GroupParseError(f"invalid group {token!r}: {exc}") from exc
-        factors.extend([atom] * power)
+        factors.extend([normalize(atom)] * power)  # one rewrite per token, not per power
     return product_of(factors)
 
 
@@ -493,8 +495,6 @@ def format_group(g: GroupType, classical: bool = False) -> str:
 
 
 def _format_irreducible(g: GroupType, classical: bool) -> str:
-    if type(g) is Exceptional:
-        if classical and g.st in _CLASSICAL_NAMES:
-            return _CLASSICAL_NAMES[g.st]
-        return f"G{g.st}"
-    return f"G({g.m},{g.p},{g.n})"
+    if classical and type(g) is Exceptional and g.st in _CLASSICAL_NAMES:
+        return _CLASSICAL_NAMES[g.st]
+    return repr(g)

@@ -73,7 +73,7 @@ import numpy as np
 from . import groups
 from .groups import AugmentedPartition, augmented_partition
 from .limits import DEFAULT_ORDER_CAP
-from .valuation import factorization, minimal_factorial_partition, nu
+from .valuation import ell_part, factorization, minimal_factorial_partition, nu
 
 MAX_SUBGROUPS = 200000  # cap on the reflection-subgroup lattice
 _INT64 = np.dtype(np.int64)
@@ -103,27 +103,22 @@ def _fixed_space(m: int, phases, perm) -> FixedSpace:
     for start in range(n):
         if seen[start]:
             continue
-        cycle = [start]
+        # One walk marks the cycle and accumulates x_{pi(i)} = x_i +
+        # phases[pi(i)] from x_start = 0.  Coordinates are visited in
+        # ascending order, so start is the cycle's smallest coordinate and
+        # the exponents are already relative to it: no rebase is needed.
+        # The cycle's phase sum is exps[last] + phases[start].
         seen[start] = True
-        j = perm[start]
+        exps = {start: 0}
+        cur, j = start, perm[start]
         while j != start:
             seen[j] = True
-            cycle.append(j)
-            j = perm[j]
-        total = sum(phases[c] for c in cycle) % m
-        if total:
+            exps[j] = (exps[cur] + phases[j]) % m
+            cur, j = j, perm[j]
+        if (exps[cur] + phases[start]) % m:
             continue
-        # Walk the cycle accumulating x_{pi(i)} = x_i + phases[pi(i)].
-        exps = {cycle[0]: 0}
-        cur = cycle[0]
-        for _ in range(len(cycle) - 1):
-            nxt = perm[cur]
-            exps[nxt] = (exps[cur] + phases[nxt]) % m
-            cur = nxt
-        coords = tuple(sorted(cycle))
-        base = exps[coords[0]]
-        vectors.append(
-            (coords, tuple((exps[c] - base) % m for c in coords)))
+        coords = tuple(sorted(exps))
+        vectors.append((coords, tuple(exps[c] for c in coords)))
     return FixedSpace(tuple(sorted(vectors)))
 
 
@@ -367,10 +362,13 @@ class ConcreteGroup:
         tables: dict[int, np.ndarray] = {}
 
         def keep(s: int, tab: np.ndarray) -> np.ndarray:
-            if s not in refl or tab[0] != s:
+            if s not in refl:
                 raise OracleConsistencyError(
                     f"the table of element {s}, reached as a reflection, "
-                    f"starts at {tab[0]}")
+                    "is no reflection")
+            if tab[0] != s:  # only a generator's: a derived table's s is its entry 0
+                raise OracleConsistencyError(
+                    f"the table of reflection {s} starts at {tab[0]}")
             tables[s] = tab
             return tab
 
@@ -752,10 +750,10 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
         raise ValueError(f"{ell} does not divide |G| = {group.size}")
     rows: list[tuple] = []  # (phases, perm) of each generator
 
-    c = m // ell ** nu(ell, m)
+    c = m // ell_part(ell, m)
     ident = tuple(range(n))
     if c != m:
-        rows.append(([c * ell ** nu(ell, p)] + [0] * (n - 1), ident))
+        rows.append(([c * ell_part(ell, p)] + [0] * (n - 1), ident))
         for i in range(n - 1):
             phases = [0] * n
             phases[i], phases[i + 1] = c, m - c
@@ -776,7 +774,7 @@ def sylow_construct(group: ConcreteGroup, ell: int) -> Subgroup:
     P = np.array([perm for _, perm in rows], dtype=np.int64).reshape(-1, n)
     gens = group._positions(A, P, "Sylow generator").tolist()
     sylow = generate_subgroup(group, gens)
-    expected = ell ** nu(ell, group.size)
+    expected = ell_part(ell, group.size)
     if sylow.order != expected:
         raise OracleConsistencyError(
             f"Sylow recipe for G({m},{p},{n}) at {ell} generated order "

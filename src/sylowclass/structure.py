@@ -32,7 +32,7 @@ from math import prod
 from . import groups
 from .classify import UnsupportedGroupError, classify_reflection, require_divides
 from .groups import Exceptional, GroupType, Product, group_primes, normalize
-from .valuation import lambda_blocks, nu
+from .valuation import ell_part, lambda_blocks, nu
 
 __all__ = [
     "StructureTerm",
@@ -231,10 +231,10 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
         return sylow_structure(member, ell)
 
     m, p, n = g.m, g.p, g.n
-    a = ell ** nu(ell, m)
+    a = ell_part(ell, m)
     if p % ell == 0:
         return _semidirect(
-            _diagonal(a, ell ** nu(ell, p), n),
+            _diagonal(a, ell_part(ell, p), n),
             sylow_symmetric(n, ell),
             "permuting coordinates")
     return direct_product(reversed(lambda_blocks(ell, n, lambda k: _semidirect(

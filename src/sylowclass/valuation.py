@@ -380,6 +380,7 @@ def iter_partitions(n: int, max_part: int | None = None):
 
 
 def ell_part(ell: int, x: int) -> int:
-    """The ell-power part ell^nu(x) of x."""
-    return ell ** nu(ell, x)
+    """The ell-power part ell^nu(x) of x: the one place that raises ell to a
+    valuation."""
+    return pow(ell, nu(ell, x))
 

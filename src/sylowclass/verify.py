@@ -19,7 +19,7 @@ from . import classify, groups, oracle, structure
 from .groups import Imprimitive, normalize
 from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 # perfbench/tracing.py wraps verify.prime_factors, so the name stays here.
-from .valuation import nu, prime_factors  # noqa: F401
+from .valuation import ell_part, prime_factors  # noqa: F401
 
 
 def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
@@ -49,7 +49,7 @@ class GroupReport:
 
     @property
     def label(self) -> str:
-        return f"G({self.m},{self.p},{self.n})"
+        return repr(Imprimitive(self.m, self.p, self.n))
 
     @property
     def passed(self) -> bool:
@@ -178,7 +178,7 @@ def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
             detail = f"unequal class sizes {sorted(sizes)}" if not ok else detail
     checks.append(Check("reflection", ell, ok, detail))
 
-    expected = ell ** nu(ell, conc.size)
+    expected = ell_part(ell, conc.size)
     term_order = structure.structure_order(
         structure.sylow_structure(ambient, ell))
     try:

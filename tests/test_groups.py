@@ -320,6 +320,12 @@ class TestGrammar:
         "O4": Exceptional(31),
         "L1": Cyclic(3),
         "C8": Cyclic(8),
+        # rank-one atoms, rewritten by parse_group
+        "G(4,2,1)": Cyclic(2),
+        "B1(3)": Cyclic(3),
+        "D1": TRIVIAL,
+        "D1(5)": TRIVIAL,
+        "A0": TRIVIAL,
     }
 
     def test_atoms(self):
@@ -333,6 +339,11 @@ class TestGrammar:
             [Imprimitive(5, 5, 2)] * 2)
         assert parse_group("A2 × E6") == product_of(
             [Sym(3), Exceptional(35)])
+        assert parse_group("G(6,6,1)xG4") == Exceptional(4)
+        assert parse_group("G(4,2,1)^2") == Product((Cyclic(2), Cyclic(2)))
+        # a power is rewritten once, not once per factor
+        first, *rest = parse_group("G(4,2,1)^3").factors
+        assert all(f is first for f in rest)
 
     def test_round_trip(self):
         for g in [Imprimitive(12, 6, 3), Exceptional(28), Cyclic(5),

@@ -151,6 +151,31 @@ class TestReflectionsAndFixedSpaces:
             for r in g.reflection_indices():
                 assert len(fixed_space(element(g, r)).vectors) == n - 1
 
+    @pytest.mark.parametrize("mpn", [(3, 1, 3), (4, 2, 3), (2, 2, 4)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_fixed_space_meets_its_definition(self, mpn):
+        # one vector per cycle of phase sum 0 mod m, with coefficients
+        # zeta^exps on its support: x.v = v under the monomial action
+        # e_c -> zeta^phases[perm[c]] e_perm[c], and the first exponent is 0
+        g = enumerate_group(*mpn)
+        m = g.m
+        for e, space in zip(all_elements(g), g.fixed_spaces()):
+            cycles, seen = [], set()
+            for start in range(len(e.perm)):
+                cycle, c = [], start
+                while c not in seen:
+                    seen.add(c)
+                    cycle.append(c)
+                    c = e.perm[c]
+                if cycle and sum(e.phases[c] for c in cycle) % m == 0:
+                    cycles.append(tuple(sorted(cycle)))
+            assert sorted(coords for coords, _ in space.vectors) == sorted(cycles), e
+            for coords, exps in space.vectors:
+                assert exps[0] == 0, e
+                x = dict(zip(coords, exps))
+                for c in coords:
+                    assert x[e.perm[c]] == (x[c] + e.phases[e.perm[c]]) % m, e
+
     def test_cycle_order_does_not_change_descriptor(self):
         # the 3-cycles (123) and (132) both fix exactly the diagonal line
         a = fixed_space(Element(1, (0, 0, 0), (1, 2, 0)))
@@ -422,13 +447,13 @@ class TestSylowConstruct:
                 assert sylow_construct(g, ell).order == ell ** nu(ell, g.size)
 
     def test_generator_outside_the_group_fails_the_sylow_check(self, monkeypatch):
-        # with nu(2, p) read as 0, the recipe's diagonal generator
+        # with the 2-part of p read as 1, the recipe's diagonal generator
         # diag(z^2, 1) of G(4,2,2) becomes diag(z, 1), whose phase sum is odd
         g = enumerate_group(4, 2, 2)
         parab, refl = parabolic_classes(g), reflection_subgroup_classes(g)
-        real_nu = oracle.nu
-        monkeypatch.setattr(oracle, "nu",
-                            lambda ell, x: 0 if x == g.p else real_nu(ell, x))
+        real_ell_part = oracle.ell_part
+        monkeypatch.setattr(oracle, "ell_part",
+                            lambda ell, x: 1 if x == g.p else real_ell_part(ell, x))
         with pytest.raises(oracle.OracleConsistencyError,
                            match="Sylow generator left the group"):
             sylow_construct(g, 2)
@@ -857,6 +882,27 @@ class TestReuseWithinAGroup:
         monkeypatch.setattr(oracle.ConcreteGroup, "_table_from_element", corrupted)
         with pytest.raises(oracle.OracleConsistencyError,
                            match=f"table of element {wrong}, reached as a reflection"):
+            g.reflection_tables
+
+    def test_generator_table_that_starts_elsewhere_is_caught(self, monkeypatch):
+        # a generator's table is built from its rows, not derived, so its
+        # entry 0 is read, not set: one that starts at another reflection
+        # (diag(z^2, 1, 1) for the generator diag(z, 1, 1)) is caught
+        g = enumerate_group(3, 1, 3)
+        z = index_of(g, Element(3, (1, 0, 0), (0, 1, 2)))
+        z2 = index_of(g, Element(3, (2, 0, 0), (0, 1, 2)))
+        assert z in g.generators and z2 in g.reflection_indices()
+        build = oracle.ConcreteGroup._table_from_element
+
+        def corrupted(self, phases, perm):
+            tab = build(self, phases, perm)
+            if tab[0] == z:
+                tab[0] = z2
+            return tab
+
+        monkeypatch.setattr(oracle.ConcreteGroup, "_table_from_element", corrupted)
+        with pytest.raises(oracle.OracleConsistencyError,
+                           match=f"table of reflection {z} starts at {z2}"):
             g.reflection_tables
 
     def test_a_reflection_table_is_the_kept_one(self):
