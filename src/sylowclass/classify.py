@@ -15,26 +15,27 @@ nothing.
 classify_parabolic and classify_reflection are memoized per process, at
 most 1024 answers each, keyed by (g, ell); a product reaches its factors
 through the same memo.  A repeated query returns the same answer object,
-which is shared and immutable (frozen dataclasses with tuple fields);
-errors are not memoized, and cache_clear() on either function frees its
-answers.  An answer renders its report row (SubgroupClassResult.report_row:
-group label, factored orders, twists, cuspidal and supercuspidal) on first
-use and keeps it, the one value it keeps (its members keep none), so a
-repeated report is one memo lookup and a copy of the kept row; answers
-that are never printed, such as the factor answers inside a product, are
-never rendered.  A product answer with more than MAX_PRODUCT_CLASSES
-classes raises TooManyClassesError instead of listing them.
+which is shared and immutable (frozen values with tuple fields, from the
+one base in the frozen module); errors are not memoized, and cache_clear()
+on either function frees its answers.  An answer renders its report row
+(SubgroupClassResult.report_row: group label, factored orders, twists,
+cuspidal and supercuspidal) on first use and keeps it, the one value it
+keeps (its members keep none), so a repeated report is one memo lookup and
+a copy of the kept row; answers that are never printed, such as the factor
+answers inside a product, are never rendered.  A product answer with more
+than MAX_PRODUCT_CLASSES classes raises TooManyClassesError instead of
+listing them.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from . import groups
+from .frozen import Frozen
 from .groups import (
     Exceptional,
     GroupType,
@@ -67,18 +68,18 @@ class TooManyClassesError(UnsupportedGroupError):
     """A product has more minimal classes than MAX_PRODUCT_CLASSES."""
 
 
-@dataclass(frozen=True)
-class ClassMember:
+class ClassMember(Frozen):
     """One conjugacy class in a classification answer, its order factored.
 
     It keeps no text: its answer's report_row holds the member's label and
     factored order."""
 
-    group: GroupType
-    factors: groups.Factorization
-    distinguisher: int = 0
-    twist_exponent: int | None = None
-    label: str | None = None
+    _fields = ("group", "factors", "distinguisher", "twist_exponent", "label")
+
+    def __init__(self, group: GroupType, factors: groups.Factorization,
+                 distinguisher: int = 0, twist_exponent: int | None = None,
+                 label: str | None = None):
+        self._store(group, factors, distinguisher, twist_exponent, label)
 
     @property
     def order(self) -> int:
@@ -96,8 +97,7 @@ class ClassMember:
         return f"~{base}"
 
 
-@dataclass(frozen=True)
-class SubgroupClassResult:
+class SubgroupClassResult(Frozen):
     """The minimal classes for one (group, prime, kind) query.
 
     Parabolic answers always have a single class.  Reflection answers may
@@ -107,10 +107,7 @@ class SubgroupClassResult:
     equality and hashing read the fields only.
     """
 
-    group: GroupType
-    ell: int
-    kind: str
-    members: tuple[ClassMember, ...]
+    _fields = ("group", "ell", "kind", "members")
 
     @property
     def class_count(self) -> int:
@@ -301,11 +298,10 @@ def catalog_irreducibles(max_m: int = 12, max_n: int = 6):
         yield Exceptional(st)
 
 
-@dataclass(frozen=True)
-class ObservationViolation:
-    group: GroupType
-    ell: int
-    parabolic: GroupType
+class ObservationViolation(Frozen):
+    """A group and prime whose proper parabolic answer is not supercuspidal."""
+
+    _fields = ("group", "ell", "parabolic")
 
 
 def verify_observation(catalog=None) -> list[ObservationViolation]:

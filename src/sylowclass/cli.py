@@ -43,13 +43,14 @@ not `structure`.  Only `verify` runs the oracle, and only it imports numpy
 --observation` checks closed forms only and imports neither; it reads
 --max-m and --max-n, and any of --group, --ell, --max-order, --jobs,
 --progress or --format json with it is a usage error.  `verify --group`
-checks one group, and --max-m or --max-n with it is a usage error.
+checks one group, and --max-m or --max-n with it is a usage error.  The
+json module is imported by _json, so text and markdown output never load
+it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -90,6 +91,8 @@ class DigitLimitError(ValueError):
 
 
 def _json(payload) -> str:
+    import json  # about 1.3 ms; text and markdown output never need it
+
     try:
         return json.dumps(payload, indent=2)
     except ValueError:  # an int past the limit; text output prints it factored

@@ -35,11 +35,11 @@ costs less than keeping a hash for a value that is hashed once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from itertools import groupby
 from math import factorial, gcd, prod
 
+from .frozen import Frozen
 from .valuation import factorial_factorization, factorization
 
 __all__ = [
@@ -66,17 +66,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Imprimitive:
+class Imprimitive(Frozen):
     """G(m,p,n): monomial n x n matrices with m-th root of unity phases whose
     phase exponents sum to 0 mod p, extended by coordinate permutations."""
 
-    m: int
-    p: int
-    n: int
+    _fields = ("m", "p", "n")
 
-    def __post_init__(self):
-        check_parameters(self.m, self.p, self.n)
+    def __init__(self, m: int, p: int, n: int):
+        check_parameters(m, p, n)
+        self._store(m, p, n)
 
     def __repr__(self):
         return f"G({self.m},{self.p},{self.n})"
@@ -91,31 +89,31 @@ def check_parameters(m: int, p: int, n: int) -> None:
         raise ValueError(f"p must divide m in G({m},{p},{n})")
 
 
-@dataclass(frozen=True)
-class Exceptional:
+class Exceptional(Frozen):
     """An exceptional irreducible group by Shephard-Todd index 4..37."""
 
-    st: int
+    _fields = ("st",)
 
-    def __post_init__(self):
-        if not 4 <= self.st <= 37:
-            raise ValueError(f"Shephard-Todd index out of range: {self.st}")
+    def __init__(self, st: int):
+        if not 4 <= st <= 37:
+            raise ValueError(f"Shephard-Todd index out of range: {st}")
+        self._store(st)
 
     def __repr__(self):
         return f"G{self.st}"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Frozen):
     """Ordered product of irreducible factors (each non-Product)."""
 
-    factors: tuple
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 2:
+    def __init__(self, factors: tuple):
+        if len(factors) < 2:
             raise ValueError("Product needs at least two factors")
-        if any(isinstance(f, Product) for f in self.factors):
+        if any(isinstance(f, Product) for f in factors):
             raise ValueError("Product factors must be irreducible")
+        self._store(factors)
 
     _hash = None  # set by __hash__ on first use
 
@@ -280,17 +278,15 @@ def format_factorization(pairs: Factorization) -> str:
 
 
 @total_ordering
-@dataclass(frozen=True)
-class FeasibleTriple:
+class FeasibleTriple(Frozen):
     """(m',p',n') with p' | m'; feasible for an ambient G(m,p,n) when
     n' <= n, m' | m and (m'/p') | (m/p)."""
 
-    m: int
-    p: int
-    n: int
+    _fields = ("m", "p", "n")
 
-    def __post_init__(self):
-        check_parameters(self.m, self.p, self.n)
+    def __init__(self, m: int, p: int, n: int):
+        check_parameters(m, p, n)
+        self._store(m, p, n)
 
     def __lt__(self, other):
         # The one order of triples, by (n, m, p); a decreasing sequence
@@ -316,24 +312,24 @@ def is_feasible(t, ambient: tuple[int, int, int]) -> bool:
     return t.n <= n and m % t.m == 0 and (m // p) % (t.m // t.p) == 0
 
 
-@dataclass(frozen=True)
-class AugmentedPartition:
+class AugmentedPartition(Frozen):
     """Decreasing sequence of feasible triples whose ranks partition n;
     labels a reflection subgroup class of the ambient G(m,p,n)."""
 
-    triples: tuple[FeasibleTriple, ...]
-    ambient: tuple[int, int, int]
+    _fields = ("triples", "ambient")
 
-    def __post_init__(self):
-        check_parameters(*self.ambient)
-        for t in self.triples:
-            if not is_feasible(t, self.ambient):
-                raise ValueError(f"triple {t} not feasible for {self.ambient}")
-        for a, b in zip(self.triples, self.triples[1:]):
+    def __init__(self, triples: tuple[FeasibleTriple, ...],
+                 ambient: tuple[int, int, int]):
+        check_parameters(*ambient)
+        for t in triples:
+            if not is_feasible(t, ambient):
+                raise ValueError(f"triple {t} not feasible for {ambient}")
+        for a, b in zip(triples, triples[1:]):
             if a < b:
                 raise ValueError("triples not decreasing")
-        if sum(t.n for t in self.triples) != self.ambient[2]:
+        if sum(t.n for t in triples) != ambient[2]:
             raise ValueError("ranks do not partition n")
+        self._store(triples, ambient)
 
     def group(self) -> GroupType:
         """The standard reflection subgroup as a group type, trivial

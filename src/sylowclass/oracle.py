@@ -65,12 +65,12 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import groups
+from .frozen import Frozen
 from .groups import AugmentedPartition, augmented_partition
 from .limits import DEFAULT_ORDER_CAP
 from .valuation import ell_part, factorization, minimal_factorial_partition, nu
@@ -87,13 +87,12 @@ class OracleConsistencyError(AssertionError):
     """An internal exactness check failed (never expected)."""
 
 
-@dataclass(frozen=True)
-class FixedSpace:
+class FixedSpace(Frozen):
     """Combinatorial fixed-space basis: one vector per phase-trivial cycle,
     given as (support coordinates ascending, phase exponents relative to the
     smallest coordinate).  Its dimension is len(vectors)."""
 
-    vectors: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    _fields = ("vectors",)
 
 
 def _fixed_space(m: int, phases, perm) -> FixedSpace:
@@ -172,14 +171,15 @@ class Subgroup:
         return f"<subgroup of order {self.order}>"
 
 
-@dataclass(frozen=True, eq=False)
-class OracleClass:
-    """One conjugacy class of reflection subgroups, its members in refl_key
-    order.
+class OracleClass(Frozen):
+    """One conjugacy class of reflection subgroups, its members (a tuple of
+    Subgroups) in refl_key order.
     conjugacy_class builds each class once per group, so classes compare
     and hash by identity."""
 
-    members: tuple[Subgroup, ...]
+    _fields = ("members",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def order(self) -> int:

@@ -25,12 +25,12 @@ repeated `sylow` request prints the kept text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
 from . import groups
 from .classify import UnsupportedGroupError, classify_reflection, require_divides
+from .frozen import Frozen
 from .groups import Exceptional, GroupType, Product, group_primes, normalize
 from .valuation import ell_part, lambda_blocks, nu
 
@@ -52,45 +52,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Trivial:
+class Trivial(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class CyclicGroup:
-    order: int
+class CyclicGroup(Frozen):
+    _fields = ("order",)
 
 
-@dataclass(frozen=True)
-class IteratedWreath:
+class IteratedWreath(Frozen):
     """depth-fold wreath tower of the cyclic group of order ell; the Sylow
     subgroup of Sym(ell^depth)."""
 
-    ell: int
-    depth: int
+    _fields = ("ell", "depth")
 
 
-@dataclass(frozen=True)
-class DiagonalPart:
+class DiagonalPart(Frozen):
     """A(m,p,n) for ell-power m and p: diagonal phase vectors mod m whose
     exponents sum to 0 mod p.  Order m^n/p."""
 
-    m: int
-    p: int
-    n: int
+    _fields = ("m", "p", "n")
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    factors: tuple
+class DirectProduct(Frozen):
+    _fields = ("factors",)
 
 
-@dataclass(frozen=True)
-class SemidirectProduct:
-    normal: "StructureTerm"
-    acting: "StructureTerm"
-    action_note: str = ""
+class SemidirectProduct(Frozen):
+    _fields = ("normal", "acting", "action_note")
+
+    def __init__(self, normal: StructureTerm, acting: StructureTerm,
+                 action_note: str = ""):
+        self._store(normal, acting, action_note)
 
 
 _NAMED_ORDERS = {
@@ -100,17 +93,17 @@ _NAMED_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(Frozen):
     """A Sylow subgroup printed by name; Sp4_3_Sylow3 is E(3^3):C3, the
     elementary abelian group of order 27 extended by C3 acting as a
     unitriangular symplectic map."""
 
-    tag: str
+    _fields = ("tag",)
 
-    def __post_init__(self):
-        if self.tag not in _NAMED_ORDERS:
-            raise ValueError(f"unknown named group {self.tag!r}")
+    def __init__(self, tag: str):
+        if tag not in _NAMED_ORDERS:
+            raise ValueError(f"unknown named group {tag!r}")
+        self._store(tag)
 
 
 StructureTerm = (

@@ -42,13 +42,13 @@ cli.render_table).  load_tables.cache_clear() drops all of it.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from importlib import resources
 from math import prod
 
 from . import groups
+from .frozen import Frozen
 from .groups import Exceptional, GroupType, Imprimitive, TableLookupError, parse_group
 from .valuation import ell_part, nu
 
@@ -65,16 +65,13 @@ TABLE_IDS = ("order", "t1", "t2", "t3", "t3b", "t4", "t5")
 _CONCRETE_ORDER = re.compile(r"^[0-9^*x]+$")
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Frozen):
     """One class entry of a table row: a label, whether it is a second
-    (tilde-marked) class of the same type, and the printed order.  The
-    label is parsed on first use of group and kept on the member."""
+    (tilde-marked) class of the same type, and the printed order (its text
+    and its value, None when it does not parse).  The label is parsed on
+    first use of group and kept on the member."""
 
-    label: str
-    tilde: bool
-    order_text: str
-    order: int | None
+    _fields = ("label", "tilde", "order_text", "order")
 
     @cached_property
     def group(self) -> GroupType:
@@ -84,19 +81,12 @@ class Member:
         return ("~" if self.tilde else "") + self.label
 
 
-@dataclass(frozen=True)
-class TableRow:
-    table: str
-    group_label: str
-    group: GroupType | None  # None for family (parametric) rows
-    ell: int | None
-    ell_list: tuple[int, ...]
-    ell_condition: str | None
-    members: tuple[Member, ...]
-    orders_text: str
-    count: int | None
-    count_text: str
-    note: str
+class TableRow(Frozen):
+    """One parsed record; group is None for a family (parametric) row, and
+    ell is set when ell_list holds one prime."""
+
+    _fields = ("table", "group_label", "group", "ell", "ell_list", "ell_condition",
+               "members", "orders_text", "count", "count_text", "note")
 
     @property
     def is_family(self) -> bool:
@@ -160,22 +150,19 @@ def _parse_row(line: str) -> TableRow:
     )
 
 
-@dataclass
 class Tables:
-    """The parsed rows, indexed once by table and by (table, group): each
-    accessor returns rows in file order, and row() the first match.
-    renders maps (table name, format) to the text cli.render_table made
-    from these rows."""
+    """The parsed rows and the canonical |G| of each Shephard-Todd index,
+    indexed once by table and by (table, group): each accessor returns rows
+    in file order, and row() the first match.  renders maps (table name,
+    format) to the text cli.render_table made from these rows."""
 
-    rows: tuple[TableRow, ...]
-    orders: dict[int, int]  # Shephard-Todd index -> canonical |G|
-    renders: dict[tuple[str, str], str] = field(
-        default_factory=dict, compare=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, rows: tuple[TableRow, ...], orders: dict[int, int]):
+        self.rows = rows
+        self.orders = orders
+        self.renders: dict[tuple[str, str], str] = {}
         tables: dict[str, list[TableRow]] = {}
         by_group: dict[tuple[str, int], list[TableRow]] = {}
-        for r in self.rows:
+        for r in rows:
             tables.setdefault(r.table, []).append(r)
             if not r.is_family:
                 by_group.setdefault((r.table, r.group.st), []).append(r)
@@ -206,7 +193,10 @@ class Tables:
 
 
 def _data_text() -> str:
-    return resources.files("sylowclass.data").joinpath("tables.txt").read_text("utf-8")
+    """data/tables.txt next to this module, read as text (universal newlines)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "tables.txt")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=1)
@@ -262,18 +252,18 @@ def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
     return None
 
 
-@dataclass
 class Anomaly:
-    anomaly_id: str
-    detail: str
+    def __init__(self, anomaly_id: str, detail: str):
+        self.anomaly_id = anomaly_id
+        self.detail = detail
 
     def __str__(self):
         return f"[{self.anomaly_id}] {self.detail}"
 
 
-@dataclass
 class ConsistencyReport:
-    findings: list[Anomaly] = field(default_factory=list)
+    def __init__(self):
+        self.findings: list[Anomaly] = []
 
     @property
     def known_ids(self) -> tuple[str, ...]:

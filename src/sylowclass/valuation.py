@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt
+
+from .frozen import Frozen
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
@@ -240,13 +241,11 @@ def _legendre(ell: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(Frozen):
     """Base-ell digits b_0..b_k of a nonnegative integer, least significant
     first; the top digit is nonzero unless the value is 0."""
 
-    base: int
-    digits: tuple[int, ...]
+    _fields = ("base", "digits")
 
     @property
     def value(self) -> int:
@@ -275,18 +274,18 @@ def base_digits(ell: int, n: int) -> DigitExpansion:
     return DigitExpansion(ell, tuple(digits))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Weakly decreasing positive parts summing to n; empty only for n=0."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        for a, b in zip(self.parts, self.parts[1:]):
+    def __init__(self, parts: tuple[int, ...]):
+        for a, b in zip(parts, parts[1:]):
             if a < b:
-                raise ValueError(f"parts not weakly decreasing: {self.parts}")
-        if any(a < 1 for a in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
+                raise ValueError(f"parts not weakly decreasing: {parts}")
+        if any(a < 1 for a in parts):
+            raise ValueError(f"parts must be positive: {parts}")
+        self._store(parts)
 
     @property
     def n(self) -> int:

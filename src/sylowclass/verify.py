@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import classify, groups, oracle, structure
 from .groups import Imprimitive, normalize
@@ -29,23 +28,24 @@ def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
             if 2 <= groups.order(g) <= order_cap]
 
 
-@dataclass
 class Check:
-    name: str
-    ell: int
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, ell: int, passed: bool, detail: str = ""):
+        self.name = name
+        self.ell = ell
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class GroupReport:
-    m: int
-    p: int
-    n: int
-    order: int
-    checks: list[Check] = field(default_factory=list)
-    skipped: bool = False
-    skip_reason: str = ""
+    """The checks of one grid point G(m,p,n), or the reason it was skipped."""
+
+    def __init__(self, m: int, p: int, n: int, order: int,
+                 checks: list[Check] | None = None, skipped: bool = False,
+                 skip_reason: str = ""):
+        self.m, self.p, self.n, self.order = m, p, n, order
+        self.checks = [] if checks is None else checks
+        self.skipped = skipped
+        self.skip_reason = skip_reason
 
     @property
     def label(self) -> str:
@@ -66,9 +66,9 @@ class GroupReport:
         return out
 
 
-@dataclass
 class CampaignReport:
-    reports: list[GroupReport]
+    def __init__(self, reports: list[GroupReport]):
+        self.reports = reports
 
     @property
     def all_passed(self) -> bool:

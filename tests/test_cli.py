@@ -610,6 +610,38 @@ class TestNumpyFreeCommands:
         assert out.endswith("1 groups (0 skipped), 3 checks, 0 failed\n")
 
 
+_STARTUP_MODULES = ("dataclasses", "inspect", "importlib.resources", "numpy", "json")
+
+_RUN_BARE = """
+import contextlib, io, sys
+from sylowclass import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(code, *[name for name in {names!r} if name in sys.modules])
+"""
+
+
+class TestStartupImports:
+    """A closed-form command, run without the site hooks (python -S) that
+    may import modules into every process, loads neither dataclasses,
+    inspect, importlib.resources nor numpy, and a text command not json."""
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["classify", "--group", "G(12,6,3)", "--ell", "all", "--format", "json"],
+         ["json"]),
+        (["sylow", "--group", "G32", "--ell", "2"], []),
+        (["tables", "--id", "reflection", "--format", "markdown"], []),
+        (["classify", "--group", "G(12,6,3) x G28", "--ell", "2"], []),
+    ], ids=["classify-json", "sylow", "tables", "classify-text"])
+    def test_closed_form_commands_skip_heavy_modules(self, argv, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             _RUN_BARE.format(argv=argv, names=_STARTUP_MODULES)],
+            capture_output=True, text=True, env=_module_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", *loaded]
+
+
 _IMPRIMITIVE_SPECS = ("G(12,6,3)", "G(6,1,5) x G(3,3,2)")
 
 
