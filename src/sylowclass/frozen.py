@@ -1,5 +1,10 @@
 """The one base of the package's value types.
 
+The group types, the closed-form answers and Sylow terms, the parsed table
+rows, and the reports of the verify campaign and of the tables'
+consistency check are all Frozen values: each is built once and never
+assigned after.
+
 A value class names its fields once, in _fields.  Its __init__ runs its
 checks and stores the fields with self._store(field, ...); a class with no
 checks and no defaults needs no __init__, as _store is its __init__.  After

@@ -461,8 +461,6 @@ def parse_group(spec: str) -> GroupType:
         if count > MAX_FACTORS:
             raise GroupParseError(
                 f"a group spec holds at most {MAX_FACTORS} irreducible factors")
-        if token.startswith("[") and token.endswith("]"):
-            token = token[1:-1]
         try:
             atom = _parse_atom(token)
         except GroupParseError:

@@ -252,26 +252,24 @@ def _supercuspidal_family_label(g: Imprimitive, ell: int) -> str | None:
     return None
 
 
-class Anomaly:
-    def __init__(self, anomaly_id: str, detail: str):
-        self.anomaly_id = anomaly_id
-        self.detail = detail
+class Anomaly(Frozen):
+    """One finding of check_consistency: its id and what it found."""
+
+    _fields = ("anomaly_id", "detail")
 
     def __str__(self):
         return f"[{self.anomaly_id}] {self.detail}"
 
 
-class ConsistencyReport:
-    def __init__(self):
-        self.findings: list[Anomaly] = []
+class ConsistencyReport(Frozen):
+    """The findings of check_consistency, in the order it made them."""
+
+    _fields = ("findings",)
 
     @property
     def known_ids(self) -> tuple[str, ...]:
-        ids = []
-        for a in self.findings:
-            if a.anomaly_id in KNOWN_ANOMALY_IDS and a.anomaly_id not in ids:
-                ids.append(a.anomaly_id)
-        return tuple(ids)
+        return tuple(dict.fromkeys(a.anomaly_id for a in self.findings
+                                   if a.anomaly_id in KNOWN_ANOMALY_IDS))
 
     @property
     def unexpected(self) -> list[Anomaly]:
@@ -293,8 +291,8 @@ def check_consistency() -> ConsistencyReport:
     counts match member multiplicities.
     """
     tabs = load_tables()
-    report = ConsistencyReport()
-    add = report.findings.append
+    findings: list[Anomaly] = []
+    add = findings.append
 
     for st, value in tabs.orders.items():
         if groups.EXCEPTIONAL_ORDERS[st] != value:
@@ -389,7 +387,7 @@ def check_consistency() -> ConsistencyReport:
                 "G(1,1,n) cuspidality printed for n=l^q, q>=2; the minimal "
                 "parabolic class at n=l is already the whole group (q>=1)"))
 
-    return report
+    return ConsistencyReport(tuple(findings))
 
 
 def _table_supercuspidal(tabs: Tables, g: GroupType, ell: int) -> bool:

@@ -6,6 +6,11 @@ reflection classes are compared against the closed-form answers (orders,
 class counts, and augmented-partition labels), and a concretely generated
 Sylow subgroup is checked against the structure-term order.  Grid points
 run independently, so the campaign parallelizes across processes.
+
+The reports are frozen values (frozen.Frozen), each built once from all
+its parts: a Check per comparison, a GroupReport per grid point (its
+checks, or the reason it was skipped) and a CampaignReport over them.  The
+worker pool pickles each GroupReport back to the parent.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import time
 from collections import Counter
 
 from . import classify, groups, oracle, structure
+from .frozen import Frozen
 from .groups import Imprimitive, normalize
 from .limits import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_ORDER_CAP
 # perfbench/tracing.py wraps verify.prime_factors, so the name stays here.
@@ -28,24 +34,24 @@ def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
             if 2 <= groups.order(g) <= order_cap]
 
 
-class Check:
-    def __init__(self, name: str, ell: int, passed: bool, detail: str = ""):
-        self.name = name
-        self.ell = ell
-        self.passed = passed
-        self.detail = detail
+class Check(Frozen):
+    """One comparison of the oracle with a closed form at one prime."""
+
+    _fields = ("name", "ell", "passed", "detail")
 
 
-class GroupReport:
-    """The checks of one grid point G(m,p,n), or the reason it was skipped."""
+class GroupReport(Frozen):
+    """The checks of one grid point G(m,p,n), or the reason it was skipped
+    (never empty)."""
 
-    def __init__(self, m: int, p: int, n: int, order: int,
-                 checks: list[Check] | None = None, skipped: bool = False,
-                 skip_reason: str = ""):
-        self.m, self.p, self.n, self.order = m, p, n, order
-        self.checks = [] if checks is None else checks
-        self.skipped = skipped
-        self.skip_reason = skip_reason
+    _fields = ("m", "p", "n", "order", "checks", "skip_reason")
+
+    def __init__(self, m: int, p: int, n: int, order: int, checks=(), skip_reason: str = ""):
+        self._store(m, p, n, order, tuple(checks), skip_reason)
+
+    @property
+    def skipped(self) -> bool:
+        return bool(self.skip_reason)
 
     @property
     def label(self) -> str:
@@ -66,9 +72,13 @@ class GroupReport:
         return out
 
 
-class CampaignReport:
-    def __init__(self, reports: list[GroupReport]):
-        self.reports = reports
+class CampaignReport(Frozen):
+    """The group reports of one campaign, in grid order."""
+
+    _fields = ("reports",)
+
+    def __init__(self, reports):
+        self._store(tuple(reports))
 
     @property
     def all_passed(self) -> bool:
@@ -114,7 +124,6 @@ def verify_group(m: int, p: int, n: int, ells=None,
                  order_cap: int = DEFAULT_ORDER_CAP) -> GroupReport:
     """Run the oracle-vs-theorem checks for one grid point."""
     size = groups.order(Imprimitive(m, p, n))
-    report = GroupReport(m, p, n, size)
     ambient = normalize(Imprimitive(m, p, n))
     try:  # the order cap and the lattice's MAX_SUBGROUPS both skip the group
         conc = oracle.enumerate_group(m, p, n, order_cap)
@@ -123,17 +132,14 @@ def verify_group(m: int, p: int, n: int, ells=None,
         refl = oracle.reflection_subgroup_classes(conc)
         parab = oracle.parabolic_classes(conc)
     except oracle.ResourceLimitError as exc:
-        report.skipped = True
-        report.skip_reason = str(exc)
-        return report
+        return GroupReport(m, p, n, size, skip_reason=str(exc))
 
     primes = groups.group_primes(ambient) if ells is None else [
         ell for ell in ells if size % ell == 0]
     labels: dict = {}
-
-    for ell in primes:
-        report.checks.extend(_check_prime(conc, ambient, parab, refl, ell, labels))
-    return report
+    return GroupReport(m, p, n, size, [
+        check for ell in primes
+        for check in _check_prime(conc, ambient, parab, refl, ell, labels)])
 
 
 def _check_prime(conc, ambient, parab, refl, ell, labels) -> list[Check]:
@@ -214,19 +220,15 @@ def run_campaign(points=None, ells=None,
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(tasks) or 1))
 
-    def collect(results) -> list[GroupReport]:
-        reports = []
+    def collect(results):
         for report, seconds in results:
             if progress is not None:
                 progress(report, seconds)
-            reports.append(report)
-        return reports
+            yield report
 
     if jobs == 1:
-        reports = collect(map(_verify_point, tasks))
-    else:
-        import multiprocessing as mp
+        return CampaignReport(collect(map(_verify_point, tasks)))
+    import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(jobs) as pool:
-            reports = collect(pool.imap(_verify_point, tasks, chunksize=1))
-    return CampaignReport(reports)
+    with mp.get_context("fork").Pool(jobs) as pool:
+        return CampaignReport(collect(pool.imap(_verify_point, tasks, chunksize=1)))

@@ -268,9 +268,9 @@ class TestPinnedOutput:
 
 class TestExitCodes:
     def test_usage_error_bad_group(self, capsys):
-        # unparsable (a final newline and non-ASCII digits included), and
-        # parsable with parameters no G(m,p,n) has
-        for spec in ["Gnope", "G4\n", "G(12,6,3)\n", "A\uff12",
+        # unparsable (a final newline, non-ASCII digits and brackets
+        # included), and parsable with parameters no G(m,p,n) has
+        for spec in ["Gnope", "G4\n", "G(12,6,3)\n", "A\uff12", "[G4]",
                      "G(\uff11\uff12,\uff16,\uff13)", "G(3,2,3)", "G(0,1,1)"]:
             code, _, err = run(capsys, "classify", "--group", spec, "--ell", "2")
             assert code == 2, spec

@@ -335,8 +335,11 @@ class TestGrammar:
     def test_products_and_powers(self):
         assert parse_group("A1xB2") == product_of([Sym(2), Imprimitive(2, 1, 2)])
         assert parse_group("A2^2") == product_of([Sym(3), Sym(3)])
-        assert parse_group("[D2(5)]^2") == product_of(
+        assert parse_group("D2(5)^2") == product_of(
             [Imprimitive(5, 5, 2)] * 2)
+        # the grammar has no brackets
+        with pytest.raises(GroupParseError):
+            parse_group("[G4]")
         assert parse_group("A2 × E6") == product_of(
             [Sym(3), Exceptional(35)])
         assert parse_group("G(6,6,1)xG4") == Exceptional(4)
