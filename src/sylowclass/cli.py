@@ -70,10 +70,15 @@ EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, the shell's code for a closed pipe
 ERROR_CHARS = 200  # an error line keeps this much of its message
+MAX_ELLS = 1000  # the most primes one `--ell all` may expand to
 
 
 class UsageError(ValueError):
     """A bad option value the argument parser cannot check by itself."""
+
+
+class PrimeLimitError(ValueError):
+    """`--ell all` names more than MAX_ELLS primes."""
 
 
 def _positive_int(number: int, source: str) -> int:
@@ -182,7 +187,11 @@ def cmd_classify(args) -> int:
 
 def _resolve_ells(g, ell_arg: str) -> list[int]:
     if ell_arg == "all":
-        return groups.group_primes(g)
+        primes = groups.group_primes(g)
+        if len(primes) > MAX_ELLS:
+            raise PrimeLimitError(f"--ell all names {len(primes)} primes, more than "
+                                  f"{MAX_ELLS}; give one prime with --ell")
+        return primes
     ell = int(ell_arg)
     cls.require_divides(g, ell)
     return [ell]
@@ -525,7 +534,7 @@ def main(argv=None) -> int:
     except (GroupParseError, UsageError) as exc:
         return _error(exc, EXIT_USAGE)
     except (NotADivisorError, TableLookupError, UnsupportedGroupError,
-            FactorizationError, DigitLimitError) as exc:
+            FactorizationError, DigitLimitError, PrimeLimitError) as exc:
         return _error(exc, EXIT_DOMAIN)
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush at

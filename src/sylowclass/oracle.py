@@ -25,21 +25,22 @@ r_s*r_j*r_s^{-1}, is the one map of conjugation on reflections; the
 lattice and conjugacy_class read its rows.
 
 Derived tables.  The reflections, the generators and their positions
-among the reflections (generator_rows), the inversion table,
-reflection_tables, reflection_action, conjugation_tables and the lattice
-are cached properties of a ConcreteGroup, each computed on its first read
-and kept with the group.  reflection_tables is the one store of right
-tables: right_table returns the kept table of a reflection, and builds
-that of any other element (a Sylow generator) from its rows and keeps
-nothing.
+among the reflections (generator_rows), reflection_tables,
+reflection_action, point_action and the lattice are cached properties of
+a ConcreteGroup, each computed on its first read and kept with the group;
+none but reflection_tables holds a row per element.  reflection_tables is
+the one store of right tables: right_table returns the kept table of a
+reflection, and builds that of any other element (a Sylow generator) from
+its rows and keeps nothing.
 
 One source of classes.  ConcreteGroup.lattice builds the
 reflection-subgroup lattice once per group and keeps its sorted classes,
-which reflection_subgroup_classes returns.  The reflections of any
-subgroup h generate a reflection subgroup K <= h with the same mask, so
-the lattice holds K's class under h's mask: the parabolic stage and
-identify_class read every class from there, and h is generated by its
-reflections exactly when |K| = |h|.
+which reflection_subgroup_classes returns.  The parabolic stage keeps the
+lattice classes whose masks are closed under the reflection arrangement,
+and reads no element.  The reflections of any subgroup h generate a
+reflection subgroup K <= h with the same mask, so the lattice holds K's
+class under h's mask: identify_class reads its class from there, and h is
+generated by its reflections exactly when |K| = |h|.
 
 One closure.  _generate_from is the only subgroup closure: it walks right
 cosets, one gather through a right table per new coset, and returns the
@@ -268,27 +269,12 @@ class ConcreteGroup:
             tab = self._table_from_element(self._A[g_idx], self._P[g_idx])
         return tab
 
-    @cached_property
-    def inversion(self) -> np.ndarray:
-        """Index table of x -> x^{-1}."""
-        return self._positions(-np.take_along_axis(self._A, self._P, axis=1) % self.m,
-                               self._PINV, "inverse")
-
-    @cached_property
-    def conjugation_tables(self) -> list[np.ndarray]:
-        """Index tables of x -> g*x*g^{-1}, one per generator g.  With I the
-        inversion table and T the right table of g^{-1}, that is
-        I[T[I[T[x]]]]: x*g^{-1}, inverted to g*x^{-1}, times g^{-1},
-        inverted to g*x*g^{-1}.  g^{-1} is a reflection, like g, so T is
-        read from reflection_tables."""
-        inv = self.inversion
-        tables = [self.reflection_tables[inv.item(g)] for g in self.generators]
-        return [inv[t[inv[t]]] for t in tables]
-
     # -- reflections and fixed spaces -----------------------------------
 
-    # Unused by the program and not cached; kept for perfbench/tracing.py,
-    # which times it and counts the distinct fixed spaces, and for tests.
+    # Unused by the program and not cached.  Its readers are the tests'
+    # element-level reference for the parabolic stage (it builds each
+    # space's pointwise stabilizer) and perfbench/tracing.py, which times it
+    # and counts the distinct fixed spaces.
     def fixed_spaces(self) -> list[FixedSpace]:
         return [_fixed_space(self.m, a, pp)
                 for a, pp in zip(self._A.tolist(), self._P.tolist())]
@@ -318,16 +304,30 @@ class ConcreteGroup:
         s carries the reflection bits b of a subgroup H to those of
         r_s^{-1}*H*r_s as b[Q[s]].  Column j reads r_j's table at every
         reflection, r_s*r_j, and row s moves those through the table of
-        r_s^{-1}, 2R gathers of R entries each."""
+        r_s^{-1}, 2R gathers of R entries each.  The inverses are looked up
+        from the reflections' own rows, R rows and no table over G."""
         refl = self.reflections
         tables = self.reflection_tables
-        inv = self.inversion
+        inverses = self._positions(-self._A[refl[:, None], self._P[refl]] % self.m,
+                                   self._PINV[refl], "inverse")
         products = np.empty((refl.size, refl.size), dtype=np.int64)
         for j, r in enumerate(refl.tolist()):
             products[:, j] = tables[r][refl]
-        for s, r in enumerate(refl.tolist()):
-            products[s] = tables[inv.item(r)][products[s]]
+        for s, r in enumerate(inverses.tolist()):
+            products[s] = tables[r][products[s]]
         return np.searchsorted(refl, products)
+
+    @cached_property
+    def point_action(self) -> np.ndarray:
+        """S with S[s, k*n + j] the point to which the s-th reflection sends
+        the point z^k e_j: z^(k+a) e_pi(j), for its permutation pi and a its
+        phase at pi(j).  The reflections permute these m*n points, and the
+        parabolic stage reads the orbits of each class on them."""
+        m, n, refl = self.m, self.n, self.reflections
+        P = self._P[refl]
+        phases = self._A[refl[:, None], P]
+        images = (np.arange(m)[:, None] + phases[:, None]) % m * n + P[:, None]
+        return images.reshape(len(P), m * n)
 
     def reflection_bits(self, refl_key: bytes) -> np.ndarray:
         """The boolean array over the reflections that refl_key packs (a
@@ -422,8 +422,8 @@ class ConcreteGroup:
         representative refl_key: the class objects that conjugacy_class
         cached for the subgroups all_reflection_subgroups finds on first
         read."""
-        return tuple(_sorted_classes(
-            self._classes[h.refl_key] for h in all_reflection_subgroups(self)))
+        classes = {self._classes[h.refl_key] for h in all_reflection_subgroups(self)}
+        return tuple(sorted(classes, key=lambda c: (c.order, c.representative.refl_key)))
 
 
 def _pack(bits: np.ndarray) -> bytes:
@@ -637,12 +637,6 @@ def all_reflection_subgroups(group: ConcreteGroup) -> list[Subgroup]:
     return [h for cls in admitted for h in cls.members]
 
 
-def _sorted_classes(classes) -> list[OracleClass]:
-    """The distinct classes among classes, by order and representative
-    refl_key."""
-    return sorted(set(classes), key=lambda c: (c.order, c.representative.refl_key))
-
-
 def reflection_subgroup_classes(group: ConcreteGroup) -> tuple[OracleClass, ...]:
     """Conjugacy classes of all reflection-generated subgroups: the
     group's lattice, which the first read computes and every later call
@@ -661,55 +655,56 @@ def _lattice_class(group: ConcreteGroup, h: Subgroup) -> OracleClass:
 # Parabolic subgroups
 
 
-def pointwise_stabilizer(group: ConcreteGroup, space: FixedSpace) -> Subgroup:
-    """All elements fixing every basis vector of the space, by exact phase
-    arithmetic mod m (vectorized over the whole group)."""
-    m, n = group.m, group.n
-    mask = np.ones(group.size, dtype=bool)
-    for coords, exps in space.vectors:
-        in_c = np.zeros(n, dtype=bool)
-        in_c[list(coords)] = True
-        xfull = np.zeros(n, dtype=np.int64)
-        xfull[list(coords)] = exps
-        for j, xj in zip(coords, exps):
-            pre = group._PINV[:, j]
-            pre_in = in_c[pre]
-            ok = pre_in & ((group._A[:, j] + xfull[pre] - xj) % m == 0)
-            mask &= ok
-    return group.subgroup(mask)
-
-
 def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
-    """Conjugacy classes of {G_Fix(x) : x in G}: every parabolic subgroup
-    is the stabilizer of the fixed space of one of its own elements, so
-    this flat set is the full set of parabolic subgroups; the trivial
-    subgroup (x = 1) and the whole group (x with minimal fixed space)
-    always appear.  Fix(gxg^{-1}) = g*Fix(x), so conjugate elements have
-    conjugate stabilizers, and one element per conjugacy class (the
-    smallest index, from orbit_labels under the conjugation tables) is
-    enough.
+    """The classes of parabolic subgroups, in lattice order.
 
-    Each stabilizer S is matched by its reflection mask to the lattice
-    class of the subgroup its reflections generate.  That subgroup lies in
-    S, so S is generated by its reflections (Steinberg's theorem) exactly
-    when the class order equals S's element count; OracleConsistencyError
-    otherwise."""
-    labels = orbit_labels(group.size, group.conjugation_tables)
-    reps = np.flatnonzero(labels == np.arange(group.size))
-    spaces = {}
-    for phases, perm in zip(group._A[reps].tolist(), group._P[reps].tolist()):
-        sp = _fixed_space(group.m, phases, perm)
-        spaces.setdefault(sp.vectors, sp)
-    classes = []
-    for sp in spaces.values():
-        stab = pointwise_stabilizer(group, sp)
-        cls = _lattice_class(group, stab)
-        if cls.order != stab.order:
-            raise OracleConsistencyError(
-                f"the stabilizer of {sp.vectors} has {stab.order} elements, "
-                f"but its reflections generate {cls.order}")
-        classes.append(cls)
-    return _sorted_classes(classes)
+    The parabolic subgroups are the fixers G_F of the flats F of the
+    reflection arrangement, and each is generated by the reflections it
+    contains (Steinberg 1964; Orlik-Terao 1992, ch. 6).  So a reflection
+    subgroup H is parabolic exactly when its mask already holds every
+    reflection that fixes Fix(H) pointwise, and conjugates agree: the stage
+    keeps each lattice class whose representative passes, and reads no
+    element.
+
+    H permutes the m*n points z^k e_j (point_action).  A coordinate j is 0
+    on Fix(H) when the orbit of e_j meets another z^k e_j, and Fix(H) is
+    spanned by the sums of the orbits on the other coordinates.  A
+    reflection fixes those sums exactly when it maps each such orbit onto
+    itself: for i the first coordinate it moves, to the point z^a e_j, when
+    e_i and z^a e_j share an orbit or i and j are both 0.
+
+    The orbits of all classes come at once, as orbit_labels finds them: each
+    pass lowers every point's label to the least label of its images under
+    the identity and the class's reflections, and at the fixpoint each point
+    holds the least point of its orbit.  The identity gives every class a
+    first map, which marks where the class's maps start.  The element-level reference, tests/parabolic_reference.py,
+    finds the same classes as the stabilizers of the elements' fixed
+    spaces."""
+    lattice = group.lattice
+    m, n = group.m, group.n
+    S = group.point_action
+    keys = b"".join(c.representative.refl_key for c in lattice)
+    # column 0 the identity, column 1 + s the s-th reflection
+    uses = np.ones((len(lattice), len(S) + 1), dtype=bool)
+    uses[:, 1:] = np.unpackbits(np.frombuffer(keys, np.uint8).reshape(len(lattice), -1),
+                                axis=1, count=len(S))
+    # row k of images: the images of the points under the k-th map used,
+    # which belongs to class owner[k]; the rows of a class are adjacent
+    owner, maps = uses.nonzero()
+    images = np.concatenate([np.arange(m * n)[None], S])[maps]
+    owner, starts = owner[:, None], np.flatnonzero(maps == 0)
+    labels = np.minimum.reduceat(images, starts, axis=0)  # the first pass
+    while True:
+        lowered = np.minimum.reduceat(labels[owner, images], starts, axis=0)
+        if lowered.tobytes() == labels.tobytes():
+            break
+        labels = lowered
+    zero = (labels.reshape(-1, m, n) == labels[:, None, :n]).sum(axis=1) > 1
+    i = (S[:, :n] != np.arange(n)).argmax(axis=1)
+    image = S[np.arange(len(S)), i]
+    fixes = (labels[:, i] == labels[:, image]) | (zero[:, i] & zero[:, image % n])
+    closed = ~(fixes & ~uses[:, 1:]).any(axis=1)
+    return [c for c, keep in zip(lattice, closed.tolist()) if keep]
 
 
 # ---------------------------------------------------------------------------

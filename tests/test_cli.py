@@ -335,6 +335,23 @@ class TestExitCodes:
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out
 
+    def test_ell_all_is_bounded(self, capsys):
+        # G(100000,1,100000) has 9592 primes, each report carrying the
+        # factored order: every command refuses at once, with one stderr line
+        for command in ("classify", "sylow", "verify"):
+            code, out, err = run(capsys, command, "--group", "G(100000,1,100000)",
+                                 "--ell", "all")
+            assert (code, out) == (3, ""), command
+            assert err.count("\n") == 1
+            assert f"9592 primes, more than {cli.MAX_ELLS}" in err
+        code, out, _ = run(capsys, "sylow", "--group", "G(100000,1,100000)", "--ell", "2")
+        assert code == 0 and out
+        # the bound lies above the largest expansions in use, and A7918 =
+        # Sym(7919) reaches it: 7919 is the 1000th prime
+        for spec, count in [("G(3000,1,3000)", 430), ("G(1155,5,1800) x G28", 278),
+                            ("A7918", cli.MAX_ELLS), ("A7926", cli.MAX_ELLS + 1)]:
+            assert len(groups.group_primes(parse_group(spec))) == count, spec
+
     def test_huge_ell_is_bounded(self):
         # a 21-digit prime (domain error) and a 21-digit composite (usage
         # error), each in a fresh process that must finish in time
@@ -1063,6 +1080,14 @@ class TestExitCodeContract:
         (["verify", "--max-order", "7" * 5000], 2),
         (["tables", "--id", "7" * 5000], 2),
         (["classify", "--group", f"G({'7' * 5000},1,1)", "--ell", "2"], 2),
+        # --ell all names at most cli.MAX_ELLS = 1000 primes: Sym(7919) has
+        # 1000, Sym(7927) 1001, and G(100000,1,100000) 9592
+        (["sylow", "--group", "A7918", "--ell", "all"], 0),
+        (["sylow", "--group", "A7926", "--ell", "all"], 3),
+        (["classify", "--group", "G(100000,1,100000)", "--ell", "all"], 3),
+        (["classify", "--group", "G(100000,1,100000)", "--ell", "all", "--kind",
+          "reflection", "--format", "json"], 3),
+        (["verify", "--group", "G(100000,1,100000)", "--ell", "all"], 3),
     ])
     def test_limit_cases(self, argv, code):
         assert _check_contract(argv)[0] == code, argv

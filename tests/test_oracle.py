@@ -19,14 +19,16 @@ from sylowclass.oracle import (
     minimal_full_valuation,
     orbit_labels,
     parabolic_classes,
-    pointwise_stabilizer,
     reflection_subgroup_classes,
     sylow_construct,
 )
 from sylowclass.valuation import nu, prime_factors
 
+import parabolic_reference
 from monomial import (
     Element, all_elements, element, fixed_space, index_of, inv, is_identity, mul)
+from parabolic_reference import (
+    conjugation_tables, parabolic_reference as reference, pointwise_stabilizer)
 
 
 def _elements(h):
@@ -176,6 +178,28 @@ class TestReflectionsAndFixedSpaces:
                 for c in coords:
                     assert x[e.perm[c]] == (x[c] + e.phases[e.perm[c]]) % m, e
 
+    @pytest.mark.parametrize("mpn", [(6, 3, 3), (4, 2, 3), (3, 1, 3)],
+                             ids=lambda mpn: "G(%d,%d,%d)" % mpn)
+    def test_point_action_is_the_monomial_action(self, mpn):
+        # the point z^k e_j is y(e_0) for y the transposition of coordinates
+        # 0 and j with phase k at j, and a reflection x sends it to x*y(e_0)
+        g = enumerate_group(*mpn)
+        m, n = g.m, g.n
+        refl = g.reflection_indices()
+        assert g.point_action.shape == (len(refl), m * n)
+        for s, r in enumerate(refl):
+            x = element(g, r)
+            for k in range(m):
+                for j in range(n):
+                    perm = list(range(n))
+                    perm[0], perm[j] = j, 0
+                    phases = [0] * n
+                    phases[j] = k
+                    image = mul(x, Element(m, tuple(phases), tuple(perm)))
+                    to = image.perm[0]
+                    assert g.point_action[s, k * n + j] == image.phases[to] * n + to, \
+                        (r, k, j)
+
     def test_cycle_order_does_not_change_descriptor(self):
         # the 3-cycles (123) and (132) both fix exactly the diagonal line
         a = fixed_space(Element(1, (0, 0, 0), (1, 2, 0)))
@@ -184,6 +208,8 @@ class TestReflectionsAndFixedSpaces:
 
 
 class TestStabilizers:
+    """The pointwise stabilizers of the element-level parabolic reference."""
+
     def test_examples(self):
         g = enumerate_group(2, 1, 2)
         st = pointwise_stabilizer(g, fixed_space(Element(2, (1, 0), (0, 1))))
@@ -231,25 +257,36 @@ class TestParabolicClasses:
     def test_stabilizer_not_generated_by_its_reflections_is_caught(
             self, monkeypatch, lattice_first):
         # S3 x <-1> in G(2,1,3) has the reflections of S3, the stabilizer of
-        # the diagonal line, and twice its order
+        # the diagonal line, and twice its order: the element reference,
+        # which checks Steinberg's theorem on every stabilizer, rejects it
         g = enumerate_group(2, 1, 3)
         s3 = [index_of(g, Element(2, (0, 0, 0), (1, 0, 2))),
               index_of(g, Element(2, (0, 0, 0), (0, 2, 1)))]
         minus_one = index_of(g, Element(2, (1, 1, 1), (0, 1, 2)))
         corrupted = generate_subgroup(g, s3 + [minus_one])
-        honest = oracle.pointwise_stabilizer
+        honest = parabolic_reference.pointwise_stabilizer
 
         def stabilizer(group, space):
             h = honest(group, space)
             honest_s3 = _elements(generate_subgroup(g, s3))
             return corrupted if _elements(h) == honest_s3 else h
 
-        monkeypatch.setattr(oracle, "pointwise_stabilizer", stabilizer)
+        monkeypatch.setattr(parabolic_reference, "pointwise_stabilizer", stabilizer)
         if lattice_first:
             reflection_subgroup_classes(g)
+        else:
+            parabolic_classes(g)
         with pytest.raises(oracle.OracleConsistencyError,
                            match="has 12 elements, but its reflections generate 6"):
-            parabolic_classes(g)
+            reference(g)
+
+    def test_lattice_filter_equals_the_element_reference(self):
+        # on every grid group up to the default cap, the lattice classes the
+        # stage keeps are the very objects that the stabilizers of the
+        # elements' fixed spaces fall in, each stabilizer of its class's order
+        for mpn in verify.grid_points():
+            g = enumerate_group(*mpn)
+            assert parabolic_classes(g) == reference(g), mpn
 
     def test_steinberg_regeneration(self):
         # every parabolic is generated by the reflections it contains
@@ -562,10 +599,11 @@ class TestOrbitPathsAgainstDefinitions:
         "mpn", [(2, 1, 3), (3, 3, 3), (4, 2, 2), (1, 1, 4), (6, 3, 2)],
         ids=lambda mpn: "G(%d,%d,%d)" % mpn)
     def test_element_classes_are_conjugacy_classes(self, mpn):
+        # the element classes of the parabolic reference
         g = enumerate_group(*mpn)
         elements = all_elements(g)
         index = {(e.phases, e.perm): i for i, e in enumerate(elements)}
-        labels = orbit_labels(g.size, g.conjugation_tables)
+        labels = orbit_labels(g.size, conjugation_tables(g))
         for i, e in enumerate(elements):
             cls = {index[(c.phases, c.perm)]
                    for c in (mul(mul(x, e), inv(x)) for x in elements)}
@@ -575,20 +613,18 @@ class TestOrbitPathsAgainstDefinitions:
     def test_orbit_labels_fixed_points_are_the_distinct_labels(self):
         for mpn in [(2, 1, 3), (3, 3, 3), (4, 2, 3)]:
             g = enumerate_group(*mpn)
-            labels = orbit_labels(g.size, g.conjugation_tables)
+            labels = orbit_labels(g.size, conjugation_tables(g))
             assert np.array_equal(np.flatnonzero(labels == np.arange(g.size)),
                                   np.unique(labels))
 
     def test_shephard_todd_identity(self):
         # sum over g of t^dim Fix(g) = t^(n-k) * prod (t + d_i - 1) over the
-        # k degrees d_i > 1 (Shephard-Todd 1954), with one fixed space per
-        # element class, weighted by the class size
+        # k degrees d_i > 1 (Shephard-Todd 1954)
         for m, p, n in verify.grid_points():
             g = enumerate_group(m, p, n)
-            sizes = np.bincount(orbit_labels(g.size, g.conjugation_tables))
             got = [0] * (n + 1)  # coefficient of t^d at index d
-            for x in np.flatnonzero(sizes).tolist():
-                got[len(fixed_space(element(g, x)).vectors)] += int(sizes[x])
+            for space in g.fixed_spaces():
+                got[len(space.vectors)] += 1
             degrees = degrees_imprimitive(m, p, n)
             want = [0] * (n - len(degrees)) + [1]
             for d in degrees:
@@ -1001,9 +1037,8 @@ class TestReuseWithinAGroup:
         verify.verify_group(3, 1, 3)
         [g] = built
         assert lookups.count("inverse") == 1 and lookups.count("generator") == 1
-        names = ["reflections", "generators", "generator_rows", "inversion",
-                 "reflection_tables", "reflection_action", "conjugation_tables",
-                 "lattice"]
+        names = ["reflections", "generators", "generator_rows", "reflection_tables",
+                 "reflection_action", "point_action", "lattice"]
         # the campaign reads every table, and a second read computes nothing
         assert set(names) <= set(vars(g))
         before = len(lookups)
