@@ -14,8 +14,9 @@ equal fields, and a value hashes as the tuple of its fields, as a frozen
 dataclass does.  A class with no __repr__ of its own prints as
 Name(field=value, ...).
 
-A value keeps __dict__, so a cached_property (or object.__setattr__, for a
-kept hash or text) can keep a derived value beside the fields; equality,
+A value keeps __dict__, so a cached_property can keep a derived value
+beside the fields, as a Sylow term's text, a Product's hash and a classify
+answer's report row are kept; it is the one way to keep one.  Equality,
 hashing and the repr read only the fields, and pickles and copies carry
 the __dict__ unless a class says otherwise.
 

@@ -24,18 +24,19 @@ only decides whether to call it.  The spellings G(m,p,n) and G<k> are the __repr
 which format_group reuses.
 
 A Product computes its hash once, on first use, and keeps it on the
-value: the per-process memos hash their keys on every lookup, and a
-Product's hash would otherwise walk its factors each time.  Equality
-stays structural and equal values hash equal; the kept hash is not
-pickled and dies with the value, so there is nothing to clear.  An
-Imprimitive or Exceptional hashes its few int fields each time, which
-costs less than keeping a hash for a value that is hashed once.
+value as the cached_property _hash: the per-process memos hash their
+keys on every lookup, and a Product's hash would otherwise walk its
+factors each time.  Equality stays structural and equal values hash
+equal; the kept hash is not pickled and dies with the value, so there is
+nothing to clear.  An Imprimitive or Exceptional hashes its few int
+fields each time, which costs less than keeping a hash for a value that
+is hashed once.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from itertools import groupby
 from math import factorial, gcd, prod
 
@@ -115,14 +116,12 @@ class Product(Frozen):
             raise ValueError("Product factors must be irreducible")
         self._store(factors)
 
-    _hash = None  # set by __hash__ on first use
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.factors)
 
     def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash(self.factors)
-            object.__setattr__(self, "_hash", value)  # the fields stay frozen
-        return value
+        return self._hash
 
     def __getstate__(self):
         """Pickles and copies carry the factors, not the kept hash."""
@@ -184,14 +183,19 @@ def product_of(factors) -> GroupType:
     return Product(tuple(flat))
 
 
-def imprimitive_grid(max_m: int, max_n: int):
+def imprimitive_grid(max_m: int, max_n: int, order_cap: int | None = None):
     """Every G(m,p,n) with m <= max_m, p | m and n <= max_n, in (m, p, n)
-    order, not normalized: the one walk over the campaign grid."""
+    order, not normalized: the one walk over the campaign grid.  With an
+    order cap, each walk over n stops at the first group past the cap, as
+    |G(m,p,n+1)| = m(n+1)|G(m,p,n)| puts every later n past it too."""
     for m in range(1, max_m + 1):
         for p in range(1, m + 1):
             if m % p == 0:
                 for n in range(1, max_n + 1):
-                    yield Imprimitive(m, p, n)
+                    g = Imprimitive(m, p, n)
+                    if order_cap is not None and order(g) > order_cap:
+                        break
+                    yield g
 
 
 def irreducible_factors(g: GroupType) -> tuple:

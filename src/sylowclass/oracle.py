@@ -677,9 +677,9 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     pass lowers every point's label to the least label of its images under
     the identity and the class's reflections, and at the fixpoint each point
     holds the least point of its orbit.  The identity gives every class a
-    first map, which marks where the class's maps start.  The element-level reference, tests/parabolic_reference.py,
-    finds the same classes as the stabilizers of the elements' fixed
-    spaces."""
+    first map, which marks where the class's maps start.  The element-level
+    reference, tests/parabolic_reference.py, finds the same classes as the
+    stabilizers of the elements' fixed spaces."""
     lattice = group.lattice
     m, n = group.m, group.n
     S = group.point_action

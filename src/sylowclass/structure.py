@@ -16,16 +16,21 @@ order l (order l^((l^i-1)/(l-1))), which is the Sylow subgroup of
 Sym(l^i); the source text says "of i copies of the cyclic group of order
 l^i", but only the l-reading matches the order of Sym(l^i)'s Sylow.
 
+A term is one of seven kinds, each a StructureTerm: Trivial, CyclicGroup,
+IteratedWreath, DiagonalPart, DirectProduct, SemidirectProduct and Named.
+Each kind gives its own order and writes its own text; structure_order(t)
+and render_term(t) read t.order and t.text.
+
 sylow_structure is memoized per process like the classify answers, at most
 1024 terms keyed by (g, ell); the terms are shared and immutable, and
-sylow_structure.cache_clear() frees them.  render_term keeps each term's
-text on the term, so a memoized term renders once per process and a
+sylow_structure.cache_clear() frees them.  A term's text is a
+cached_property, so a memoized term renders once per process and a
 repeated `sylow` request prints the kept text.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import groups
@@ -52,38 +57,88 @@ __all__ = [
 ]
 
 
-class Trivial(Frozen):
-    pass
+class StructureTerm(Frozen):
+    """An isomorphism-type term.  Each kind gives its own order and writes
+    its own text; the cached text keeps it after the first read."""
+
+    _compound = False  # a product: parenthesized as a factor of another
+
+    @cached_property
+    def text(self) -> str:
+        return self._write()
+
+    def _factor_text(self) -> str:
+        return f"({self.text})" if self._compound else self.text
 
 
-class CyclicGroup(Frozen):
+class Trivial(StructureTerm):
+    order = 1
+
+    def _write(self) -> str:
+        return "1"
+
+
+class CyclicGroup(StructureTerm):
     _fields = ("order",)
 
+    def _write(self) -> str:
+        return f"C{self.order}"
 
-class IteratedWreath(Frozen):
+
+class IteratedWreath(StructureTerm):
     """depth-fold wreath tower of the cyclic group of order ell; the Sylow
     subgroup of Sym(ell^depth)."""
 
     _fields = ("ell", "depth")
 
+    @property
+    def order(self) -> int:
+        return self.ell ** ((self.ell**self.depth - 1) // (self.ell - 1))
 
-class DiagonalPart(Frozen):
+    def _write(self) -> str:
+        return f"W({self.ell},{self.depth})"
+
+
+class DiagonalPart(StructureTerm):
     """A(m,p,n) for ell-power m and p: diagonal phase vectors mod m whose
     exponents sum to 0 mod p.  Order m^n/p."""
 
     _fields = ("m", "p", "n")
 
+    @property
+    def order(self) -> int:
+        return self.m**self.n // self.p
 
-class DirectProduct(Frozen):
+    def _write(self) -> str:
+        return f"A({self.m},{self.p},{self.n})"
+
+
+class DirectProduct(StructureTerm):
     _fields = ("factors",)
+    _compound = True
+
+    @property
+    def order(self) -> int:
+        return prod(f.order for f in self.factors)
+
+    def _write(self) -> str:
+        return " x ".join(f._factor_text() for f in self.factors)
 
 
-class SemidirectProduct(Frozen):
+class SemidirectProduct(StructureTerm):
     _fields = ("normal", "acting", "action_note")
+    _compound = True
 
     def __init__(self, normal: StructureTerm, acting: StructureTerm,
                  action_note: str = ""):
         self._store(normal, acting, action_note)
+
+    @property
+    def order(self) -> int:
+        return self.normal.order * self.acting.order
+
+    def _write(self) -> str:
+        return f"{self.normal._factor_text()}:sd:{self.acting._factor_text()}"
 
 
 _NAMED_ORDERS = {
@@ -93,7 +148,7 @@ _NAMED_ORDERS = {
 }
 
 
-class Named(Frozen):
+class Named(StructureTerm):
     """A Sylow subgroup printed by name; Sp4_3_Sylow3 is E(3^3):C3, the
     elementary abelian group of order 27 extended by C3 acting as a
     unitriangular symplectic map."""
@@ -105,31 +160,20 @@ class Named(Frozen):
             raise ValueError(f"unknown named group {tag!r}")
         self._store(tag)
 
+    @property
+    def order(self) -> int:
+        return _NAMED_ORDERS[self.tag]
 
-StructureTerm = (
-    Trivial | CyclicGroup | IteratedWreath | DiagonalPart | DirectProduct
-    | SemidirectProduct | Named
-)
+    def _write(self) -> str:
+        return self.tag
+
 
 TRIVIAL_TERM = Trivial()
 
 
 def structure_order(t: StructureTerm) -> int:
-    if isinstance(t, Trivial):
-        return 1
-    if isinstance(t, CyclicGroup):
-        return t.order
-    if isinstance(t, IteratedWreath):
-        return t.ell ** ((t.ell**t.depth - 1) // (t.ell - 1))
-    if isinstance(t, DiagonalPart):
-        return t.m**t.n // t.p
-    if isinstance(t, DirectProduct):
-        return prod(map(structure_order, t.factors))
-    if isinstance(t, SemidirectProduct):
-        return structure_order(t.normal) * structure_order(t.acting)
-    if isinstance(t, Named):
-        return _NAMED_ORDERS[t.tag]
-    raise TypeError(f"not a structure term: {t!r}")
+    """The order of the group t names: t.order."""
+    return t.order
 
 
 def direct_product(terms) -> StructureTerm:
@@ -236,37 +280,9 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
 
 
 def render_term(t: StructureTerm) -> str:
-    """Rendering grammar used by the CLI and JSON output, e.g. "W(2,2)",
-    "A(9,3,2):sd:W(3,1)", "C2 x W(2,2)", "Q8".  The text is kept on the
-    term after its first render (its fields stay frozen, and equality and
-    hashing read only them), so a memoized term renders once."""
-    text = getattr(t, "_text", None)
-    if text is None:
-        text = _render(t)
-        object.__setattr__(t, "_text", text)
-    return text
-
-
-def _render(t: StructureTerm) -> str:
-    if isinstance(t, Trivial):
-        return "1"
-    if isinstance(t, CyclicGroup):
-        return f"C{t.order}"
-    if isinstance(t, IteratedWreath):
-        return f"W({t.ell},{t.depth})"
-    if isinstance(t, DiagonalPart):
-        return f"A({t.m},{t.p},{t.n})"
-    if isinstance(t, DirectProduct):
-        return " x ".join(_render_factor(f) for f in t.factors)
-    if isinstance(t, SemidirectProduct):
-        return f"{_render_factor(t.normal)}:sd:{_render_factor(t.acting)}"
-    if isinstance(t, Named):
-        return t.tag
-    raise TypeError(f"not a structure term: {t!r}")
-
-
-def _render_factor(t: StructureTerm) -> str:
-    text = render_term(t)
-    if isinstance(t, (DirectProduct, SemidirectProduct)):
-        return f"({text})"
-    return text
+    """The text t.text, in the rendering grammar used by the CLI and JSON
+    output, e.g. "W(2,2)", "A(9,3,2):sd:W(3,1)", "C2 x W(2,2)", "Q8": a
+    compound factor of a product is parenthesized.  The term keeps its text
+    after the first read (its fields stay frozen, and equality and hashing
+    read only them), so a memoized term renders once."""
+    return t.text

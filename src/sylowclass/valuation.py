@@ -311,35 +311,6 @@ def kummer_carries(ell: int, lam) -> int:
     return nu_factorial(ell, lam.n) - sum(nu_factorial(ell, a) for a in lam)
 
 
-def carries_by_addition(ell: int, lam) -> int:
-    """Literal carry count of column-wise base-ell addition of the parts.
-
-    Multi-addend columns may carry more than 1; the total of all carried
-    amounts is what Kummer's theorem counts.  Independent of kummer_carries
-    and used to cross-check it.
-    """
-    _check_prime(ell)
-    lam = as_partition(lam)
-    cols: list[int] = []
-    for part in lam:
-        pos = 0
-        while part:
-            part, d = divmod(part, ell)
-            if pos == len(cols):
-                cols.append(0)
-            cols[pos] += d
-            pos += 1
-    carries = 0
-    carry = 0
-    for s in cols:
-        carry = (s + carry) // ell
-        carries += carry
-    while carry:
-        carry //= ell
-        carries += carry
-    return carries
-
-
 def lambda_blocks(ell: int, n: int, block, trivial=None) -> list:
     """block(k) for each part k of lambda(ell, n), largest first, leaving
     out blocks equal to trivial: the one place that turns the digits of n
@@ -364,18 +335,6 @@ def minimal_factorial_partition(ell: int, n: int) -> Partition:
     if n < 1:
         raise ValueError("n must be positive")
     return Partition(tuple(lambda_blocks(ell, n, lambda k: k)))
-
-
-def iter_partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n as weakly decreasing tuples."""
-    if max_part is None or max_part > n:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in iter_partitions(n - first, first):
-            yield (first,) + rest
 
 
 def ell_part(ell: int, x: int) -> int:

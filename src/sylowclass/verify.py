@@ -30,8 +30,8 @@ from .valuation import ell_part, prime_factors  # noqa: F401
 def grid_points(max_m: int = DEFAULT_MAX_M, max_n: int = DEFAULT_MAX_N,
                 order_cap: int = DEFAULT_ORDER_CAP) -> list[tuple[int, int, int]]:
     """All (m,p,n) of the grid with nontrivial order at most the cap."""
-    return [(g.m, g.p, g.n) for g in groups.imprimitive_grid(max_m, max_n)
-            if 2 <= groups.order(g) <= order_cap]
+    return [(g.m, g.p, g.n) for g in groups.imprimitive_grid(max_m, max_n, order_cap)
+            if groups.order(g) >= 2]
 
 
 class Check(Frozen):

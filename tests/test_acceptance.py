@@ -29,13 +29,14 @@ from sylowclass.groups import (
 from sylowclass.structure import structure_order, sylow_structure
 from sylowclass.tables import KNOWN_ANOMALY_IDS, check_consistency, load_tables
 from sylowclass.valuation import (
-    iter_partitions,
     kummer_carries,
     minimal_factorial_partition,
     nu,
     nu_factorial,
     prime_factors,
 )
+
+from partitions import iter_partitions
 
 PRIMES = (2, 3, 5, 7)
 

@@ -799,7 +799,8 @@ _TABLE_DIGESTS = {
     ("reflection", "json"): "72ee3f3b38c3f9024a24405db3f8723c6ebce9207de8a04d246befef158bcbd1",
     ("reflection", "markdown"): "bae08c75e4a977999a776ffb6871080b495ad867af8eec07113490aab57f8861",
     ("supercuspidal", "json"): "1954950150fd97754a7663c6d43cf08ab7323739abac8f7b6e8a6a91a92018c0",
-    ("supercuspidal", "markdown"): "7f73f81d1a17934b966a057ce5bab2448ea57985d223c60e7e1437c6d89d6704",
+    ("supercuspidal", "markdown"):
+        "7f73f81d1a17934b966a057ce5bab2448ea57985d223c60e7e1437c6d89d6704",
     ("nonunique", "json"): "f73d31b62a2f0573735bc90a45ca1d93d42746ab12e35f5bb699fce8f4366717",
     ("nonunique", "markdown"): "8af47edd57c335f95e73181ad00a9684e986993f0e40499b0f227cbf71ee86b6",
 }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sylowclass import groups, verify
 from sylowclass.classify import (catalog_irreducibles, classify_parabolic,
                                  classify_reflection)
 
@@ -178,6 +179,24 @@ class TestParameters:
     def test_grid_walk_order(self):
         assert [(g.m, g.p, g.n) for g in imprimitive_grid(12, 6)] == list(grid())
         assert list(imprimitive_grid(0, 6)) == list(imprimitive_grid(12, 0)) == []
+        for cap in (1, 2, 1000):
+            assert list(imprimitive_grid(12, 6, cap)) == [
+                g for g in imprimitive_grid(12, 6) if order(g) <= cap]
+
+    def test_campaign_grid_stops_at_the_order_cap(self, monkeypatch):
+        # |G(m,p,n)| grows with n, so a rank bound far past the cap adds
+        # no point and no order computation
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            if len(calls) > 200:
+                raise AssertionError("the grid walk ran past the order cap")
+            return order(g)
+
+        expected = verify.grid_points(2, 8)
+        monkeypatch.setattr(groups, "order", counting)
+        assert verify.grid_points(2, 10**6) == expected
 
     def test_catalog_walks_the_grid(self):
         want = []

@@ -296,8 +296,10 @@ def test_cache_clear_drops_the_row_with_its_answer(cleared, monkeypatch):
 def test_a_memoized_term_renders_once(cleared, monkeypatch):
     g = parse_group("G(12,6,3)^2 x G28")
     rendered = []
-    original = structure._render
-    monkeypatch.setattr(structure, "_render", lambda t: rendered.append(t) or original(t))
+    for kind in structure.StructureTerm.__subclasses__():  # the seven kinds
+        original = kind._write
+        monkeypatch.setattr(kind, "_write",
+                            lambda t, original=original: rendered.append(t) or original(t))
     term = structure.sylow_structure(g, 2)
     text = structure.render_term(term)
     # the two G(12,6,3) factors share one memoized term: rendered once
@@ -332,14 +334,14 @@ def test_rendering_keeps_terms_frozen_equal_and_hashable(make):
     before = hash(term)
     text = structure.render_term(term)
     assert structure.render_term(term) is text
-    assert "_text" in vars(term) and "_text" not in vars(twin)
+    assert "text" in vars(term) and "text" not in vars(twin)
     assert term == twin and hash(term) == hash(twin) == before
     assert repr(term) == repr(twin)
     for name in term._fields:
         with pytest.raises(FrozenError):
             setattr(term, name, None)
     with pytest.raises(FrozenError):
-        term._text = "changed"
+        term.text = "changed"
     for other in (_rebuilt(term), copy.copy(term), copy.deepcopy(term),
                   pickle.loads(pickle.dumps(term))):
         assert other == term and hash(other) == before, other

@@ -1,10 +1,12 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from sylowclass.classify import NotADivisorError, catalog_irreducibles, classify_reflection
 from sylowclass.groups import (Cyclic, Exceptional, Imprimitive, Product, Sym, group_primes,
-                               order, product_of)
+                               order, parse_group, product_of)
 from sylowclass import structure
 from sylowclass.structure import (
     CyclicGroup,
@@ -23,6 +25,7 @@ from sylowclass.structure import (
 from sylowclass.valuation import nu, nu_factorial, prime_factors
 
 PRIMES = (2, 3, 5, 7)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def imprimitive_grid():
@@ -189,3 +192,21 @@ class TestRendering:
             [CyclicGroup(2), DirectProduct((CyclicGroup(3), CyclicGroup(5)))])
         assert flat == DirectProduct(
             (CyclicGroup(2), CyclicGroup(3), CyclicGroup(5)))
+
+    def test_each_text_spells_the_order_of_its_term(self, monkeypatch):
+        # perfbench's checks parse a rendered term without the package: an
+        # order for each printed text that is independent of the term's own
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import checks
+
+        # every (group, ell) of the catalog, and every Sylow query of the
+        # query_mix reference, the products among them
+        pairs = [(g, ell) for g in catalog_irreducibles(16, 8) for ell in group_primes(g)]
+        answers = json.loads((PERFBENCH / "reference" / "query_mix.json").read_text())["answers"]
+        queries = [key.split("|")[1:] for key in answers if key.startswith("sylow|")]
+        pairs += [(parse_group(spec), int(ell)) for spec, ell in queries]
+        assert sum(" x " in spec for spec, _ in queries) == 186
+        for g, ell in pairs:
+            term = sylow_structure(g, ell)
+            assert checks.term_order(render_term(term)) == structure_order(term), (g, ell)
+        assert len(pairs) == 1895

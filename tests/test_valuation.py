@@ -10,11 +10,9 @@ from sylowclass.valuation import (
     MR_EXACT_BOUND,
     Partition,
     base_digits,
-    carries_by_addition,
     factorial_factorization,
     factorization,
     is_prime,
-    iter_partitions,
     kummer_carries,
     lambda_blocks,
     minimal_factorial_partition,
@@ -22,6 +20,8 @@ from sylowclass.valuation import (
     nu_factorial,
     prime_factors,
 )
+
+from partitions import carries_by_addition, iter_partitions
 
 PRIMES = (2, 3, 5, 7)
 
