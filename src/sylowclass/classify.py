@@ -5,12 +5,15 @@ The infinite family G(m,p,n) has closed forms in a = ell^nu(m) and the
 ell-adic partition lambda(ell, n) (valuation.lambda_blocks): the parabolic
 member is G if ell | m, else the product of Sym(k) over k in lambda; the
 reflection members are gcd(p/ell^nu(p), n) twisted G(a, ell^nu(p), n) if
-ell | p, else the product of G(a,1,k) over k in lambda.  Exceptional groups
-are table lookups (their classifications rest on external subgroup tables
-and are deliberately not recomputed; the tables module is imported by the
-first exceptional query, so a process that asks none never loads it);
-products classify componentwise, with ell-free factors contributing
-nothing.
+ell | p, else the product of G(a,1,k) over k in lambda.  reflection_blocks
+is the one place that turns (m, p, n, ell) into these blocks G(a,q,k); the
+reflection member is their product, and structure builds the Sylow term of
+G(m,p,n) from the same blocks, since a Sylow subgroup of G is one of the
+minimal reflection member.  Exceptional groups are table lookups (their
+classifications rest on external subgroup tables and are deliberately not
+recomputed; the tables module is imported by the first exceptional query,
+so a process that asks none never loads it); products classify
+componentwise, with ell-free factors contributing nothing.
 
 classify_parabolic and classify_reflection are memoized per process, at
 most 1024 answers each, keyed by (g, ell); a product reaches its factors
@@ -203,19 +206,24 @@ def classify_reflection(g: GroupType, ell: int) -> SubgroupClassResult:
     if isinstance(g, Exceptional):
         return _table_answer(g, ell, REFLECTION)
 
-    m, p, n = g.m, g.p, g.n
-    if p % ell == 0:
-        member_type = Imprimitive(ell_part(ell, m), ell_part(ell, p), n)
-        members = tuple(
-            _member_of(member_type, distinguisher=t, twist_exponent=t)
-            for t in range(gcd(p // ell_part(ell, p), n))
-        )
-        return SubgroupClassResult(g, ell, REFLECTION, members)
+    member_type = product_of(reflection_blocks(g, ell, Imprimitive, groups.TRIVIAL))
+    if g.p % ell:
+        return SubgroupClassResult(g, ell, REFLECTION, (_member_of(member_type),))
+    return SubgroupClassResult(g, ell, REFLECTION, tuple(
+        _member_of(member_type, distinguisher=t, twist_exponent=t)
+        for t in range(gcd(g.p // ell_part(ell, g.p), g.n))))
 
-    a = ell_part(ell, m)
-    member = _member_of(product_of(
-        lambda_blocks(ell, n, lambda k: Imprimitive(a, 1, k), groups.TRIVIAL)))
-    return SubgroupClassResult(g, ell, REFLECTION, (member,))
+
+def reflection_blocks(g: Imprimitive, ell: int, block, trivial) -> list:
+    """block(a, q, k) for each block G(a,q,k) of the minimal reflection
+    member of G(m,p,n) at ell, largest first, with a = ell^nu(m): the one
+    place that turns (m, p, n, ell) into blocks.  If ell | p, the one block
+    (a, ell^nu(p), n); otherwise (a, 1, k) for each part k of lambda(ell, n),
+    leaving out blocks equal to trivial (valuation.lambda_blocks)."""
+    a = ell_part(ell, g.m)
+    if g.p % ell == 0:
+        return [block(a, ell_part(ell, g.p), g.n)]
+    return lambda_blocks(ell, g.n, lambda k: block(a, 1, k), trivial)
 
 
 def _table_answer(g: Exceptional, ell: int, kind: str) -> SubgroupClassResult:

@@ -441,12 +441,25 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _decimal(value: str) -> int:
+    """An integer in ASCII decimal digits with an optional leading "-", as
+    the spec grammar reads numbers; int() alone also takes other scripts'
+    digits, spaces around them, a "+" and "_" separators."""
+    digits = value.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r}")
+
+
 def _ell_arg(value: str) -> str:
     if value == "all":
         return value
     try:
-        ell = int(value)
-    except ValueError:
+        ell = _decimal(value)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"ell must be a prime or 'all', got {value!r}")
     try:
         prime = is_prime(ell)
@@ -498,13 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", help="verify a single G(m,p,n)")
     p.add_argument("--ell", type=_ell_arg)  # absent: every prime
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--max-order", type=int, default=None,
+    p.add_argument("--max-order", type=_decimal, default=None,
                    help=f"enumeration cap (default {DEFAULT_ORDER_CAP})")
-    p.add_argument("--max-m", type=int, default=None,
+    p.add_argument("--max-m", type=_decimal, default=None,
                    help=f"grid bound on m (default {DEFAULT_MAX_M}; not with --group)")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=_decimal, default=None,
                    help=f"grid bound on n (default {DEFAULT_MAX_N}; not with --group)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_decimal, default=None,
                    help="worker processes, at least 1 (default: cpu count)")
     p.add_argument("--progress", action="store_true",
                    help="write one line per finished group to stderr")

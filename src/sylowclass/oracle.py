@@ -441,21 +441,30 @@ def enumerate_group(m: int, p: int, n: int,
 # Orbits and subgroup generation
 
 
-def orbit_labels(size: int, maps) -> np.ndarray:
+def orbit_labels(size: int, maps, starts=None) -> np.ndarray:
     """The smallest point of each point's orbit, for the points 0..size-1
     under the permutations in maps (index arrays).
 
-    Each pass lowers every label to the label of its image under each map.
-    At the fixpoint labels never rise along an edge x -> t[x]; every edge
-    lies on a cycle of t, so labels are constant on orbits, and the smallest
-    point of an orbit keeps its own label throughout."""
-    labels = np.arange(size)
+    With starts, maps holds several runs of maps at once, run r from row
+    starts[r] up to the next start, each led by the identity; the result
+    has one row of labels per run.  Without, maps is one run and gets the
+    identity in front.  Each pass lowers every point's label to the least
+    label of its images under its run's maps.  At the fixpoint labels never
+    rise along an edge x -> t[x]; every edge lies on a cycle of t, so labels
+    are constant on orbits, and the smallest point of an orbit keeps its own
+    label throughout."""
+    one = starts is None
+    if one:
+        maps = np.vstack([np.arange(size), *maps])
+        starts, owner = [0], 0
+    else:  # owner[k]: the run of row k
+        owner = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(maps)))[:, None]
+    labels = np.minimum.reduceat(maps, starts, axis=0)  # the first pass
     while True:
-        before = labels
-        for t in maps:
-            labels = np.minimum(labels, labels[t])
-        if labels.tobytes() == before.tobytes():
-            return labels
+        lowered = np.minimum.reduceat(labels[owner, maps], starts, axis=0)
+        if lowered.tobytes() == labels.tobytes():
+            return labels[0] if one else labels
+        labels = lowered
 
 
 def _generate_from(group: ConcreteGroup, base_idx: np.ndarray,
@@ -673,13 +682,11 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     itself: for i the first coordinate it moves, to the point z^a e_j, when
     e_i and z^a e_j share an orbit or i and j are both 0.
 
-    The orbits of all classes come at once, as orbit_labels finds them: each
-    pass lowers every point's label to the least label of its images under
-    the identity and the class's reflections, and at the fixpoint each point
-    holds the least point of its orbit.  The identity gives every class a
-    first map, which marks where the class's maps start.  The element-level
-    reference, tests/parabolic_reference.py, finds the same classes as the
-    stabilizers of the elements' fixed spaces."""
+    The orbits of all classes come at once, from one orbit_labels call with
+    one run of maps per class: the identity, which marks where the run
+    starts, and the class's reflections.  The element-level reference,
+    tests/parabolic_reference.py, finds the same classes as the stabilizers
+    of the elements' fixed spaces."""
     lattice = group.lattice
     m, n = group.m, group.n
     S = group.point_action
@@ -688,17 +695,11 @@ def parabolic_classes(group: ConcreteGroup) -> list[OracleClass]:
     uses = np.ones((len(lattice), len(S) + 1), dtype=bool)
     uses[:, 1:] = np.unpackbits(np.frombuffer(keys, np.uint8).reshape(len(lattice), -1),
                                 axis=1, count=len(S))
-    # row k of images: the images of the points under the k-th map used,
-    # which belongs to class owner[k]; the rows of a class are adjacent
-    owner, maps = uses.nonzero()
+    # row k of images: the images of the points under the k-th map used;
+    # the rows of a class are adjacent, led by the identity
+    maps = uses.nonzero()[1]
     images = np.concatenate([np.arange(m * n)[None], S])[maps]
-    owner, starts = owner[:, None], np.flatnonzero(maps == 0)
-    labels = np.minimum.reduceat(images, starts, axis=0)  # the first pass
-    while True:
-        lowered = np.minimum.reduceat(labels[owner, images], starts, axis=0)
-        if lowered.tobytes() == labels.tobytes():
-            break
-        labels = lowered
+    labels = orbit_labels(m * n, images, np.flatnonzero(maps == 0))
     zero = (labels.reshape(-1, m, n) == labels[:, None, :n]).sum(axis=1) > 1
     i = (S[:, :n] != np.arange(n)).argmax(axis=1)
     image = S[np.arange(len(S)), i]

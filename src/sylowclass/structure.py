@@ -6,10 +6,13 @@ supercuspidal shapes: iterated wreath products for symmetric groups, a
 diagonal phase group extended by coordinate permutations for the
 imprimitive family, and a handful of named groups for the exceptionals.
 
-For G(m,p,n), with a = ell^nu(m) and lambda = lambda(ell, n): if ell | p,
-A(a, ell^nu(p), n) extended by the Sylow subgroup of Sym(n); otherwise the
-direct product over k in lambda, smallest first, of A(a,1,k) extended by
-the Sylow subgroup of Sym(k).
+For G(m,p,n) the term is built from the blocks G(a,q,k) of the minimal
+reflection member, which classify.reflection_blocks lists (the one copy of
+the family's block rule): the direct product over the blocks, smallest
+first, of A(a,q,k) extended by the Sylow subgroup of Sym(k).  That is
+A(a, ell^nu(p), n) extended by the Sylow subgroup of Sym(n) if ell | p,
+with a = ell^nu(m), and one factor A(a,1,k) extended by the Sylow subgroup
+of Sym(k) per part k of lambda(ell, n) otherwise.
 
 C(l)^(i) here is the i-fold iterated wreath product of the cyclic group of
 order l (order l^((l^i-1)/(l-1))), which is the Sylow subgroup of
@@ -22,8 +25,9 @@ Each kind gives its own order and writes its own text; structure_order(t)
 and render_term(t) read t.order and t.text.
 
 sylow_structure is memoized per process like the classify answers, at most
-1024 terms keyed by (g, ell); the terms are shared and immutable, and
-sylow_structure.cache_clear() frees them.  A term's text is a
+1024 terms keyed by (g, ell), and so is sylow_symmetric, keyed by (n, ell),
+which every block asks for its tower; the terms are shared and immutable,
+and cache_clear() on either function frees its terms.  A term's text is a
 cached_property, so a memoized term renders once per process and a
 repeated `sylow` request prints the kept text.
 """
@@ -34,10 +38,11 @@ from functools import cached_property, lru_cache
 from math import prod
 
 from . import groups
-from .classify import UnsupportedGroupError, classify_reflection, require_divides
+from .classify import (UnsupportedGroupError, classify_reflection, reflection_blocks,
+                       require_divides)
 from .frozen import Frozen
 from .groups import Exceptional, GroupType, Product, group_primes, normalize
-from .valuation import ell_part, lambda_blocks, nu
+from .valuation import lambda_blocks, nu
 
 __all__ = [
     "StructureTerm",
@@ -194,23 +199,6 @@ def direct_product(terms) -> StructureTerm:
     return DirectProduct(tuple(flat))
 
 
-def _semidirect(normal: StructureTerm, acting: StructureTerm,
-                note: str) -> StructureTerm:
-    if isinstance(acting, Trivial):
-        return normal
-    if isinstance(normal, Trivial):
-        return acting
-    return SemidirectProduct(normal, acting, note)
-
-
-def _diagonal(m: int, p: int, n: int) -> StructureTerm:
-    if m == 1 or (n == 1 and m == p):
-        return TRIVIAL_TERM
-    if n == 1:
-        return CyclicGroup(m // p)
-    return DiagonalPart(m, p, n)
-
-
 def _wreath_tower(ell: int, k: int) -> StructureTerm:
     """The Sylow subgroup of Sym(k) for a power k of ell."""
     if k == 1:
@@ -218,12 +206,28 @@ def _wreath_tower(ell: int, k: int) -> StructureTerm:
     return CyclicGroup(ell) if k == ell else IteratedWreath(ell, nu(ell, k))
 
 
+@lru_cache(maxsize=1024)
 def sylow_symmetric(n: int, ell: int) -> StructureTerm:
     """Sylow subgroup of Sym(n): the Sylow subgroup of Sym(k), an iterated
     wreath tower of depth nu(k), per part k of lambda(ell, n), smallest
     first.  Depth-1 towers are plain cyclic groups, depth-0 ones drop out."""
     return direct_product(reversed(
         lambda_blocks(ell, n, lambda k: _wreath_tower(ell, k), TRIVIAL_TERM)))
+
+
+def _block(ell: int, a: int, q: int, k: int) -> StructureTerm:
+    """The Sylow subgroup of the block G(a,q,k), a a power of ell: A(a,q,k)
+    extended by the Sylow subgroup of Sym(k), which permutes coordinates.
+    A(a,q,1) is cyclic of order a/q, and a trivial factor drops out."""
+    if k == 1:
+        return TRIVIAL_TERM if a == q else CyclicGroup(a // q)
+    acting = sylow_symmetric(k, ell)
+    if a == 1:
+        return acting
+    normal = DiagonalPart(a, q, k)
+    if isinstance(acting, Trivial):
+        return normal
+    return SemidirectProduct(normal, acting, "permuting coordinates")
 
 
 # Named Sylow subgroups of exceptional groups, keyed by (st, ell).
@@ -267,16 +271,8 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
                 f"no Sylow description for supercuspidal {g} at {ell}")
         return sylow_structure(member, ell)
 
-    m, p, n = g.m, g.p, g.n
-    a = ell_part(ell, m)
-    if p % ell == 0:
-        return _semidirect(
-            _diagonal(a, ell_part(ell, p), n),
-            sylow_symmetric(n, ell),
-            "permuting coordinates")
-    return direct_product(reversed(lambda_blocks(ell, n, lambda k: _semidirect(
-        _diagonal(a, 1, k), _wreath_tower(ell, k), "permuting coordinates"),
-        TRIVIAL_TERM)))
+    return direct_product(reversed(reflection_blocks(
+        g, ell, lambda a, q, k: _block(ell, a, q, k), TRIVIAL_TERM)))
 
 
 def render_term(t: StructureTerm) -> str:

@@ -391,7 +391,10 @@ def check_consistency() -> ConsistencyReport:
 
 
 def _table_supercuspidal(tabs: Tables, g: GroupType, ell: int) -> bool:
-    """Supercuspidality test from table data alone (no classifier)."""
+    """Supercuspidality test from table data alone (no classifier): an
+    exceptional factor needs its t4 row at ell, and a G(m,p,n) factor a t4
+    family row whose label is the pattern it matches."""
+    family = {row.group_label for row in tabs.family("t4")}
     for factor in groups.irreducible_factors(g):
         if groups.order(factor) % ell:
             return False
@@ -400,7 +403,6 @@ def _table_supercuspidal(tabs: Tables, g: GroupType, ell: int) -> bool:
                 tabs.row("t4", factor.st, ell)
             except TableLookupError:
                 return False
-        else:
-            if _supercuspidal_family_label(factor, ell) is None:
-                return False
+        elif _supercuspidal_family_label(factor, ell) not in family:
+            return False
     return True

@@ -1089,6 +1089,18 @@ class TestExitCodeContract:
         (["classify", "--group", "G(100000,1,100000)", "--ell", "all", "--kind",
           "reflection", "--format", "json"], 3),
         (["verify", "--group", "G(100000,1,100000)", "--ell", "all"], 3),
+        # numbers are ASCII decimal digits, as in the spec grammar: int()
+        # alone takes other scripts' digits, spaces, "+" and "_"
+        (["classify", "--group", "G4", "--ell", "\u0662"], 2),
+        (["sylow", "--group", "G4", "--ell", " 3"], 2),
+        (["sylow", "--group", "G4", "--ell", "+2"], 2),
+        (["classify", "--group", "G(11,1,2)", "--ell", "1_1"], 2),
+        (["verify", "--max-order", "\u0661\u0660\u0660", "--max-m", "2"], 2),
+        (["verify", "--max-m", "+2"], 2),
+        (["verify", "--max-m", "2", "--max-n", "1_0"], 2),
+        (["verify", "--max-m", "2", "--jobs", " 1"], 2),
+        (["verify", "--max-m", "2", "--max-n", "2", "--jobs", "1", "--max-order", "-0"], 2),
+        (["verify", "--max-m", "2", "--max-n", "2", "--jobs", "1", "--max-order", "10"], 0),
     ])
     def test_limit_cases(self, argv, code):
         assert _check_contract(argv)[0] == code, argv

@@ -76,6 +76,11 @@ class TestSylowSymmetric:
         assert structure_order(sylow_symmetric(6, 2)) == 16
         assert sylow_symmetric(5, 5) == CyclicGroup(5)
 
+    def test_memoized(self):
+        # every block of a G(m,p,n) term asks for its tower
+        assert sylow_symmetric(12, 2) is sylow_symmetric(12, 2)
+        assert sylow_symmetric.cache_info().maxsize == 1024
+
     def test_order_matches_legendre(self):
         for ell in PRIMES:
             for n in range(1, 201):

@@ -9,9 +9,11 @@ from sylowclass.tables import (
     TABLE_IDS,
     TABLES_SHA256,
     TableLookupError,
+    Tables,
     _data_text,
     _parse_row,
     _supercuspidal_family_label,
+    _table_supercuspidal,
     check_consistency,
     load_tables,
     lookup,
@@ -136,6 +138,20 @@ class TestLookup:
             assert _supercuspidal_family_label(g, ell) is None, g
         with pytest.raises(TableLookupError):
             lookup("t4", Exceptional(28), 2)
+
+    def test_supercuspidal_family_needs_its_t4_row(self):
+        # the observation check accepts a family factor only through its
+        # t4 row: without the G(l^i,1,l^j) row, G(4,1,2) at 2 is rejected
+        tabs = load_tables()
+        trimmed = Tables(tuple(r for r in tabs.rows
+                               if (r.table, r.group_label) != ("t4", "G(l^i,1,l^j)")),
+                         tabs.orders)
+        assert len(trimmed.rows) == len(tabs.rows) - 1
+        for g in (Imprimitive(4, 1, 2), parse_group("G(4,1,2) x G4")):
+            assert _table_supercuspidal(tabs, g, 2)
+            assert not _table_supercuspidal(trimmed, g, 2)
+        # the other patterns still read their rows
+        assert _table_supercuspidal(trimmed, Imprimitive(8, 4, 3), 2)
 
     def test_imprimitive_groups_have_no_row(self):
         # the family's answers are closed forms in classify, not table rows
