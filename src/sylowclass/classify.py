@@ -129,7 +129,8 @@ class SubgroupClassResult(Frozen):
         triple per class, cuspidal and supercuspidal.  The flag of the
         other kind is read from its memoized answer, once per row; a group
         with more than MAX_PRODUCT_CLASSES minimal reflection classes is
-        not supercuspidal."""
+        not supercuspidal.  |G| is formatted once, and a member of the
+        order of G (the cuspidal case) reuses its text."""
         if self.kind == PARABOLIC:
             cuspidal = self.equals_whole_group
             try:
@@ -139,9 +140,12 @@ class SubgroupClassResult(Frozen):
         else:
             cuspidal = classify_parabolic(self.group, self.ell).equals_whole_group
             supercuspidal = self.equals_whole_group
-        return (format_group(self.group),
-                format_factorization(order_factorization(self.group)),
-                tuple([(m.display_label, format_factorization(m.factors), m.twist_exponent)
+        g_factors = order_factorization(self.group)
+        g_order = format_factorization(g_factors)
+        return (format_group(self.group), g_order,
+                tuple([(m.display_label,
+                        g_order if m.factors == g_factors else format_factorization(m.factors),
+                        m.twist_exponent)
                        for m in self.members]),
                 cuspidal, supercuspidal)
 

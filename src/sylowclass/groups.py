@@ -23,6 +23,12 @@ parse_group normalizes each atom once (not once per power), and normalize
 only decides whether to call it.  The spellings G(m,p,n) and G<k> are the __repr__s,
 which format_group reuses.
 
+order_factorization is the one way to factor a group order, from the
+parameters alone: a G(m,p,n) merges the primes of m and p into a copy of
+the memoized pairs of n! (valuation.factorial_factorization), touching only
+those primes, and a product adds its factors' pairs to the longest one's,
+sorting only when a shorter factor brings a new prime.
+
 A Product computes its hash once, on first use, and keeps it on the
 value as the cached_property _hash: the per-process memos hash their
 keys on every lookup, and a Product's hash would otherwise walk its
@@ -36,6 +42,7 @@ is hashed once.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import cached_property, lru_cache, total_ordering
 from itertools import groupby
 from math import factorial, gcd, prod
@@ -236,18 +243,25 @@ def order_factorization(g: GroupType) -> Factorization:
     """|G| as ascending (prime, exponent) pairs from the parameters alone:
     n*factor(m) - factor(p) + factor(n!) for G(m,p,n), the factored ledger
     order of an exceptional group, the sum over the factors of a product.
-    Like order, it needs no normalized input."""
+    Like order, it needs no normalized input.
+
+    A G(m,p,n) starts from a copy of the memoized pairs of n! and changes
+    only the primes of m, each found by bisection: every prime q <= n is
+    already there, a prime above n is inserted in its place, and one whose
+    exponent comes to 0 (n = 1 and q divides p as often as m) is left
+    out."""
     if isinstance(g, Imprimitive):
-        exponents = dict(factorial_factorization(g.n))
+        pairs = list(factorial_factorization(g.n))
+        # p | m, so every prime of p is a prime of m
+        p_exponents = dict(factorization(g.p))
         for q, e in factorization(g.m):
-            exponents[q] = exponents.get(q, 0) + g.n * e
-        # p | m, so each prime of p is already a key
-        for q, e in factorization(g.p):
-            if exponents[q] == e:
-                del exponents[q]
-            else:
-                exponents[q] -= e
-        return tuple(sorted(exponents.items()))
+            e = g.n * e - p_exponents.get(q, 0)
+            i = bisect_left(pairs, (q,))
+            if i < len(pairs) and pairs[i][0] == q:
+                pairs[i] = (q, pairs[i][1] + e)
+            elif e:
+                pairs.insert(i, (q, e))
+        return tuple(pairs)
     if isinstance(g, Exceptional):
         return factorization(EXCEPTIONAL_ORDERS[g.st])
     return factorization_product(map(order_factorization, g.factors))
@@ -255,13 +269,19 @@ def order_factorization(g: GroupType) -> Factorization:
 
 def factorization_product(factorizations) -> Factorization:
     """Factorization of a product of factored integers (exponents added;
-    every exponent is positive)."""
-    factorizations = iter(factorizations)
-    exponents = dict(next(factorizations, ()))
+    every exponent is positive).  The longest factor seeds the exponents in
+    its ascending order; the result is sorted only when another factor
+    brings a prime the longest lacks."""
+    factorizations = sorted(factorizations, key=len)
+    if not factorizations:
+        return ()
+    exponents = dict(factorizations.pop())
+    size = len(exponents)
     for pairs in factorizations:
         for q, e in pairs:
             exponents[q] = exponents.get(q, 0) + e
-    return tuple(sorted(exponents.items()))
+    pairs = tuple(exponents.items())
+    return pairs if len(pairs) == size else tuple(sorted(pairs))
 
 
 def group_primes(g: GroupType) -> list[int]:

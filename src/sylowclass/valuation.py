@@ -3,6 +3,12 @@ minimal valuation-preserving factorial partition.
 
 Everything here is integer arithmetic; orders and factorial products use
 Python's arbitrary-precision ints, valuations always fit in machine words.
+
+factorization and factorial_factorization are memoized per process (at
+most 1024 answers each, freed by cache_clear()) and return tuples of
+(prime, exponent) pairs.  groups.order_factorization merges the few primes
+of m and p into a copy of the pairs of n!, so its results share their pair
+objects with this memo instead of rebuilding the ~pi(n) pairs per group.
 """
 
 from __future__ import annotations
@@ -195,9 +201,14 @@ def _primes_upto(n: int) -> list[int]:
     return primes[:bisect_right(primes, n)]
 
 
-def factorial_factorization(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=1024)
+def factorial_factorization(n: int) -> tuple[tuple[int, int], ...]:
     """n! as ascending (prime, exponent) pairs, each exponent by Legendre's
-    formula; a prime q with q^2 > n divides n! exactly n // q times."""
+    formula; a prime q with q^2 > n divides n! exactly n // q times.
+    Cached, as factorization is: groups.order_factorization starts each
+    G(m,p,n) from a copy of these pairs, and many groups share a rank (a
+    group and its minimal members, the Sym(k) and G(a,1,k) blocks of one
+    size)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_FACTORIAL_N:
@@ -205,8 +216,8 @@ def factorial_factorization(n: int) -> list[tuple[int, int]]:
     primes = _primes_upto(n)
     k = bisect_right(primes, isqrt(n))
     large = primes[k:]
-    return ([(q, _legendre(q, n)) for q in primes[:k]]
-            + list(zip(large, map(n.__floordiv__, large))))
+    return (tuple([(q, _legendre(q, n)) for q in primes[:k]])
+            + tuple(zip(large, map(n.__floordiv__, large))))
 
 
 def nu(ell: int, x: int) -> int:

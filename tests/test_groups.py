@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sylowclass import groups, verify
@@ -35,7 +35,7 @@ from sylowclass.groups import (
     product_of,
     FeasibleTriple,
 )
-from sylowclass.valuation import factorization, nu
+from sylowclass.valuation import WIDE_TRIAL_BOUND, factorization, nu, prime_factors
 
 PRIMES = (2, 3, 5, 7)
 
@@ -443,7 +443,46 @@ def _check_factorization(g):
     assert pairs == factorization(order(g))
 
 
+# m up to 10^6, most of them with a prime above n; every prime below
+# WIDE_TRIAL_BOUND, so that factorization can factor a whole order m^n n!/p
+# (trial division reaches it; Pollard-Brent rho gives up on a power such
+# as 999983^400)
+_MERGE_M = st.integers(1, 10**6).filter(
+    lambda m: all(q < WIDE_TRIAL_BOUND for q in prime_factors(m)))
+
+
+@st.composite
+def _merge_groups(draw, max_n=400):
+    """G(m,p,n) with m from _MERGE_M, any p | m (p = m included) and
+    n <= max_n, not normalized."""
+    m = draw(_MERGE_M)
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    p = draw(st.sampled_from(small + [m // d for d in small]))
+    return Imprimitive(m, p, draw(st.integers(1, max_n)))
+
+
 class TestOrderFactorization:
+    # order_factorization merges m's primes into a copy of n!'s pairs:
+    # q <= n in place, q > n inserted, an exponent of 0 left out
+    @settings(max_examples=150, deadline=None)
+    @given(_merge_groups())
+    @example(Imprimitive(65521, 65521, 1))  # |G| = 1: the one prime drops
+    @example(Imprimitive(2 * 4099, 4099, 1))  # 2 stays, 4099 drops
+    @example(Imprimitive(4099, 1, 50))  # 4099^50 inserted above 47
+    @example(Imprimitive(1, 1, 400))
+    def test_merge_matches_factoring_the_order(self, g):
+        assert order_factorization(g) == factorization(order(g))
+
+    # factorization_product seeds its exponents with the longest factor and
+    # sorts only when a shorter one brings a prime the longest lacks
+    @settings(max_examples=100, deadline=None)
+    @given(_merge_groups(), st.lists(_merge_groups(max_n=4), min_size=1, max_size=3))
+    @example(Imprimitive(6, 1, 300), [Imprimitive(4099, 1, 1)])  # 4099 sorted in
+    @example(Imprimitive(4099, 4099, 1), [Imprimitive(6, 1, 2)])  # a trivial factor
+    def test_product_merge_matches_factoring_the_order(self, longest, others):
+        g = Product((longest, *others))
+        assert order_factorization(g) == factorization(order(g))
+
     def test_catalog(self):
         for g in _CATALOG:
             _check_factorization(g)

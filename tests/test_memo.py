@@ -30,7 +30,9 @@ from sylowclass.groups import (
     Imprimitive,
     Sym,
     TableLookupError,
+    format_factorization,
     group_primes,
+    order_factorization,
     parse_group,
     product_of,
 )
@@ -187,18 +189,36 @@ def test_each_order_is_formatted_once_per_answer(cleared, monkeypatch):
         return original(pairs)
 
     monkeypatch.setattr(classify, "format_factorization", recording)
-    # ell | m: the member is G itself; ell | p: three twists of G(4,2,3)
+    # ell | m: the member is G itself, whose order reuses the text of |G|;
+    # ell | p: three twists of G(4,2,3)
     g = Imprimitive(12, 6, 3)
-    for kind, ell, orders in (("parabolic", 2, ["2^6*3^3"] * 2),
-                              ("reflection", 2, ["2^6*3^3"] + ["2^6*3"] * 3)):
+    for kind, ell, orders, members in (
+            ("parabolic", 2, ["2^6*3^3"], ["2^6*3^3"]),
+            ("reflection", 2, ["2^6*3^3"] + ["2^6*3"] * 3, ["2^6*3"] * 3)):
         formatted.clear()
         report = cli.classification_report(g, ell, kind)
-        # |G| and each member's order, once each, by the answer's report_row
+        # |G| and each member's order of another size, once each, by the
+        # answer's report_row
         assert list(map(original, formatted)) == orders
-        assert [c["order_factored"] for c in report["classes"]] == orders[1:]
+        assert [c["order_factored"] for c in report["classes"]] == members
         formatted.clear()
         assert cli.classification_report(g, ell, kind) == report
         assert formatted == []
+
+
+def test_each_row_order_is_the_text_of_its_factors(cleared):
+    # a member whose factors equal the group's (the cuspidal case) reuses the
+    # text of |G|; every other member's text is its own
+    huge = [Imprimitive(360, 6, 300), Imprimitive(210, 1, 399),
+            Imprimitive(242, 22, 250), Imprimitive(221, 13, 342)]
+    for g in list(catalog_irreducibles(12, 6)) + huge:
+        for ell in group_primes(g):
+            for fn in ANSWERS:
+                answer = fn(g, ell)
+                _, order, classes, _, _ = answer.report_row
+                assert order == format_factorization(order_factorization(g))
+                assert [text for _, text, _ in classes] == [
+                    format_factorization(m.factors) for m in answer.members]
 
 
 def test_factor_answers_inside_a_product_are_not_rendered(cleared):
@@ -283,13 +303,13 @@ def test_cache_clear_drops_the_row_with_its_answer(cleared, monkeypatch):
                         lambda pairs: formatted.append(pairs) or original(pairs))
     g = Imprimitive(12, 6, 3)
     first = cli.classification_report(g, 2, "parabolic")
-    assert len(formatted) == 2  # |G| and the one member's order
+    assert len(formatted) == 1  # |G|, which the one member (G itself) reuses
     assert cli.classification_report(g, 2, "parabolic") == first
-    assert len(formatted) == 2
+    assert len(formatted) == 1
     kept = classify.classify_parabolic(g, 2)
     classify.classify_parabolic.cache_clear()
     assert cli.classification_report(g, 2, "parabolic") == first
-    assert len(formatted) == 4  # a new answer renders a new row
+    assert len(formatted) == 2  # a new answer renders a new row
     assert classify.classify_parabolic(g, 2) is not kept
 
 

@@ -280,28 +280,31 @@ class TestFactorization:
     def test_factorial_below_400(self):
         for n in range(0, 400):
             pairs = factorial_factorization(n)
-            assert tuple(pairs) == factorization(math.factorial(n))
-            assert pairs == [(q, nu_factorial(q, n))
-                             for q in range(2, n + 1) if is_prime(q)]
+            assert pairs == factorization(math.factorial(n))
+            assert pairs == tuple((q, nu_factorial(q, n))
+                                  for q in range(2, n + 1) if is_prime(q))
 
     def test_factorial_does_not_depend_on_call_order(self, monkeypatch):
         # an empty prime list first grown far past n, then cut at each n
         # on the way down
         monkeypatch.setattr(valuation, "_primes", [])
         monkeypatch.setattr(valuation, "_sieved", 0)
+        # the memo would answer from pairs of an earlier sieve
+        factorial_factorization.cache_clear()
         big = factorial_factorization(5000)
         assert big[-1] == (4999, 1)
         for n in range(399, -1, -1):
-            assert tuple(factorial_factorization(n)) == factorization(math.factorial(n))
+            assert factorial_factorization(n) == factorization(math.factorial(n))
 
     def test_factorial_at_square_and_growth_boundaries(self, monkeypatch):
         # 1996 sieves below the prime 1997, which the next call must add;
         # 2209 = 47^2: 47 moves from n // q to the Legendre sum there
         monkeypatch.setattr(valuation, "_primes", [])
         monkeypatch.setattr(valuation, "_sieved", 0)
+        factorial_factorization.cache_clear()
         for n in (1996, 1997, 1999, 2000, 2208, 2209, 2210):
-            assert factorial_factorization(n) == [
-                (q, nu_factorial(q, n)) for q in range(2, n + 1) if is_prime(q)]
+            assert factorial_factorization(n) == tuple(
+                (q, nu_factorial(q, n)) for q in range(2, n + 1) if is_prime(q))
         assert dict(factorial_factorization(2209))[47] == 47 + 1
 
     def test_factorial_rejects_negative_n(self):
