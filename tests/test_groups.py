@@ -474,13 +474,14 @@ class TestOrderFactorization:
         assert order_factorization(g) == factorization(order(g))
 
     # factorization_product seeds its exponents with the longest factor and
-    # sorts only when a shorter one brings a prime the longest lacks
+    # sorts only when a shorter one brings a prime the longest lacks: small
+    # factors of rank <= 4 next to one of rank up to 400
     @settings(max_examples=100, deadline=None)
     @given(_merge_groups(), st.lists(_merge_groups(max_n=4), min_size=1, max_size=3))
     @example(Imprimitive(6, 1, 300), [Imprimitive(4099, 1, 1)])  # 4099 sorted in
     @example(Imprimitive(4099, 4099, 1), [Imprimitive(6, 1, 2)])  # a trivial factor
-    def test_product_merge_matches_factoring_the_order(self, longest, others):
-        g = Product((longest, *others))
+    def test_product_merge_matches_factoring_the_order(self, first, small):
+        g = Product((first, *small))
         assert order_factorization(g) == factorization(order(g))
 
     def test_catalog(self):
