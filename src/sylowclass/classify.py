@@ -22,8 +22,9 @@ which is shared and immutable (frozen values with tuple fields, from the
 one base in the frozen module); errors are not memoized, and cache_clear()
 on either function frees its answers.  An answer renders its report row
 (SubgroupClassResult.report_row: group label, factored orders, twists,
-cuspidal and supercuspidal) on first use and keeps it, the one value it
-keeps (its members keep none), so a repeated report is one memo lookup and
+cuspidal and supercuspidal, both flags read from the memoized answers
+whichever its kind) on first use and keeps it, the one value it keeps
+(its members keep none), so a repeated report is one memo lookup and
 a copy of the kept row; answers that are never printed, such as the factor
 answers inside a product, are never rendered.  A product answer with more
 than MAX_PRODUCT_CLASSES classes raises TooManyClassesError instead of
@@ -33,7 +34,6 @@ listing them.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
@@ -46,6 +46,7 @@ from .groups import (
     Product,
     format_factorization,
     format_group,
+    has_prime,
     normalize,
     order_factorization,
     product_of,
@@ -126,20 +127,16 @@ class SubgroupClassResult(Frozen):
     def report_row(self) -> tuple:
         """The values of one classify report, kept on the answer: the group
         label, |G| factored, a tuple of one (label, order factored, twist)
-        triple per class, cuspidal and supercuspidal.  The flag of the
-        other kind is read from its memoized answer, once per row; a group
-        with more than MAX_PRODUCT_CLASSES minimal reflection classes is
-        not supercuspidal.  |G| is formatted once, and a member of the
+        triple per class, cuspidal and supercuspidal.  Both flags are read
+        from the memoized answers, whichever the kind, once per row; a
+        group with more than MAX_PRODUCT_CLASSES minimal reflection classes
+        is not supercuspidal.  |G| is formatted once, and a member of the
         order of G (the cuspidal case) reuses its text."""
-        if self.kind == PARABOLIC:
-            cuspidal = self.equals_whole_group
-            try:
-                supercuspidal = classify_reflection(self.group, self.ell).equals_whole_group
-            except TooManyClassesError:
-                supercuspidal = False
-        else:
-            cuspidal = classify_parabolic(self.group, self.ell).equals_whole_group
-            supercuspidal = self.equals_whole_group
+        cuspidal = is_cuspidal(self.group, self.ell)
+        try:
+            supercuspidal = is_supercuspidal(self.group, self.ell)
+        except TooManyClassesError:
+            supercuspidal = False
         g_factors = order_factorization(self.group)
         g_order = format_factorization(g_factors)
         return (format_group(self.group), g_order,
@@ -165,8 +162,7 @@ def require_divides(g: GroupType, ell: int) -> groups.Factorization:
     """|G| factored; NotADivisorError unless ell divides it, and a plain
     ValueError for an ell that is not prime."""
     g_factors = order_factorization(g)
-    i = bisect_left(g_factors, (ell,))
-    if i == len(g_factors) or g_factors[i][0] != ell:
+    if not has_prime(g_factors, ell):
         if not is_prime(ell):  # not "does not divide": 4 divides |G(2,1,2)| = 8
             raise ValueError(f"ell must be prime, got {ell}")
         raise NotADivisorError(f"{ell} does not divide |{format_group(g)}|")
@@ -256,7 +252,7 @@ def _classify_product(g: Product, ell: int, kind: str) -> SubgroupClassResult:
     factor_results = []
     count = 1
     for f in g.factors:
-        if ell not in groups.group_primes(f):
+        if not has_prime(order_factorization(f), ell):
             continue
         factor_results.append(classify(f, ell))
         count *= len(factor_results[-1].members)

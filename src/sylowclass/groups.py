@@ -27,7 +27,8 @@ order_factorization is the one way to factor a group order, from the
 parameters alone: a G(m,p,n) merges the primes of m and p into a copy of
 the memoized pairs of n! (valuation.factorial_factorization), touching only
 those primes, and a product adds its factors' pairs to the longest one's,
-sorting only when a shorter factor brings a new prime.
+sorting only when a shorter factor brings a new prime.  has_prime, a
+bisection of those pairs, is the one test that a prime divides |G|.
 
 A Product computes its hash once, on first use, and keeps it on the
 value as the cached_property _hash: the per-process memos hash their
@@ -282,6 +283,14 @@ def factorization_product(factorizations) -> Factorization:
             exponents[q] = exponents.get(q, 0) + e
     pairs = tuple(exponents.items())
     return pairs if len(pairs) == size else tuple(sorted(pairs))
+
+
+def has_prime(pairs: Factorization, q: int) -> bool:
+    """Whether q is a prime of the integer factored as ascending pairs, by
+    bisection: has_prime(order_factorization(g), ell) is the one test that
+    a prime ell divides |G|."""
+    i = bisect_left(pairs, (q,))
+    return i < len(pairs) and pairs[i][0] == q
 
 
 def group_primes(g: GroupType) -> list[int]:

@@ -41,7 +41,7 @@ from . import groups
 from .classify import (UnsupportedGroupError, classify_reflection, reflection_blocks,
                        require_divides)
 from .frozen import Frozen
-from .groups import Exceptional, GroupType, Product, group_primes, normalize
+from .groups import Exceptional, GroupType, Product, normalize
 from .valuation import lambda_blocks, nu
 
 __all__ = [
@@ -256,9 +256,8 @@ def sylow_structure(g: GroupType, ell: int) -> StructureTerm:
     require_divides(g, ell)
 
     if isinstance(g, Product):
-        return direct_product(
-            sylow_structure(f, ell) for f in g.factors if ell in group_primes(f)
-        )
+        return direct_product(sylow_structure(f, ell) for f in g.factors
+                              if groups.has_prime(groups.order_factorization(f), ell))
 
     if isinstance(g, Exceptional):
         term = _EXCEPTIONAL_SYLOW.get((g.st, ell))

@@ -396,7 +396,7 @@ def _table_supercuspidal(tabs: Tables, g: GroupType, ell: int) -> bool:
     family row whose label is the pattern it matches."""
     family = {row.group_label for row in tabs.family("t4")}
     for factor in groups.irreducible_factors(g):
-        if groups.order(factor) % ell:
+        if not groups.has_prime(groups.order_factorization(factor), ell):
             return False
         if isinstance(factor, Exceptional):
             try:

@@ -19,9 +19,11 @@ from sylowclass.groups import (
     Exceptional,
     Imprimitive,
     Sym,
+    has_prime,
     normalize,
     order,
     order_factorization,
+    parse_group,
     product_of,
 )
 from sylowclass.valuation import nu, prime_factors
@@ -85,22 +87,34 @@ class TestParabolic:
 
 
 class TestRequireDivides:
+    PRODUCTS = [
+        product_of([Imprimitive(4, 2, 3), Exceptional(31)]),
+        product_of([Sym(5), Cyclic(7), Imprimitive(3, 3, 2)]),
+        product_of([Exceptional(4), Exceptional(37)]),
+    ]
+    PRIMES = [q for q in range(2, 60) if prime_factors(q) == [q]]
+
     def test_matches_factorization_lookup(self):
-        products = [
-            product_of([Imprimitive(4, 2, 3), Exceptional(31)]),
-            product_of([Sym(5), Cyclic(7), Imprimitive(3, 3, 2)]),
-            product_of([Exceptional(4), Exceptional(37)]),
-        ]
-        primes = [q for q in range(2, 60) if prime_factors(q) == [q]]
-        for g in [*catalog_irreducibles(), *products]:
+        for g in [*catalog_irreducibles(), *self.PRODUCTS]:
             factors = order_factorization(g)
-            for ell in primes:
+            for ell in self.PRIMES:
                 if ell in dict(factors):
                     assert require_divides(g, ell) == factors, (g, ell)
                 else:
                     with pytest.raises(NotADivisorError):
                         require_divides(g, ell)
 
+
+    def test_has_prime_is_divisibility_of_the_order(self):
+        # the one test of "ell divides |G|", read by require_divides, the
+        # product branches of classify and structure, and the tables
+        big = [Imprimitive(4099, 1, 50), parse_group("G(4099,4099,1) x G(6,1,2)")]
+        for g in [*catalog_irreducibles(12, 6), *self.PRODUCTS, *big]:
+            size = order(g)
+            for ell in [*self.PRIMES, 4099]:
+                assert has_prime(order_factorization(g), ell) == (size % ell == 0), (g, ell)
+        assert has_prime(order_factorization(big[0]), 4099)
+        assert not has_prime(order_factorization(big[1]), 4099)
 
     @pytest.mark.parametrize("ell", [4, 1, 0, -2])
     def test_non_prime_ell_is_not_called_a_non_divisor(self, ell):

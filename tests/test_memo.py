@@ -294,6 +294,15 @@ def test_a_product_past_the_class_limit_is_not_supercuspidal(cleared):
     assert classify.classify_reflection.cache_info().misses == misses
     with pytest.raises(classify.TooManyClassesError):
         cli.classification_report(g, 2, "reflection")
+    # elsewhere the rows of both kinds carry the flags of both answers:
+    # cuspidal from the parabolic one, supercuspidal from the reflection one
+    for g in [*catalog_irreducibles(12, 6), *PRODUCTS[:3]]:
+        for ell in group_primes(g):
+            flags = (classify.classify_parabolic(g, ell).equals_whole_group,
+                     classify.classify_reflection(g, ell).equals_whole_group)
+            for kind in KINDS:
+                report = cli.classification_report(g, ell, kind)
+                assert (report["cuspidal"], report["supercuspidal"]) == flags, (g, ell, kind)
 
 
 def test_cache_clear_drops_the_row_with_its_answer(cleared, monkeypatch):

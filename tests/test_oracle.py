@@ -6,9 +6,10 @@ import weakref
 import numpy as np
 import pytest
 
-from sylowclass import oracle, verify
+from sylowclass import classify, oracle, verify
 from sylowclass.groups import (
-    Imprimitive, Sym, alpha_class_count, degrees_imprimitive, order)
+    Imprimitive, Sym, alpha_class_count, degrees_imprimitive, order,
+    order_factorization, product_of)
 from sylowclass.oracle import (
     ResourceLimitError,
     Subgroup,
@@ -497,6 +498,69 @@ class TestSylowConstruct:
         checks = verify._check_prime(g, Imprimitive(4, 2, 2), parab, refl, 2, {})
         assert (checks[-1].name, checks[-1].passed) == ("sylow", False)
         assert "left the group" in checks[-1].detail
+
+
+def _six_six_three_answer(kind, *members):
+    """A closed-form answer for G(6,6,3) at 2 listing the given groups."""
+    return classify.SubgroupClassResult(Imprimitive(6, 6, 3), 2, kind, tuple(
+        classify.ClassMember(h, order_factorization(h)) for h in members))
+
+
+def _fewer_members(classes):
+    """The first class cut to its representative: same order, size 1."""
+    return [oracle.OracleClass(classes[0].members[:1]), *classes[1:]]
+
+
+class TestFailingCheckDetails:
+    # G(6,6,3) at 2: the parabolic answer is G itself (order 216), and the
+    # reflection answer three twisted classes of G(2,2,3) (order 24, three
+    # members each).  Each case injects a wrong closed form or wrong
+    # minimal oracle classes (told apart by their order) into the campaign.
+    PASSING = {
+        "parabolic": "oracle order 216 vs 216",
+        "reflection": "orders [24, 24, 24] vs [24, 24, 24]",
+    }
+    CASES = {
+        "parabolic-count": (
+            {}, lambda found: found * 2 if found[0].order == 216 else found,
+            "parabolic", "2 minimal parabolic classes"),
+        "parabolic-order": (
+            {"classify_parabolic": ("parabolic", Sym(3))}, None,
+            "parabolic", "oracle order 216 vs 6"),
+        "parabolic-label": (
+            {"classify_parabolic": ("parabolic", product_of([Sym(3)] * 3))}, None,
+            "parabolic", "oracle order 216 vs 216"),
+        "reflection-count": (
+            {"classify_reflection": ("reflection", Imprimitive(2, 2, 3))}, None,
+            "reflection", "oracle 3 classes vs theorem 1"),
+        "reflection-orders": (
+            {"classify_reflection": ("reflection", *[Imprimitive(2, 1, 3)] * 3)}, None,
+            "reflection", "orders [24, 24, 24] vs [48, 48, 48]"),
+        "reflection-labels": (
+            {"classify_reflection": ("reflection", *[Sym(4)] * 3)}, None,
+            "reflection", "orders [24, 24, 24] vs [24, 24, 24]"),
+        "reflection-sizes": (
+            {}, lambda found: _fewer_members(found) if found[0].order == 24 else found,
+            "reflection", "unequal class sizes [1, 3]"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_wrong_answer_fails_its_check_with_its_detail(self, monkeypatch, case):
+        answers, change_minimal, failing, detail = self.CASES[case]
+        for name, (kind, *members) in answers.items():
+            answer = _six_six_three_answer(kind, *members)
+            monkeypatch.setattr(classify, name, lambda g, ell, answer=answer: answer)
+        if change_minimal is not None:
+            minimal = oracle.minimal_full_valuation
+            monkeypatch.setattr(oracle, "minimal_full_valuation",
+                                lambda *args: change_minimal(minimal(*args)))
+        checks = {c.name: c for c in verify.verify_group(6, 6, 3, [2]).checks}
+        assert list(checks) == ["parabolic", "reflection", "sylow"]
+        assert checks[failing] == verify.Check(failing, 2, False, detail)
+        for name, text in self.PASSING.items():
+            if name != failing:
+                assert checks[name] == verify.Check(name, 2, True, text)
+        assert checks["sylow"].passed
 
 
 def _element_order(e):
